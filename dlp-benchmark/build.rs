@@ -1,0 +1,22 @@
+//! Records the compiler that built the benchmark, for the provenance
+//! block of every result file.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_default();
+    let version = version.trim();
+    println!(
+        "cargo:rustc-env=BENCH_RUSTC_VERSION={}",
+        if version.is_empty() {
+            "unknown"
+        } else {
+            version
+        }
+    );
+    println!("cargo:rerun-if-env-changed=RUSTC");
+}
