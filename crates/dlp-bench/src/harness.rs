@@ -657,8 +657,12 @@ pub fn run_many_with_workers(
             s.spawn(move || loop {
                 // Own queue first; then sweep the others for work to
                 // steal. Every index is handed out exactly once: pops
-                // happen under the owning queue's lock.
-                let claimed = queues[w].lock().pop_front().or_else(|| {
+                // happen under the owning queue's lock. The own-queue
+                // guard must drop before stealing: two idle workers each
+                // holding their own lock while locking the other's would
+                // deadlock.
+                let own = queues[w].lock().pop_front();
+                let claimed = own.or_else(|| {
                     (1..workers).find_map(|d| queues[(w + d) % workers].lock().pop_back())
                 });
                 let Some(i) = claimed else { break };

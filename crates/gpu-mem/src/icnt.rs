@@ -12,6 +12,7 @@
 //! packets (5 flits) vs control packets (1 flit), and finite buffering.
 
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
+use crate::mask;
 use crate::packet::Packet;
 use crate::stats::IcntStats;
 use std::collections::VecDeque;
@@ -80,17 +81,33 @@ pub struct Interconnect {
     /// [`Interconnect::in_flight`] is O(1) (it is polled every cycle by
     /// the GPU's `finished()` check).
     in_flight_count: usize,
+    /// Ports with a non-empty queue, one bit per port and direction
+    /// ([`crate::mask`]): the clock loop ejects from and probes only
+    /// these. Kept exact — bit set iff the queue holds a packet — by
+    /// every push and removal below.
+    fwd_nonempty: u64,
+    ret_nonempty: u64,
     stats: IcntStats,
 }
 
 impl Interconnect {
-    /// Build for the given shape.
+    /// Build for the given shape. At most [`mask::MAX`] ports per
+    /// direction.
     pub fn new(cfg: IcntConfig) -> Self {
+        assert!(
+            cfg.num_sms <= mask::MAX && cfg.num_partitions <= mask::MAX,
+            "crossbar of {} SM and {} partition ports exceeds the {}-port limit",
+            cfg.num_sms,
+            cfg.num_partitions,
+            mask::MAX
+        );
         Interconnect {
             fwd: (0..cfg.num_partitions).map(|_| Port::new()).collect(),
             ret: (0..cfg.num_sms).map(|_| Port::new()).collect(),
             fault: None,
             in_flight_count: 0,
+            fwd_nonempty: 0,
+            ret_nonempty: 0,
             stats: IcntStats::default(),
             cfg,
         }
@@ -166,10 +183,15 @@ impl Interconnect {
         let mut flits = 0;
         for _ in 0..copies {
             let headroom = slack(dst);
-            let port = if forward { &mut self.fwd[dst] } else { &mut self.ret[dst] };
+            let (port, nonempty) = if forward {
+                (&mut self.fwd[dst], &mut self.fwd_nonempty)
+            } else {
+                (&mut self.ret[dst], &mut self.ret_nonempty)
+            };
             if let Some(f) = Self::try_send(port, &self.cfg, pkt, now, extra, headroom) {
                 flits += f;
                 self.in_flight_count += 1;
+                *nonempty |= mask::bit(dst);
             }
         }
         flits
@@ -209,7 +231,12 @@ impl Interconnect {
     // occupancy (extracted-but-not-yet-popped packets re-counted via
     // the `slack` closure).
 
-    fn extract_ready(port: &mut Port, horizon: u64) -> VecDeque<(u64, Packet)> {
+    fn extract_ready(
+        port: &mut Port,
+        nonempty: &mut u64,
+        dst: usize,
+        horizon: u64,
+    ) -> VecDeque<(u64, Packet)> {
         let mut out = VecDeque::new();
         loop {
             match port.queue.front() {
@@ -221,13 +248,24 @@ impl Interconnect {
                 _ => break,
             }
         }
+        if port.queue.is_empty() {
+            *nonempty &= !mask::bit(dst);
+        }
         out
     }
 
-    fn restore_front(port: &mut Port, mut leftover: VecDeque<(u64, Packet)>) -> usize {
+    fn restore_front(
+        port: &mut Port,
+        nonempty: &mut u64,
+        dst: usize,
+        mut leftover: VecDeque<(u64, Packet)>,
+    ) -> usize {
         let n = leftover.len();
         while let Some(item) = leftover.pop_back() {
             port.queue.push_front(item);
+        }
+        if n > 0 {
+            *nonempty |= mask::bit(dst);
         }
         n
     }
@@ -237,7 +275,7 @@ impl Interconnect {
     /// head-gated, so the prefix is exactly what [`Interconnect::pop_fwd`]
     /// could ever deliver through that cycle.
     pub fn extract_ready_fwd(&mut self, dst: usize, horizon: u64) -> VecDeque<(u64, Packet)> {
-        let out = Self::extract_ready(&mut self.fwd[dst], horizon);
+        let out = Self::extract_ready(&mut self.fwd[dst], &mut self.fwd_nonempty, dst, horizon);
         self.in_flight_count -= out.len();
         out
     }
@@ -245,7 +283,7 @@ impl Interconnect {
     /// Detach the ripe FIFO prefix of SM `dst`'s return queue (see
     /// [`Interconnect::extract_ready_fwd`]).
     pub fn extract_ready_ret(&mut self, dst: usize, horizon: u64) -> VecDeque<(u64, Packet)> {
-        let out = Self::extract_ready(&mut self.ret[dst], horizon);
+        let out = Self::extract_ready(&mut self.ret[dst], &mut self.ret_nonempty, dst, horizon);
         self.in_flight_count -= out.len();
         out
     }
@@ -254,13 +292,15 @@ impl Interconnect {
     /// head of its queue, preserving FIFO order (the leftovers are older
     /// than everything still enqueued).
     pub fn restore_front_fwd(&mut self, dst: usize, leftover: VecDeque<(u64, Packet)>) {
-        self.in_flight_count += Self::restore_front(&mut self.fwd[dst], leftover);
+        self.in_flight_count +=
+            Self::restore_front(&mut self.fwd[dst], &mut self.fwd_nonempty, dst, leftover);
     }
 
     /// Return the unconsumed tail of an extracted return prefix (see
     /// [`Interconnect::restore_front_fwd`]).
     pub fn restore_front_ret(&mut self, dst: usize, leftover: VecDeque<(u64, Packet)>) {
-        self.in_flight_count += Self::restore_front(&mut self.ret[dst], leftover);
+        self.in_flight_count +=
+            Self::restore_front(&mut self.ret[dst], &mut self.ret_nonempty, dst, leftover);
     }
 
     /// Replay an epoch-deferred forward send at the barrier merge.
@@ -304,9 +344,15 @@ impl Interconnect {
         true
     }
 
-    fn pop(port: &mut Port, now: u64) -> Option<Packet> {
+    fn pop(port: &mut Port, nonempty: &mut u64, dst: usize, now: u64) -> Option<Packet> {
         match port.queue.front() {
-            Some(&(ready, _)) if ready <= now => port.queue.pop_front().map(|(_, p)| p),
+            Some(&(ready, _)) if ready <= now => {
+                let pkt = port.queue.pop_front().map(|(_, p)| p);
+                if port.queue.is_empty() {
+                    *nonempty &= !mask::bit(dst);
+                }
+                pkt
+            }
             _ => None,
         }
     }
@@ -314,7 +360,7 @@ impl Interconnect {
     /// Eject the next delivered packet at partition `dst`, if one has
     /// arrived by `now`.
     pub fn pop_fwd(&mut self, dst: usize, now: u64) -> Option<Packet> {
-        let pkt = Self::pop(&mut self.fwd[dst], now);
+        let pkt = Self::pop(&mut self.fwd[dst], &mut self.fwd_nonempty, dst, now);
         if pkt.is_some() {
             self.in_flight_count -= 1;
         }
@@ -323,7 +369,7 @@ impl Interconnect {
 
     /// Eject the next delivered packet at SM `dst`.
     pub fn pop_ret(&mut self, dst: usize, now: u64) -> Option<Packet> {
-        let pkt = Self::pop(&mut self.ret[dst], now);
+        let pkt = Self::pop(&mut self.ret[dst], &mut self.ret_nonempty, dst, now);
         if pkt.is_some() {
             self.in_flight_count -= 1;
         }
@@ -337,7 +383,32 @@ impl Interconnect {
             self.fwd.iter().chain(self.ret.iter()).map(|p| p.queue.len()).sum::<usize>(),
             "incremental in-flight census out of sync"
         );
+        debug_assert!(self.masks_match_queues(), "non-empty port masks out of sync");
         self.in_flight_count
+    }
+
+    /// Partition ports whose forward queue holds a packet, one bit per
+    /// port ([`crate::mask`]).
+    pub fn fwd_nonempty(&self) -> u64 {
+        self.fwd_nonempty
+    }
+
+    /// SM ports whose return queue holds a packet.
+    pub fn ret_nonempty(&self) -> u64 {
+        self.ret_nonempty
+    }
+
+    /// Does each direction's non-empty mask name exactly the ports with
+    /// a queued packet?
+    fn masks_match_queues(&self) -> bool {
+        let of = |ports: &[Port]| {
+            ports
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.queue.is_empty())
+                .fold(0u64, |m, (i, _)| m | mask::bit(i))
+        };
+        of(&self.fwd) == self.fwd_nonempty && of(&self.ret) == self.ret_nonempty
     }
 
     /// Ready cycle of the oldest undelivered forward packet for
@@ -624,5 +695,94 @@ mod tests {
         assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0));
         assert!(icnt.pop_fwd(0, 1000).is_none(), "intended port never sees it");
         assert!(icnt.pop_fwd(1, 1000).is_some(), "neighbour does");
+    }
+
+    /// The non-empty masks must name exactly the ports with a queued
+    /// packet; returns `(fwd, ret)` for the caller's expectations.
+    fn checked_masks(icnt: &Interconnect) -> (u64, u64) {
+        assert!(icnt.masks_match_queues(), "non-empty masks out of sync with the queues");
+        (icnt.fwd_nonempty(), icnt.ret_nonempty())
+    }
+
+    #[test]
+    fn nonempty_masks_track_send_and_pop() {
+        let mut icnt = small();
+        assert_eq!(checked_masks(&icnt), (0, 0));
+        icnt.try_send_fwd(1, pkt(PacketKind::ReadReq, 0), 0);
+        assert_eq!(checked_masks(&icnt), (0b10, 0));
+        icnt.try_send_ret(0, pkt(PacketKind::ReadReply, 0), 0);
+        icnt.try_send_ret(0, pkt(PacketKind::ReadReply, 128), 0);
+        assert_eq!(checked_masks(&icnt), (0b10, 0b01));
+        // A refused send leaves the masks alone.
+        assert!(!icnt.try_send_ret(0, pkt(PacketKind::ReadReply, 256), 0));
+        assert_eq!(checked_masks(&icnt), (0b10, 0b01));
+        // An unripe head pops nothing and keeps its bit.
+        assert!(icnt.pop_fwd(1, 0).is_none());
+        assert_eq!(checked_masks(&icnt), (0b10, 0b01));
+        assert!(icnt.pop_fwd(1, 100).is_some());
+        assert_eq!(checked_masks(&icnt), (0, 0b01));
+        // The bit clears only when the last packet leaves.
+        assert!(icnt.pop_ret(0, 100).is_some());
+        assert_eq!(checked_masks(&icnt), (0, 0b01));
+        assert!(icnt.pop_ret(0, 100).is_some());
+        assert_eq!(checked_masks(&icnt), (0, 0));
+    }
+
+    #[test]
+    fn nonempty_masks_track_extract_and_restore() {
+        let mut icnt = small();
+        icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0); // ready at 5
+        icnt.try_send_fwd(0, pkt(PacketKind::Writeback, 128), 0); // ready at 10
+        icnt.try_send_ret(1, pkt(PacketKind::ReadReply, 0), 0);
+        assert_eq!(checked_masks(&icnt), (0b01, 0b10));
+        // A partial extraction leaves the tail, and the bit.
+        let head = icnt.extract_ready_fwd(0, 5);
+        assert_eq!(head.len(), 1);
+        assert_eq!(checked_masks(&icnt), (0b01, 0b10));
+        let tail = icnt.extract_ready_fwd(0, 100);
+        assert_eq!(checked_masks(&icnt), (0, 0b10));
+        let ret = icnt.extract_ready_ret(1, 100);
+        assert_eq!(checked_masks(&icnt), (0, 0));
+        // Restoring nothing sets nothing; restoring packets sets the bit.
+        icnt.restore_front_ret(0, VecDeque::new());
+        assert_eq!(checked_masks(&icnt), (0, 0));
+        icnt.restore_front_fwd(0, tail);
+        icnt.restore_front_fwd(0, head);
+        icnt.restore_front_ret(1, ret);
+        assert_eq!(checked_masks(&icnt), (0b01, 0b10));
+        assert_eq!(icnt.in_flight(), 3);
+    }
+
+    #[test]
+    fn nonempty_masks_follow_duplicate_and_misroute_faults() {
+        let mut icnt = small();
+        icnt.set_fault_injector(FaultInjector::new(FaultConfig::single(
+            FaultKind::Duplicate,
+            FaultSite::IcntForward,
+            1,
+        )));
+        icnt.try_send_fwd(1, pkt(PacketKind::ReadReq, 256), 0);
+        assert_eq!(checked_masks(&icnt), (0b10, 0));
+        assert!(icnt.pop_fwd(1, 100).is_some());
+        assert_eq!(checked_masks(&icnt), (0b10, 0), "the duplicate still occupies the port");
+        assert!(icnt.pop_fwd(1, 100).is_some());
+        assert_eq!(checked_masks(&icnt), (0, 0));
+
+        let mut icnt = small();
+        icnt.set_fault_injector(FaultInjector::new(FaultConfig::single(
+            FaultKind::Misroute,
+            FaultSite::IcntReturn,
+            1,
+        )));
+        icnt.try_send_ret(1, pkt(PacketKind::ReadReply, 0), 0);
+        assert_eq!(checked_masks(&icnt), (0, 0b01), "the bit follows the packet, not the request");
+        assert!(icnt.pop_ret(0, 100).is_some());
+        assert_eq!(checked_masks(&icnt), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-port limit")]
+    fn more_than_64_ports_is_rejected() {
+        Interconnect::new(IcntConfig { num_partitions: 65, ..IcntConfig::fermi() });
     }
 }

@@ -36,6 +36,7 @@ pub mod error;
 pub mod fault;
 pub mod icnt;
 pub mod l1d;
+pub mod mask;
 pub mod mshr;
 pub mod observer;
 pub mod packet;

@@ -38,6 +38,7 @@ use crate::sm::Sm;
 use crate::stats::RunStats;
 use gpu_mem::fault::{FaultInjector, FaultSite};
 use gpu_mem::icnt::Interconnect;
+use gpu_mem::mask;
 use gpu_mem::observer::AccessObserver;
 use gpu_mem::packet::Packet;
 use gpu_mem::partition::MemoryPartition;
@@ -135,47 +136,12 @@ pub(crate) fn audit_machine(
 
 /// A configured GPU with a kernel to run.
 pub struct Gpu {
-    pub(crate) cfg: SimConfig,
-    pub(crate) sms: Vec<Sm>,
-    pub(crate) icnt: Interconnect,
-    pub(crate) parts: Vec<MemoryPartition>,
-    pub(crate) kernel: Box<dyn Kernel>,
-    pub(crate) pending_ctas: VecDeque<usize>,
-    pub(crate) launch_cursor: usize,
-    pub(crate) now: u64,
-    pub(crate) counters: FlowCounters,
-    /// Progress metric (insns issued + replies delivered) at the last
-    /// cycle it changed, and that cycle — the watchdog's state.
-    pub(crate) last_progress: u64,
-    pub(crate) last_progress_cycle: u64,
-    /// Idle-skip state: which SMs / partitions have work. A component is
-    /// promoted to busy at the event that gives it work (CTA launch,
-    /// packet enqueue, reply delivery) and demoted after a cycle in
-    /// which it reports idle — quiescent components are not ticked at
-    /// all, and the busy counts make [`Gpu::finished`] O(1).
-    pub(crate) sm_busy: Vec<bool>,
-    pub(crate) part_busy: Vec<bool>,
-    pub(crate) busy_sms: usize,
-    pub(crate) busy_parts: usize,
-    /// Running total of warp instructions issued (the watchdog metric's
-    /// SM half, maintained incrementally).
-    pub(crate) total_warp_insns: u64,
-    /// Cycles actually stepped (as opposed to leapt over). With the
-    /// cycle-leap event core this is the count of event cycles; the
-    /// ratio against [`RunStats::cycles`] is the leap efficiency
-    /// reported by the benchmark telemetry. Deliberately *not* part of
-    /// [`RunStats`]: simulated results are byte-identical with leaping
-    /// on or off, and this counter is the one number that legitimately
-    /// differs.
-    pub(crate) ticked_cycles: u64,
-    /// The component that most recently forced a tick (reported an event
-    /// at `now + 1`). Active phases are bursty — the same SM or
-    /// partition stays hot for many consecutive cycles — so
-    /// [`Gpu::next_step_cycle`] re-checks this one component first and
-    /// skips the full scan while it stays hot. Purely an optimization:
-    /// "no leap" is always a conservative answer, so a stale hint can
-    /// only cost a scan, never correctness.
-    pub(crate) leap_hint: LeapHint,
+    // Declared first so they are dropped first: `Gpu::new` allocates
+    // them last, at the top of the heap, and freeing them before the
+    // bulk of the machine parks them in the allocator's free lists
+    // instead of merging them into the top chunk. Dropped last, they
+    // let glibc trim and re-fault ~400 KB per machine in construct/drop
+    // loops (measured: 2x set-up time on the sampled benchmark).
     /// Per-SM sleep: `sm_next_ev[s]` is a conservative bound below which
     /// SM `s` has no internal event (same bound [`Sm::next_event`] feeds
     /// the global leap), so its `cycle` call is skipped even on cycles
@@ -191,11 +157,39 @@ pub struct Gpu {
     /// any state is reported (stats, hang reports). This single
     /// deferred-aging account also covers whole-machine leaps.
     pub(crate) sm_last_cycled: Vec<u64>,
-    /// Whether SM `s` slept through the step in progress — latched at
-    /// the cycle phase, because the phase itself refreshes `sm_next_ev`
-    /// to a future cycle and later phases (the forward drain) must see
-    /// the decision, not the refreshed bound.
-    pub(crate) sm_asleep: Vec<bool>,
+    pub(crate) cfg: SimConfig,
+    pub(crate) sms: Vec<Sm>,
+    pub(crate) icnt: Interconnect,
+    pub(crate) parts: Vec<MemoryPartition>,
+    pub(crate) kernel: Box<dyn Kernel>,
+    pub(crate) pending_ctas: VecDeque<usize>,
+    pub(crate) launch_cursor: usize,
+    pub(crate) now: u64,
+    pub(crate) counters: FlowCounters,
+    /// Progress metric (insns issued + replies delivered) at the last
+    /// cycle it changed, and that cycle — the watchdog's state.
+    pub(crate) last_progress: u64,
+    pub(crate) last_progress_cycle: u64,
+    /// Active sets: which SMs / partitions have work, one bit per
+    /// component ([`gpu_mem::mask`]). A component is promoted to busy at
+    /// the event that gives it work (CTA launch, packet enqueue, reply
+    /// delivery) and demoted after a cycle in which it reports idle.
+    /// Every per-cycle loop visits only set bits (plus the crossbar's
+    /// own non-empty port masks), so quiescent components cost nothing,
+    /// and [`Gpu::finished`] is two word compares.
+    pub(crate) active_sms: u64,
+    pub(crate) active_parts: u64,
+    /// Running total of warp instructions issued (the watchdog metric's
+    /// SM half, maintained incrementally).
+    pub(crate) total_warp_insns: u64,
+    /// Cycles actually stepped (as opposed to leapt over). With the
+    /// cycle-leap event core this is the count of event cycles; the
+    /// ratio against [`RunStats::cycles`] is the leap efficiency
+    /// reported by the benchmark telemetry. Deliberately *not* part of
+    /// [`RunStats`]: simulated results are byte-identical with leaping
+    /// on or off, and this counter is the one number that legitimately
+    /// differs.
+    pub(crate) ticked_cycles: u64,
     /// Whether any L1D observer is attached. Observed runs force the
     /// single-threaded path: the sharded engine's misspeculation
     /// restart would replay accesses into the (external, shared)
@@ -213,23 +207,17 @@ pub struct Gpu {
     pub(crate) sampling_report: Option<SamplingReport>,
 }
 
-/// See [`Gpu::leap_hint`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LeapHint {
-    None,
-    /// `sms[i].next_event` said `now + 1`.
-    Sm(usize),
-    /// The return queue toward SM `i` had a ripe head.
-    IcntRet(usize),
-    /// Partition `i` could pop a ripe forward packet.
-    IcntFwd(usize),
-    /// `parts[i].next_event` said `now + 1`.
-    Partition(usize),
-}
-
 impl Gpu {
-    /// Build the platform and queue every CTA of the kernel's grid.
+    /// Build the platform and queue every CTA of the kernel's grid. At
+    /// most 64 SMs and 64 partitions: the active sets are `u64` words.
     pub fn new(cfg: SimConfig, kernel: Box<dyn Kernel>) -> Self {
+        assert!(
+            cfg.num_sms <= mask::MAX && cfg.icnt.num_partitions <= mask::MAX,
+            "{} SMs / {} partitions exceed the {}-component active-set limit",
+            cfg.num_sms,
+            cfg.icnt.num_partitions,
+            mask::MAX
+        );
         let grid = kernel.grid();
         let slots = cfg.warp_limit.unwrap_or(cfg.max_warps_per_sm).min(cfg.max_warps_per_sm);
         assert!(
@@ -250,16 +238,12 @@ impl Gpu {
             counters: FlowCounters::default(),
             last_progress: 0,
             last_progress_cycle: 0,
-            sm_busy: vec![false; cfg.num_sms],
-            part_busy: vec![false; cfg.icnt.num_partitions],
-            busy_sms: 0,
-            busy_parts: 0,
+            active_sms: 0,
+            active_parts: 0,
             total_warp_insns: 0,
             ticked_cycles: 0,
-            leap_hint: LeapHint::None,
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
-            sm_asleep: vec![false; cfg.num_sms],
             observed: false,
             shards_disabled: false,
             shard_telemetry: ShardTelemetry::default(),
@@ -318,27 +302,33 @@ impl Gpu {
         self.counters = FlowCounters::default();
         self.last_progress = 0;
         self.last_progress_cycle = 0;
-        self.sm_busy = vec![false; cfg.num_sms];
-        self.part_busy = vec![false; cfg.icnt.num_partitions];
-        self.busy_sms = 0;
-        self.busy_parts = 0;
+        self.active_sms = 0;
+        self.active_parts = 0;
         self.total_warp_insns = 0;
-        self.leap_hint = LeapHint::None;
         self.sm_next_ev = vec![0; cfg.num_sms];
         self.sm_last_cycled = vec![0; cfg.num_sms];
-        self.sm_asleep = vec![false; cfg.num_sms];
         self.sampling_report = None;
     }
 
     #[inline]
-    fn mark_sm_busy(sm_busy: &mut [bool], busy_sms: &mut usize, sm_next_ev: &mut [u64], s: usize) {
+    fn mark_sm_busy(&mut self, s: usize) {
         // External input always wakes the SM: force a cycle on the next
         // step regardless of any cached sleep bound.
-        sm_next_ev[s] = 0;
-        if !sm_busy[s] {
-            sm_busy[s] = true;
-            *busy_sms += 1;
+        self.sm_next_ev[s] = 0;
+        self.active_sms |= mask::bit(s);
+    }
+
+    /// Re-derive the busy set from the SMs themselves and clear every
+    /// sleep bound — after a functional drain or fast-forward, which
+    /// bypass the per-cycle promotion/demotion points.
+    fn rederive_active_sms(&mut self) {
+        self.active_sms = 0;
+        for (s, sm) in self.sms.iter().enumerate() {
+            if !sm.idle() {
+                self.active_sms |= mask::bit(s);
+            }
         }
+        self.sm_next_ev.fill(0);
     }
 
     /// Per-SM sleeping is only sound on the leap path, and the audited /
@@ -355,13 +345,10 @@ impl Gpu {
     /// to what the tick-every-cycle reference produces.
     pub(crate) fn settle_sms(&mut self) {
         let now = self.now;
-        for (s, sm) in self.sms.iter_mut().enumerate() {
-            if !self.sm_busy[s] {
-                continue;
-            }
+        for s in mask::ones(self.active_sms) {
             let behind = now - self.sm_last_cycled[s];
             if behind > 0 {
-                sm.leap_catchup(behind);
+                self.sms[s].leap_catchup(behind);
                 self.sm_last_cycled[s] = now;
             }
         }
@@ -404,12 +391,7 @@ impl Gpu {
                 // dlp-lint: allow(P301) -- allocates once per CTA launch, not per cycle; the stream list is the owned payload handed to the SM
                 let warps = (0..wpc).map(|w| self.kernel.warp_stream(cta, w)).collect();
                 self.sms[idx].launch_cta(cta, warps);
-                Self::mark_sm_busy(
-                    &mut self.sm_busy,
-                    &mut self.busy_sms,
-                    &mut self.sm_next_ev,
-                    idx,
-                );
+                self.mark_sm_busy(idx);
                 denied = 0;
             } else {
                 denied += 1;
@@ -437,12 +419,16 @@ impl Gpu {
         // the SM inside the gap — every external input (reply, CTA
         // launch) resets `sm_next_ev` to 0 and ends the sleep.
         let sleep = self.sm_sleep_enabled();
-        for (s, sm) in self.sms.iter_mut().enumerate() {
-            let asleep = self.sm_busy[s] && sleep && self.sm_next_ev[s] > now;
-            self.sm_asleep[s] = asleep;
-            if !self.sm_busy[s] || asleep {
+        // The SMs that ran this cycle, latched here because the phase
+        // refreshes `sm_next_ev` to a future cycle and the forward drain
+        // must see the decision, not the refreshed bound.
+        let mut cycled = 0u64;
+        for s in mask::ones(self.active_sms) {
+            if sleep && self.sm_next_ev[s] > now {
                 continue;
             }
+            cycled |= mask::bit(s);
+            let sm = &mut self.sms[s];
             let behind = now - 1 - self.sm_last_cycled[s];
             if behind > 0 {
                 sm.leap_catchup(behind);
@@ -456,15 +442,13 @@ impl Gpu {
             }
         }
 
-
         // L1D miss queues -> crossbar (forward direction). Idle SMs have
         // empty miss queues by definition, and a sleeping SM's outgoing
         // queue is empty too (a non-empty queue forbids sleep) — nor can
-        // it become idle while its state is frozen, so skip both.
-        for (s, sm) in self.sms.iter_mut().enumerate() {
-            if !self.sm_busy[s] || self.sm_asleep[s] {
-                continue;
-            }
+        // it become idle while its state is frozen, so only the SMs that
+        // cycled are drained.
+        for s in mask::ones(cycled) {
+            let sm = &mut self.sms[s];
             while let Some(pkt) = sm.l1d.peek_outgoing() {
                 let dst = self.icnt.partition_of(pkt.addr);
                 let expects_reply = pkt.kind.expects_reply();
@@ -479,18 +463,19 @@ impl Gpu {
             }
             // All traffic is drained above; demote the SM once it has
             // nothing left anywhere (warps, queues, cache machinery).
-            if self.sm_busy[s] && sm.idle() {
-                self.sm_busy[s] = false;
-                self.busy_sms -= 1;
+            if sm.idle() {
+                self.active_sms &= !mask::bit(s);
             }
         }
 
-
         // Crossbar -> partitions, then partition internals. Ejection is
-        // polled for every partition (packets arrive regardless of the
-        // partition's own state); the partition machinery itself is only
-        // cycled while busy, with its DRAM clock caught up on wake.
-        for (p, part) in self.parts.iter_mut().enumerate() {
+        // polled wherever a forward queue holds a packet (packets arrive
+        // regardless of the partition's own state); the partition
+        // machinery itself is only cycled while busy, with its DRAM
+        // clock caught up on wake. No forward send happens in this
+        // phase, so the visit set is fixed at its start.
+        for p in mask::ones(self.active_parts | self.icnt.fwd_nonempty()) {
+            let part = &mut self.parts[p];
             while part.can_accept() {
                 match self.icnt.pop_fwd(p, now) {
                     Some(pkt) => {
@@ -507,15 +492,12 @@ impl Gpu {
                         }
                         self.counters.fwd_flits_delivered += pkt.flits();
                         part.enqueue(pkt);
-                        if !self.part_busy[p] {
-                            self.part_busy[p] = true;
-                            self.busy_parts += 1;
-                        }
+                        self.active_parts |= mask::bit(p);
                     }
                     None => break,
                 }
             }
-            if !self.part_busy[p] {
+            if self.active_parts & mask::bit(p) == 0 {
                 continue;
             }
             part.cycle(now).map_err(|source| SimError::PartitionFault {
@@ -531,15 +513,13 @@ impl Gpu {
                     break;
                 }
             }
-            if self.part_busy[p] && part.idle() {
-                self.part_busy[p] = false;
-                self.busy_parts -= 1;
+            if part.idle() {
+                self.active_parts &= !mask::bit(p);
             }
         }
 
-
-        // Crossbar -> L1Ds.
-        for (s, sm) in self.sms.iter_mut().enumerate() {
+        // Crossbar -> L1Ds, wherever a return queue holds a packet.
+        for s in mask::ones(self.icnt.ret_nonempty()) {
             while let Some(pkt) = self.icnt.pop_ret(s, now) {
                 self.counters.ret_flits_delivered += pkt.flits();
                 self.counters.replies_delivered += 1;
@@ -548,6 +528,7 @@ impl Gpu {
                 // SM must replay its gap with the pre-reply state first.
                 // The gap includes this cycle: the reference SM's own
                 // phase — one more no-op retry — ran before delivery.
+                let sm = &mut self.sms[s];
                 let behind = now - self.sm_last_cycled[s];
                 if behind > 0 {
                     sm.leap_catchup(behind);
@@ -559,10 +540,9 @@ impl Gpu {
                 // The reply gives the SM work (a response to ripen); an
                 // outstanding fetch implies a non-quiescent L1D, so the
                 // SM should already be busy — keep it that way cheaply.
-                Self::mark_sm_busy(&mut self.sm_busy, &mut self.busy_sms, &mut self.sm_next_ev, s);
+                self.mark_sm_busy(s);
             }
         }
-
 
         // Forward-progress watchdog (the metric is maintained
         // incrementally instead of re-summed across SMs every cycle).
@@ -604,58 +584,21 @@ impl Gpu {
                 return fallthrough;
             }
         }
-        // Fast path: the component that forced the last tick usually
-        // forces this one too — one probe instead of a machine-wide
-        // scan. A miss falls through to the full scan, which refreshes
-        // the hint; a stale hint is therefore never a correctness issue.
-        let hot = match self.leap_hint {
-            LeapHint::None => false,
-            LeapHint::Sm(s) => {
-                self.sm_busy[s]
-                    && if self.sm_sleep_enabled() {
-                        self.sm_next_ev[s] <= fallthrough
-                    } else {
-                        matches!(self.sms[s].next_event(now), Some(ev) if ev <= fallthrough)
-                    }
-            }
-            LeapHint::IcntRet(s) => self.icnt.next_ret_ready(s).is_some_and(|r| r <= fallthrough),
-            LeapHint::IcntFwd(p) => {
-                self.parts[p].can_accept()
-                    && self.icnt.next_fwd_ready(p).is_some_and(|r| r <= fallthrough)
-            }
-            LeapHint::Partition(p) => {
-                self.part_busy[p]
-                    && matches!(self.parts[p].next_event(now), Some(ev) if ev <= fallthrough)
-            }
-        };
-        if hot {
-            return fallthrough;
-        }
         let mut t = u64::MAX;
         if self.sm_sleep_enabled() {
             // The per-SM sleep cache holds exactly the bound this scan
             // needs — maintained by step(), so no SM is re-probed here.
-            for s in 0..self.sms.len() {
-                if !self.sm_busy[s] {
-                    continue;
-                }
+            for s in mask::ones(self.active_sms) {
                 let ev = self.sm_next_ev[s];
                 if ev <= fallthrough {
-                    self.leap_hint = LeapHint::Sm(s);
                     return fallthrough;
                 }
                 t = t.min(ev);
             }
         } else {
-            for (s, sm) in self.sms.iter_mut().enumerate() {
-                if !self.sm_busy[s] {
-                    continue;
-                }
-                match sm.next_event(now) {
-                    Some(ev) if ev <= fallthrough => {
-                        self.leap_hint = LeapHint::Sm(s);
-                        return fallthrough;
-                    }
+            for s in mask::ones(self.active_sms) {
+                match self.sms[s].next_event(now) {
+                    Some(ev) if ev <= fallthrough => return fallthrough,
                     Some(ev) => t = t.min(ev),
                     None => {}
                 }
@@ -666,37 +609,32 @@ impl Gpu {
         // deliverable; forward packets only land while the partition's
         // input queue has room (a full queue drains only via a partition
         // event, which the partition's own bound covers).
-        for s in 0..self.sms.len() {
+        for s in mask::ones(self.icnt.ret_nonempty()) {
             if let Some(ready) = self.icnt.next_ret_ready(s) {
                 if ready <= fallthrough {
-                    self.leap_hint = LeapHint::IcntRet(s);
                     return fallthrough;
                 }
                 t = t.min(ready);
             }
         }
-        for (p, part) in self.parts.iter_mut().enumerate() {
+        for p in mask::ones(self.active_parts | self.icnt.fwd_nonempty()) {
+            let part = &mut self.parts[p];
             if part.can_accept() {
                 if let Some(ready) = self.icnt.next_fwd_ready(p) {
                     if ready <= fallthrough {
-                        self.leap_hint = LeapHint::IcntFwd(p);
                         return fallthrough;
                     }
                     t = t.min(ready);
                 }
             }
-            if self.part_busy[p] {
+            if self.active_parts & mask::bit(p) != 0 {
                 match part.next_event(now) {
-                    Some(ev) if ev <= fallthrough => {
-                        self.leap_hint = LeapHint::Partition(p);
-                        return fallthrough;
-                    }
+                    Some(ev) if ev <= fallthrough => return fallthrough,
                     Some(ev) => t = t.min(ev),
                     None => {}
                 }
             }
         }
-        self.leap_hint = LeapHint::None;
         // The watchdog must fire at the identical cycle a ticked run
         // would report, and scheduled audits must run on schedule — a
         // leap never jumps across either.
@@ -781,8 +719,8 @@ impl Gpu {
         put(self.counters.ret_flits_delivered);
         put(self.icnt.in_flight() as u64);
         put(self.pending_ctas.len() as u64);
-        put(self.busy_sms as u64);
-        put(self.busy_parts as u64);
+        put(self.active_sms);
+        put(self.active_parts);
         for sm in &self.sms {
             put(sm.active_warps() as u64);
             put(sm.ldst_queue_len() as u64);
@@ -859,18 +797,18 @@ impl Gpu {
     }
 
     pub(crate) fn finished(&self) -> bool {
-        // O(1): busy counts are maintained by step(); a component is
-        // demoted only after a cycle in which it reported idle, so the
-        // counts reaching zero implies the full scans would too.
+        // O(1): the active sets are maintained by step(); a component is
+        // demoted only after a cycle in which it reported idle, so empty
+        // sets imply the full scans would find nothing either.
         let done = self.pending_ctas.is_empty()
             && self.icnt.in_flight() == 0
-            && self.busy_sms == 0
-            && self.busy_parts == 0;
+            && self.active_sms == 0
+            && self.active_parts == 0;
         debug_assert!(
             !done
                 || (self.sms.iter().all(Sm::idle)
                     && self.parts.iter().all(MemoryPartition::idle)),
-            "busy counts report finished but a component still has work"
+            "active sets report finished but a component still has work"
         );
         done
     }
@@ -1110,32 +1048,14 @@ impl Gpu {
             self.sms[s].take_finished_ctas();
         }
         // 7. Re-derive the busy/sleep bookkeeping the event core trusts.
-        for s in 0..self.sms.len() {
-            let idle = self.sms[s].idle();
-            match (self.sm_busy[s], idle) {
-                (true, true) => {
-                    self.sm_busy[s] = false;
-                    self.busy_sms -= 1;
-                }
-                (false, false) => {
-                    self.sm_busy[s] = true;
-                    self.busy_sms += 1;
-                }
-                _ => {}
-            }
-            self.sm_next_ev[s] = 0;
-            self.sm_last_cycled[s] = now;
-            self.sm_asleep[s] = false;
-        }
-        for p in 0..self.parts.len() {
-            debug_assert!(self.parts[p].idle(), "partition {p} not idle after drain");
-            if self.part_busy[p] {
-                self.part_busy[p] = false;
-                self.busy_parts -= 1;
-            }
-        }
+        self.rederive_active_sms();
+        self.sm_last_cycled.fill(now);
+        debug_assert!(
+            self.parts.iter().all(MemoryPartition::idle),
+            "partition not idle after drain"
+        );
+        self.active_parts = 0;
         debug_assert_eq!(self.icnt.in_flight(), 0, "crossbar not empty after drain");
-        self.leap_hint = LeapHint::None;
         self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
         self.last_progress_cycle = now;
         Ok(())
@@ -1191,22 +1111,7 @@ impl Gpu {
         }
         // Re-derive busy flags: SMs may have run dry mid-gap, and
         // launch_ctas marked newly fed SMs busy already.
-        for s in 0..self.sms.len() {
-            let idle = self.sms[s].idle();
-            match (self.sm_busy[s], idle) {
-                (true, true) => {
-                    self.sm_busy[s] = false;
-                    self.busy_sms -= 1;
-                }
-                (false, false) => {
-                    self.sm_busy[s] = true;
-                    self.busy_sms += 1;
-                }
-                _ => {}
-            }
-            self.sm_next_ev[s] = 0;
-            self.sm_asleep[s] = false;
-        }
+        self.rederive_active_sms();
         // Advance the clock: the full gap normally; pro-rated when the
         // program ran dry partway through, so end-of-run cycle counts
         // stay meaningful.
@@ -1218,9 +1123,7 @@ impl Gpu {
         self.now += advance;
         report.ff_cycles += advance;
         report.ff_insns += executed;
-        for s in 0..self.sms.len() {
-            self.sm_last_cycled[s] = self.now;
-        }
+        self.sm_last_cycled.fill(self.now);
         self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
         self.last_progress_cycle = self.now;
         Ok(())

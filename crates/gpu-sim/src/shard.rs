@@ -43,10 +43,11 @@
 //! at barriers only). See DESIGN.md §12 for the invariance argument.
 
 use crate::error::SimError;
-use crate::gpu::{advance_cursor, audit_machine, Gpu, LeapHint};
+use crate::gpu::{advance_cursor, audit_machine, Gpu};
 use crate::sm::Sm;
 use crate::stats::RunStats;
 use gpu_mem::icnt::{partition_for, Interconnect};
+use gpu_mem::mask;
 use gpu_mem::packet::Packet;
 use gpu_mem::partition::MemoryPartition;
 use std::collections::VecDeque;
@@ -172,18 +173,21 @@ struct Shard {
     sms: Vec<Sm>,
     parts: Vec<MemoryPartition>,
     // Local slices of the Gpu scheduling state (same semantics as the
-    // fields of the same name on `Gpu`, indexed by local component).
-    sm_busy: Vec<bool>,
+    // fields of the same name on `Gpu`, indexed by local component:
+    // bit `j` of a mask is component `sm0 + j` / `part0 + j`).
+    active_sms: u64,
     sm_next_ev: Vec<u64>,
     sm_last_cycled: Vec<u64>,
-    sm_asleep: Vec<bool>,
-    part_busy: Vec<bool>,
-    busy_sms: usize,
-    busy_parts: usize,
+    active_parts: u64,
     /// Ripe crossbar packets handed to this shard for the round, per
     /// local port (forward: partitions, return: SMs).
     fwd_inbox: Vec<VecDeque<(u64, Packet)>>,
     ret_inbox: Vec<VecDeque<(u64, Packet)>>,
+    /// Local ports whose inbox received packets this round — a superset
+    /// of the non-empty inboxes (a drained inbox keeps its bit until the
+    /// barrier), which is all the phase loops need.
+    fwd_filled: u64,
+    ret_filled: u64,
     /// Deferred sends, chronological (the round steps cycles in order
     /// and each cycle's phases log in sequential-loop order).
     sends: Vec<SendEvt>,
@@ -217,11 +221,17 @@ impl Shard {
     /// Detach the ripe prefix of every owned port for a round ending at
     /// `horizon` (inclusive).
     fn prepare_round(&mut self, icnt: &mut Interconnect, horizon: u64) {
-        for j in 0..self.parts.len() {
+        for j in mask::ones(mask::slice(icnt.fwd_nonempty(), self.part0, self.parts.len())) {
             self.fwd_inbox[j] = icnt.extract_ready_fwd(self.part0 + j, horizon);
+            if !self.fwd_inbox[j].is_empty() {
+                self.fwd_filled |= mask::bit(j);
+            }
         }
-        for j in 0..self.sms.len() {
+        for j in mask::ones(mask::slice(icnt.ret_nonempty(), self.sm0, self.sms.len())) {
             self.ret_inbox[j] = icnt.extract_ready_ret(self.sm0 + j, horizon);
+            if !self.ret_inbox[j].is_empty() {
+                self.ret_filled |= mask::bit(j);
+            }
         }
     }
 
@@ -229,18 +239,36 @@ impl Shard {
     /// (leftovers are older than anything still enqueued). Idempotent:
     /// restoring empty inboxes is a no-op.
     fn restore_inboxes(&mut self, icnt: &mut Interconnect) {
-        for j in 0..self.parts.len() {
+        for j in mask::ones(std::mem::take(&mut self.fwd_filled)) {
             let left = std::mem::take(&mut self.fwd_inbox[j]);
             if !left.is_empty() {
                 icnt.restore_front_fwd(self.part0 + j, left);
             }
         }
-        for j in 0..self.sms.len() {
+        for j in mask::ones(std::mem::take(&mut self.ret_filled)) {
             let left = std::mem::take(&mut self.ret_inbox[j]);
             if !left.is_empty() {
                 icnt.restore_front_ret(self.sm0 + j, left);
             }
         }
+    }
+
+    /// Earliest event of this shard's busy SMs (probed at `now`, floored
+    /// at `floor`), `u64::MAX` when none has one — the SM half shared by
+    /// both planning bounds below.
+    fn sm_event_bound(&mut self, now: u64, floor: u64) -> u64 {
+        let mut t = u64::MAX;
+        for j in mask::ones(self.active_sms) {
+            let ev = if self.sleep {
+                self.sm_next_ev[j]
+            } else {
+                self.sms[j].next_event(now).unwrap_or(u64::MAX)
+            };
+            if ev != u64::MAX {
+                t = t.min(ev.max(floor));
+            }
+        }
+        t
     }
 
     /// Barrier-side planning bound: the earliest cycle after `now` at
@@ -249,32 +277,21 @@ impl Shard {
     /// sequential `next_step_cycle`, floored at `now + 1`.
     fn next_event_bound(&mut self, now: u64, icnt: &Interconnect) -> u64 {
         let floor = now + 1;
-        let mut t = u64::MAX;
-        for (j, sm) in self.sms.iter_mut().enumerate() {
-            if !self.sm_busy[j] {
-                continue;
-            }
-            let ev = if self.sleep {
-                self.sm_next_ev[j]
-            } else {
-                sm.next_event(now).unwrap_or(u64::MAX)
-            };
-            if ev != u64::MAX {
-                t = t.min(ev.max(floor));
-            }
-        }
-        for j in 0..self.sms.len() {
+        let mut t = self.sm_event_bound(now, floor);
+        for j in mask::ones(mask::slice(icnt.ret_nonempty(), self.sm0, self.sms.len())) {
             if let Some(ready) = icnt.next_ret_ready(self.sm0 + j) {
                 t = t.min(ready.max(floor));
             }
         }
-        for (j, part) in self.parts.iter_mut().enumerate() {
+        let fwd = mask::slice(icnt.fwd_nonempty(), self.part0, self.parts.len());
+        for j in mask::ones(self.active_parts | fwd) {
+            let part = &mut self.parts[j];
             if part.can_accept() {
                 if let Some(ready) = icnt.next_fwd_ready(self.part0 + j) {
                     t = t.min(ready.max(floor));
                 }
             }
-            if self.part_busy[j] {
+            if self.active_parts & mask::bit(j) != 0 {
                 // Probe at the partition's *internal* clock, not the
                 // barrier time: its DRAM-domain term is computed
                 // relative to internal state, and the partition was
@@ -298,32 +315,20 @@ impl Shard {
         if floor > end {
             return None;
         }
-        let mut t = u64::MAX;
-        for (j, sm) in self.sms.iter_mut().enumerate() {
-            if !self.sm_busy[j] {
-                continue;
-            }
-            let ev = if self.sleep {
-                self.sm_next_ev[j]
-            } else {
-                sm.next_event(prev).unwrap_or(u64::MAX)
-            };
-            if ev != u64::MAX {
-                t = t.min(ev.max(floor));
-            }
-        }
-        for inbox in &self.ret_inbox {
-            if let Some(&(ready, _)) = inbox.front() {
+        let mut t = self.sm_event_bound(prev, floor);
+        for j in mask::ones(self.ret_filled) {
+            if let Some(&(ready, _)) = self.ret_inbox[j].front() {
                 t = t.min(ready.max(floor));
             }
         }
-        for (j, part) in self.parts.iter_mut().enumerate() {
+        for j in mask::ones(self.active_parts | self.fwd_filled) {
+            let part = &mut self.parts[j];
             if part.can_accept() {
                 if let Some(&(ready, _)) = self.fwd_inbox[j].front() {
                     t = t.min(ready.max(floor));
                 }
             }
-            if self.part_busy[j] {
+            if self.active_parts & mask::bit(j) != 0 {
                 // Internal-clock origin, as in `next_event_bound`: the
                 // partition was last cycled at its previous event,
                 // which can lag `prev` when another component drove the
@@ -348,12 +353,13 @@ impl Shard {
 
         // Phase 2: cycle busy, awake SMs (deferred aging replayed on
         // wake, exactly as the sequential loop does).
-        for (j, sm) in self.sms.iter_mut().enumerate() {
-            let asleep = self.sm_busy[j] && self.sleep && self.sm_next_ev[j] > now;
-            self.sm_asleep[j] = asleep;
-            if !self.sm_busy[j] || asleep {
+        let mut cycled = 0u64;
+        for j in mask::ones(self.active_sms) {
+            if self.sleep && self.sm_next_ev[j] > now {
                 continue;
             }
+            cycled |= mask::bit(j);
+            let sm = &mut self.sms[j];
             let behind = now - 1 - self.sm_last_cycled[j];
             if behind > 0 {
                 sm.leap_catchup(behind);
@@ -376,10 +382,8 @@ impl Shard {
         // Phase 3: L1D miss queues → send log (forward direction).
         // Optimistic: no backpressure here — the barrier merge applies
         // the sequential capacity check and restarts on a refusal.
-        for (j, sm) in self.sms.iter_mut().enumerate() {
-            if !self.sm_busy[j] || self.sm_asleep[j] {
-                continue;
-            }
+        for j in mask::ones(cycled) {
+            let sm = &mut self.sms[j];
             while let Some(pkt) = sm.l1d.peek_outgoing() {
                 let dst = partition_for(pkt.addr, self.num_partitions);
                 if pkt.kind.expects_reply() {
@@ -388,15 +392,15 @@ impl Shard {
                 self.sends.push(SendEvt { cycle: now, forward: true, dst, pkt: *pkt });
                 sm.l1d.pop_outgoing();
             }
-            if self.sm_busy[j] && sm.idle() {
-                self.sm_busy[j] = false;
-                self.busy_sms -= 1;
+            if sm.idle() {
+                self.active_sms &= !mask::bit(j);
             }
         }
 
         // Phase 4: inbox → partitions, partition internals, replies →
         // send log (return direction).
-        for (j, part) in self.parts.iter_mut().enumerate() {
+        for j in mask::ones(self.active_parts | self.fwd_filled) {
+            let part = &mut self.parts[j];
             let gp = self.part0 + j;
             while part.can_accept() {
                 match self.fwd_inbox[j].front() {
@@ -421,15 +425,12 @@ impl Shard {
                         }
                         self.round_fwd_flits += pkt.flits();
                         part.enqueue(pkt);
-                        if !self.part_busy[j] {
-                            self.part_busy[j] = true;
-                            self.busy_parts += 1;
-                        }
+                        self.active_parts |= mask::bit(j);
                     }
                     _ => break,
                 }
             }
-            if !self.part_busy[j] {
+            if self.active_parts & mask::bit(j) == 0 {
                 continue;
             }
             if let Err(source) = part.cycle(now) {
@@ -450,14 +451,14 @@ impl Shard {
                     pkt,
                 });
             }
-            if self.part_busy[j] && part.idle() {
-                self.part_busy[j] = false;
-                self.busy_parts -= 1;
+            if part.idle() {
+                self.active_parts &= !mask::bit(j);
             }
         }
 
         // Phase 5: inbox → L1Ds (replies, by owning return port).
-        for (j, sm) in self.sms.iter_mut().enumerate() {
+        for j in mask::ones(self.ret_filled) {
+            let sm = &mut self.sms[j];
             loop {
                 match self.ret_inbox[j].front() {
                     Some(&(ready, _)) if ready <= now => {
@@ -485,10 +486,7 @@ impl Shard {
                             return;
                         }
                         self.sm_next_ev[j] = 0;
-                        if !self.sm_busy[j] {
-                            self.sm_busy[j] = true;
-                            self.busy_sms += 1;
-                        }
+                        self.active_sms |= mask::bit(j);
                     }
                     _ => break,
                 }
@@ -665,22 +663,19 @@ fn split_into_shards(gpu: &mut Gpu, n: usize) -> Vec<Mutex<Shard>> {
         .map(|i| {
             let (s_lo, s_hi) = (chunk_lo(num_sms, n, i), chunk_lo(num_sms, n, i + 1));
             let (p_lo, p_hi) = (chunk_lo(num_parts, n, i), chunk_lo(num_parts, n, i + 1));
-            let sm_busy = gpu.sm_busy[s_lo..s_hi].to_vec();
-            let part_busy = gpu.part_busy[p_lo..p_hi].to_vec();
             Mutex::new(Shard {
                 sm0: s_lo,
                 part0: p_lo,
                 sms: sm_iter.by_ref().take(s_hi - s_lo).collect(),
                 parts: part_iter.by_ref().take(p_hi - p_lo).collect(),
-                busy_sms: sm_busy.iter().filter(|b| **b).count(),
-                busy_parts: part_busy.iter().filter(|b| **b).count(),
-                sm_busy,
+                active_sms: mask::slice(gpu.active_sms, s_lo, s_hi - s_lo),
                 sm_next_ev: gpu.sm_next_ev[s_lo..s_hi].to_vec(),
                 sm_last_cycled: gpu.sm_last_cycled[s_lo..s_hi].to_vec(),
-                sm_asleep: gpu.sm_asleep[s_lo..s_hi].to_vec(),
-                part_busy,
+                active_parts: mask::slice(gpu.active_parts, p_lo, p_hi - p_lo),
                 fwd_inbox: (p_lo..p_hi).map(|_| VecDeque::new()).collect(),
                 ret_inbox: (s_lo..s_hi).map(|_| VecDeque::new()).collect(),
+                fwd_filled: 0,
+                ret_filled: 0,
                 sends: Vec::new(),
                 fwd_pops: (p_lo..p_hi).map(|_| Vec::new()).collect(),
                 ret_pops: (s_lo..s_hi).map(|_| Vec::new()).collect(),
@@ -704,6 +699,8 @@ fn split_into_shards(gpu: &mut Gpu, n: usize) -> Vec<Mutex<Shard>> {
 /// Gpu is always whole for stats collection, hang reports, post-run
 /// introspection, or a misspeculation reset.
 fn reassemble(gpu: &mut Gpu, shards: Vec<Mutex<Shard>>) {
+    gpu.active_sms = 0;
+    gpu.active_parts = 0;
     for m in shards {
         let mut g = match m.into_inner() {
             Ok(g) => g,
@@ -713,21 +710,14 @@ fn reassemble(gpu: &mut Gpu, shards: Vec<Mutex<Shard>>) {
         // merge; this is a no-op there and keeps the crossbar census
         // consistent on abort paths.
         g.restore_inboxes(&mut gpu.icnt);
-        for (j, b) in g.sm_busy.iter().enumerate() {
-            gpu.sm_busy[g.sm0 + j] = *b;
-            gpu.sm_next_ev[g.sm0 + j] = g.sm_next_ev[j];
-            gpu.sm_last_cycled[g.sm0 + j] = g.sm_last_cycled[j];
-            gpu.sm_asleep[g.sm0 + j] = g.sm_asleep[j];
-        }
-        for (j, b) in g.part_busy.iter().enumerate() {
-            gpu.part_busy[g.part0 + j] = *b;
-        }
+        let (s0, n) = (g.sm0, g.sms.len());
+        gpu.active_sms |= mask::place(g.active_sms, s0);
+        gpu.active_parts |= mask::place(g.active_parts, g.part0);
+        gpu.sm_next_ev[s0..s0 + n].copy_from_slice(&g.sm_next_ev);
+        gpu.sm_last_cycled[s0..s0 + n].copy_from_slice(&g.sm_last_cycled);
         gpu.sms.append(&mut g.sms);
         gpu.parts.append(&mut g.parts);
     }
-    gpu.busy_sms = gpu.sm_busy.iter().filter(|b| **b).count();
-    gpu.busy_parts = gpu.part_busy.iter().filter(|b| **b).count();
-    gpu.leap_hint = LeapHint::None;
 }
 
 /// The barrier planner loop. Owns the shared clock `t` (mirrored into
@@ -807,10 +797,10 @@ fn drive(
             return Outcome::Error(err);
         }
 
-        // 2. Finished? (Mirrors `Gpu::finished` with the busy counts
+        // 2. Finished? (Mirrors `Gpu::finished` with the active sets
         // distributed across the shards.)
-        let busy: usize = guards.iter().map(|g| g.busy_sms + g.busy_parts).sum();
-        if gpu.pending_ctas.is_empty() && gpu.icnt.in_flight() == 0 && busy == 0 {
+        let busy = guards.iter().any(|g| g.active_sms | g.active_parts != 0);
+        if gpu.pending_ctas.is_empty() && gpu.icnt.in_flight() == 0 && !busy {
             // The last event cycle, not the round horizon: `run` exits
             // with `now` at the step that drained the machine.
             gpu.now = guards.iter().map(|g| g.last_stepped).max().unwrap_or(t);
@@ -1074,10 +1064,7 @@ fn launch_at_barrier(
             g.sms[j].launch_cta(cta, warps);
             // External input wakes the SM (mirrors `mark_sm_busy`).
             g.sm_next_ev[j] = 0;
-            if !g.sm_busy[j] {
-                g.sm_busy[j] = true;
-                g.busy_sms += 1;
-            }
+            g.active_sms |= mask::bit(j);
             denied = 0;
         } else {
             denied += 1;

@@ -14,8 +14,9 @@
 //! Two formats are supported, sniffed from the first bytes:
 //!
 //! **Text** (`dlp-trace-v1`): a header line, a `grid <ctas> <warps>`
-//! line, then `warp <cta> <warp>` sections of op lines. Registers are
-//! numbers or `-` for none; lane addresses are comma-separated:
+//! line, then `warp <cta> <warp>` sections of op lines. Op-line fields
+//! are separated by ASCII whitespace. Registers are numbers or `-` for
+//! none; lane addresses are comma-separated:
 //!
 //! ```text
 //! dlp-trace-v1
@@ -426,10 +427,20 @@ fn parse_text_op(line: &str) -> Result<Option<TraceOp>, TraceError> {
     if t.is_empty() || t.starts_with('#') {
         return Ok(None);
     }
-    let toks: Vec<&str> = t.split_whitespace().collect();
+    // Tokens go into a fixed array — this runs once per op line, on
+    // both the validation pass and every replay — while `n` keeps
+    // counting past the array so the arity checks see the true count.
+    let mut toks = [""; 8];
+    let mut n = 0;
+    for tok in t.split_ascii_whitespace() {
+        if let Some(slot) = toks.get_mut(n) {
+            *slot = tok;
+        }
+        n += 1;
+    }
     let op = match toks[0] {
         "alu" => {
-            if toks.len() != 7 {
+            if n != 7 {
                 return Err(bad_line(t, "expected `alu pc latency active dst s0 s1`"));
             }
             let active: u8 =
@@ -445,7 +456,7 @@ fn parse_text_op(line: &str) -> Result<Option<TraceOp>, TraceError> {
             }
         }
         "ld" => {
-            if toks.len() != 6 {
+            if n != 6 {
                 return Err(bad_line(t, "expected `ld pc dst s0 s1 addr,addr,...`"));
             }
             let dst = parse_reg(toks[2], t)?;
@@ -460,7 +471,7 @@ fn parse_text_op(line: &str) -> Result<Option<TraceOp>, TraceError> {
             }
         }
         "st" => {
-            if toks.len() != 5 {
+            if n != 5 {
                 return Err(bad_line(t, "expected `st pc s0 s1 addr,addr,...`"));
             }
             TraceOp {
@@ -823,6 +834,19 @@ mod tests {
         let err = TraceKernel::open(&path).unwrap_err();
         assert!(err.to_string().contains("unknown keyword"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn op_line_arity_counts_every_token() {
+        let op = parse_text_op("  alu\t64 4 32  2 1 -  ").unwrap().unwrap();
+        assert_eq!(op.pc, 64);
+        let arity = |line: &str| parse_text_op(line).unwrap_err().to_string();
+        // Lines longer than the token array still report the arity error.
+        let long = arity("alu 0 4 32 1 - - 7 8 9 10");
+        assert!(long.contains("expected `alu pc latency active dst s0 s1`"), "{long}");
+        assert!(arity("ld 0 1 - -").contains("expected `ld pc dst s0 s1"));
+        assert!(arity("st 0 - - 0 0 0 0 0 0").contains("expected `st pc s0 s1"));
+        assert!(parse_text_op("   ").unwrap().is_none());
     }
 
     #[test]

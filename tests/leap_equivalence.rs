@@ -15,9 +15,17 @@
 //! the same app × policy matrix, plus hang parity and the
 //! oversubscribed-launcher case where every round is a single cycle.
 
+//! Both matrices also run one sparse-occupancy input: the full 16-SM /
+//! 12-partition machine with only four single-warp CTAs chasing
+//! pointers, so most SMs, partitions and crossbar ports sit idle for
+//! the whole run — the regime the active-set scans skip over.
+
 use dlp_core::PolicyKind;
 use gpu_mem::{FaultConfig, FaultKind, FaultSite};
-use gpu_sim::{Gpu, RunStats, ShardTelemetry, SimConfig, SimError};
+use gpu_sim::isa::TraceOp;
+use gpu_sim::{
+    Gpu, GridDesc, Kernel, OpStream, RunStats, ShardTelemetry, SimConfig, SimError, VecStream,
+};
 use gpu_workloads::{build, Scale};
 
 /// FNV-1a fingerprint of a canonical stats rendering (same scheme as
@@ -39,6 +47,47 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// default audit interval.
 fn audit_build() -> bool {
     SimConfig::tesla_m2090(PolicyKind::Baseline).audit_interval != 0
+}
+
+/// A latency-bound kernel: 4 CTAs × 1 warp, each a chain of single-lane
+/// loads where every address waits on the previous load's ALU result,
+/// with a store every fifth step.
+struct Chase;
+
+impl Kernel for Chase {
+    fn name(&self) -> &str {
+        "chase"
+    }
+    fn grid(&self) -> GridDesc {
+        GridDesc { num_ctas: 4, warps_per_cta: 1 }
+    }
+    fn warp_stream(&self, cta: usize, _warp: usize) -> Box<dyn OpStream> {
+        let mut ops = Vec::new();
+        let mut addr = (cta as u64 + 1) << 20;
+        for i in 0..200u32 {
+            ops.push(TraceOp::load(i % 4, 1, vec![addr]).with_srcs([2]));
+            ops.push(TraceOp::alu(8, 4).with_srcs([1]).with_dst(2));
+            if i % 5 == 4 {
+                ops.push(TraceOp::store(12, vec![addr + 64]).with_srcs([2]));
+            }
+            // Revisit a small pool now and then so the L1D sees reuse.
+            addr = if i % 3 == 0 { (cta as u64 + 1) << 20 } else { addr * 7 % (1 << 26) + 256 };
+        }
+        Box::new(VecStream::new(ops))
+    }
+}
+
+/// Run [`Chase`] on the full machine: leaping (`reference == false`) or
+/// tick-every-cycle, at the given shard count.
+fn run_sparse(kind: PolicyKind, reference: bool, shards: usize) -> (RunStats, ShardTelemetry) {
+    let mut cfg = SimConfig::tesla_m2090(kind).with_shards(shards);
+    if reference {
+        cfg = cfg.with_reference_ticking();
+    }
+    let mut gpu = Gpu::new(cfg, Box::new(Chase));
+    let stats = gpu.run().unwrap();
+    assert!(stats.completed);
+    (stats, gpu.shard_telemetry().clone())
 }
 
 /// Run one app once; returns the stats and the ticked-cycle count.
@@ -73,6 +122,18 @@ fn leap_and_reference_statistics_are_byte_identical() {
                     "  {app}/{kind:?}: leap {dl:#018x} != reference {dr:#018x}\n"
                 ));
             }
+        }
+    }
+    for kind in PolicyKind::ALL {
+        let (leap, _) = run_sparse(kind, false, 1);
+        let (refr, _) = run_sparse(kind, true, 1);
+        let dl = fnv1a(format!("{leap:?}").as_bytes());
+        let dr = fnv1a(format!("{refr:?}").as_bytes());
+        table.push_str(&format!("  sparse/{kind:<18?} {dl:#018x}\n"));
+        if leap != refr || dl != dr {
+            mismatches.push_str(&format!(
+                "  sparse/{kind:?}: leap {dl:#018x} != reference {dr:#018x}\n"
+            ));
         }
     }
     assert!(
@@ -161,6 +222,19 @@ fn sharded_statistics_are_byte_identical_at_any_shard_count() {
                         tel.rounds, tel.restarts
                     ));
                 }
+            }
+        }
+    }
+    for kind in PolicyKind::ALL {
+        let (classic, _) = run_sparse(kind, false, 1);
+        for n in [2usize, 4] {
+            let (sharded, tel) = run_sparse(kind, false, n);
+            rounds_seen += tel.rounds;
+            if classic != sharded {
+                mismatches.push_str(&format!(
+                    "  sparse/{kind:?}: classic != {n} shards (rounds {}, restarts {})\n",
+                    tel.rounds, tel.restarts
+                ));
             }
         }
     }
@@ -278,4 +352,13 @@ fn genuine_hangs_fire_at_the_identical_cycle_under_leap() {
     );
     assert_eq!(leap.fetches_sent, refr.fetches_sent);
     assert_eq!(leap.replies_delivered, refr.replies_delivered);
+}
+
+#[test]
+#[should_panic(expected = "active-set limit")]
+fn more_than_64_sms_is_rejected() {
+    let mut cfg = SimConfig::tesla_m2090(PolicyKind::Baseline);
+    cfg.num_sms = 65;
+    cfg.icnt.num_sms = 65;
+    Gpu::new(cfg, Box::new(Chase));
 }
