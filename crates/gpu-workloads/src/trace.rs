@@ -2,36 +2,42 @@
 //!
 //! Besides the synthetic models in [`crate::apps`], the simulator can
 //! replay traces captured elsewhere (e.g. converted from Accel-Sim
-//! dumps). [`TraceKernel::open`] indexes a trace file — one byte-range
-//! per `(cta, warp)` section — and validates every record once; each
-//! warp then replays its section through a [`FileStream`], which reads
-//! one chunk at a time (open → seek → read → close per refill, an
-//! incomplete trailing record carried into the next chunk). Resident
-//! state per warp is one chunk, not the warp's trace, so a gigabyte
-//! trace file costs the same memory as a kilobyte one — the ingestion
-//! half of the scale axis.
+//! dumps). [`TraceKernel::open`] reads the file once, front to back:
+//! it indexes one byte-range per `(cta, warp)` section and validates
+//! every record in place, through the replay's own decoder but without
+//! building ops. Each warp then replays its section through a
+//! [`FileStream`], which reads one chunk at a time (open → seek → read
+//! → close per refill, an incomplete trailing record carried into the
+//! next chunk). Resident state per warp is one chunk, not the warp's
+//! trace, so a gigabyte trace file costs the same memory as a kilobyte
+//! one — the ingestion half of the scale axis.
 //!
 //! Two formats are supported, sniffed from the first bytes:
 //!
 //! **Text** (`dlp-trace-v1`): a header line, a `grid <ctas> <warps>`
-//! line, then `warp <cta> <warp>` sections of op lines. Op-line fields
-//! are separated by ASCII whitespace. Registers are numbers or `-` for
-//! none; lane addresses are comma-separated:
+//! line, then `warp <cta> <warp>` sections of op lines; blank and `#`
+//! comment lines may appear anywhere after the header. Op lines are
+//! ASCII, decoded in one left-to-right scan of their bytes:
 //!
 //! ```text
-//! dlp-trace-v1
-//! grid 2 2
-//! warp 0 0
-//! ld 0 1 - - 0,128,256
-//! alu 64 4 32 2 1 -
-//! st 5 2 - 4096
+//! alu <pc> <latency> <active> <dst> <s0> <s1>   alu 64 4 32 2 1 -
+//! ld  <pc> <dst> <s0> <s1> <addr>[,<addr>...]   ld 0 1 - - 0,128,256
+//! st  <pc> <s0> <s1> <addr>[,<addr>...]         st 5 2 - 4096
 //! ```
+//!
+//! Numbers are decimal with an optional `+`, checked against their
+//! field's width; a register is a number below 64 or `-` for none; a
+//! memory op has 1..=32 lane addresses. Fields are separated, and the
+//! line trimmed, by ASCII whitespace only (`u8::is_ascii_whitespace`,
+//! which leaves out `\x0b`): any other byte at the ends of an op line,
+//! Unicode whitespace included, makes it malformed. Comment lines must
+//! be UTF-8. No line may be longer than one 64 KiB chunk, so a file
+//! without newlines cannot grow the carried partial line past it.
 //!
 //! **Binary** (`DLPT` magic + version byte): `u32` grid dims, then
 //! length-prefixed warp blocks — `u32 cta, u32 warp, u64 payload_len`
 //! followed by `payload_len` bytes of op records (all integers
-//! little-endian). The length prefix lets the indexer skip payloads
-//! without parsing them.
+//! little-endian). Each length is checked against the file's length.
 //!
 //! Malformed input is a typed [`TraceError`], never a panic: the
 //! `figures trace` front-end maps it to exit code 2.
@@ -42,7 +48,7 @@ use gpu_sim::{GridDesc, Kernel};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Header line of the text trace format.
@@ -54,7 +60,8 @@ pub const BIN_MAGIC: [u8; 4] = *b"DLPT";
 /// Current binary format version.
 pub const BIN_VERSION: u8 = 1;
 
-/// Bytes read per [`FileStream`] refill.
+/// Bytes read per [`FileStream`] refill and per read of `open`'s pass;
+/// also the longest text line accepted.
 const CHUNK: usize = 64 << 10;
 
 /// Sanity cap on `ctas * warps` (a million-warp grid is already far
@@ -124,30 +131,25 @@ pub struct TraceKernel {
 }
 
 impl TraceKernel {
-    /// Index and fully validate a trace file. Every op record is parsed
-    /// once through the same chunked parser the replay uses, so a
+    /// Index and fully validate a trace file in one front-to-back read.
+    /// Every record goes through the decoder the replay uses, so a
     /// successful `open` guarantees the simulation never hits a parse
     /// error mid-run.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let mut head = [0u8; 4];
-        let mut f = File::open(path)?;
-        let n = read_full(&mut f, &mut head)?;
-        drop(f);
-        let format = if n == 4 && head == BIN_MAGIC { Format::Binary } else { Format::Text };
+        let mut rd =
+            Reader { f: File::open(path)?, buf: Vec::with_capacity(2 * CHUNK), at: 0, off: 0 };
+        rd.more()?;
+        let format =
+            if rd.pending().starts_with(&BIN_MAGIC) { Format::Binary } else { Format::Text };
         let (grid, spans) = match format {
-            Format::Text => scan_text(path)?,
-            Format::Binary => scan_binary(path)?,
+            Format::Text => scan_text(rd)?,
+            Format::Binary => scan_binary(rd)?,
         };
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "TRACE".to_string());
-        let kernel = TraceKernel { path: path.to_path_buf(), name, grid, format, spans };
-        for &(cta, warp) in kernel.spans.keys() {
-            let mut s = kernel.stream(cta, warp);
-            while s.next_checked()?.is_some() {}
-        }
-        Ok(kernel)
+        Ok(TraceKernel { path: path.to_path_buf(), name, grid, format, spans })
     }
 
     /// Warps that actually have a trace section in the file.
@@ -210,23 +212,6 @@ pub struct FileStream {
 }
 
 impl FileStream {
-    /// Pull the next op, surfacing parse/read failures as errors
-    /// instead of panicking — this is what [`TraceKernel::open`] drives
-    /// during validation.
-    pub fn next_checked(&mut self) -> Result<Option<TraceOp>, TraceError> {
-        if self.at >= self.buf.len() {
-            self.refill()?;
-            if self.at >= self.buf.len() {
-                return Ok(None);
-            }
-        }
-        // Move the op out, leaving a heap-free placeholder so consumed
-        // slots cost nothing and the buffer keeps its capacity.
-        let op = std::mem::replace(&mut self.buf[self.at], TraceOp::alu(0, 0));
-        self.at += 1;
-        Ok(Some(op))
-    }
-
     fn refill(&mut self) -> Result<(), TraceError> {
         self.buf.clear();
         self.at = 0;
@@ -234,17 +219,18 @@ impl FileStream {
             let want = self.chunk.min((self.len - self.pos) as usize);
             let mut f = File::open(&self.path)?;
             f.seek(SeekFrom::Start(self.offset + self.pos))?;
-            let start = self.carry.len();
-            self.carry.resize(start + want, 0);
-            let n = read_full(&mut f, &mut self.carry[start..])?;
-            self.carry.truncate(start + n);
+            let n = f.take(want as u64).read_to_end(&mut self.carry)?;
             if n < want {
                 return Err(malformed(&self.section, "trace file shrank during replay"));
             }
             self.pos += n as u64;
+            let buf = &mut self.buf;
             let consumed = match self.format {
-                Format::Text => parse_text_ops(&self.carry, self.pos >= self.len, &mut self.buf)?,
-                Format::Binary => parse_bin_ops(&self.carry, &mut self.buf)?,
+                Format::Text => for_each_line(&self.carry, self.pos >= self.len, |line, _, _| {
+                    buf.extend(decode_op_line(line, true)?);
+                    Ok(())
+                })?,
+                Format::Binary => bin_records(&self.carry, true, |op| buf.push(op))?,
             };
             self.carry.drain(..consumed);
         }
@@ -258,8 +244,12 @@ impl FileStream {
 
 impl OpStream for FileStream {
     fn next_op(&mut self) -> Option<TraceOp> {
-        self.next_checked()
-            .expect("trace file validated at open() failed during replay — changed on disk?")
+        self.peek()?;
+        // Move the op out, leaving a heap-free placeholder so consumed
+        // slots cost nothing and the buffer keeps its capacity.
+        let op = std::mem::replace(&mut self.buf[self.at], TraceOp::alu(0, 0));
+        self.at += 1;
+        Some(op)
     }
 
     fn peek(&mut self) -> Option<&TraceOp> {
@@ -286,107 +276,37 @@ impl OpStream for FileStream {
     }
 }
 
-/// Read until `buf` is full or EOF; returns bytes read.
-fn read_full(f: &mut impl Read, buf: &mut [u8]) -> Result<usize, TraceError> {
-    let mut n = 0;
-    while n < buf.len() {
-        let k = f.read(&mut buf[n..])?;
-        if k == 0 {
-            break;
-        }
-        n += k;
-    }
-    Ok(n)
+/// `open`'s single front-to-back pass over the file: a window of
+/// unconsumed bytes, refilled one chunk at a time.
+struct Reader {
+    f: File,
+    buf: Vec<u8>,
+    /// Start of the unconsumed bytes in `buf`.
+    at: usize,
+    /// File offset of `buf[at]`.
+    off: u64,
 }
 
-// ---------------------------------------------------------------- text
+impl Reader {
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.at..]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.at += n;
+        self.off += n as u64;
+    }
+
+    /// Read until one more chunk is pending or the file ends; false if
+    /// nothing was left to read.
+    fn more(&mut self) -> Result<bool, TraceError> {
+        self.buf.drain(..self.at);
+        self.at = 0;
+        Ok((&mut self.f).take(CHUNK as u64).read_to_end(&mut self.buf)? > 0)
+    }
+}
 
 type Spans = HashMap<(usize, usize), (u64, u64)>;
-
-/// Structural scan of a text trace: header, grid line, warp-section
-/// byte ranges. Op-line *syntax* is validated by the replay pass in
-/// [`TraceKernel::open`], through the same parser the simulator uses.
-fn scan_text(path: &Path) -> Result<(GridDesc, Spans), TraceError> {
-    let mut rd = io::BufReader::new(File::open(path)?);
-    let mut line = String::new();
-    let mut off: u64 = 0;
-    let mut lineno: u64 = 0;
-    let mut grid: Option<GridDesc> = None;
-    let mut spans: Spans = HashMap::new();
-    let mut open_span: Option<((usize, usize), u64)> = None;
-    loop {
-        line.clear();
-        let n = rd.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        lineno += 1;
-        let start = off;
-        off += n as u64;
-        let t = line.trim();
-        if lineno == 1 {
-            if t != TEXT_MAGIC {
-                return Err(malformed("line 1", format!("expected `{TEXT_MAGIC}` header")));
-            }
-            continue;
-        }
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let at = || format!("line {lineno}");
-        let mut it = t.split_whitespace();
-        match it.next().unwrap_or("") {
-            "grid" => {
-                if grid.is_some() {
-                    return Err(malformed(at(), "duplicate `grid` line"));
-                }
-                if open_span.is_some() {
-                    return Err(malformed(at(), "`grid` must precede all `warp` sections"));
-                }
-                let ctas = parse_dim(it.next(), &at(), "cta count")?;
-                let warps = parse_dim(it.next(), &at(), "warp count")?;
-                if it.next().is_some() {
-                    return Err(malformed(at(), "trailing tokens after `grid`"));
-                }
-                check_grid(ctas, warps, &at())?;
-                grid = Some(GridDesc { num_ctas: ctas, warps_per_cta: warps });
-            }
-            "warp" => {
-                let g = grid.ok_or_else(|| malformed(at(), "`warp` before `grid`"))?;
-                let cta = parse_dim(it.next(), &at(), "cta index")?;
-                let warp = parse_dim(it.next(), &at(), "warp index")?;
-                if it.next().is_some() {
-                    return Err(malformed(at(), "trailing tokens after `warp`"));
-                }
-                if cta >= g.num_ctas || warp >= g.warps_per_cta {
-                    return Err(malformed(at(), format!("warp {cta}/{warp} outside the grid")));
-                }
-                if let Some((key, span_off)) = open_span.take() {
-                    spans.insert(key, (span_off, start - span_off));
-                }
-                if spans.contains_key(&(cta, warp)) {
-                    return Err(malformed(at(), format!("duplicate section for warp {cta}/{warp}")));
-                }
-                open_span = Some(((cta, warp), off));
-            }
-            _ => {
-                if open_span.is_none() {
-                    return Err(malformed(at(), "op line before the first `warp` section"));
-                }
-            }
-        }
-    }
-    if let Some((key, span_off)) = open_span.take() {
-        spans.insert(key, (span_off, off - span_off));
-    }
-    let grid = grid.ok_or_else(|| malformed("end of file", "missing `grid` line"))?;
-    Ok((grid, spans))
-}
-
-fn parse_dim(tok: Option<&str>, at: &str, what: &str) -> Result<usize, TraceError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| malformed(at, format!("missing or invalid {what}")))
-}
 
 fn check_grid(ctas: usize, warps: usize, at: &str) -> Result<(), TraceError> {
     if ctas == 0 || warps == 0 {
@@ -398,175 +318,322 @@ fn check_grid(ctas: usize, warps: usize, at: &str) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Parse the complete op lines in `bytes`; returns bytes consumed. With
-/// `at_end`, a trailing line without a newline is parsed too.
-fn parse_text_ops(bytes: &[u8], at_end: bool, out: &mut Vec<TraceOp>) -> Result<usize, TraceError> {
+// ---------------------------------------------------------------- text
+
+/// Hand each complete line of `bytes` to `f` as `(line, start, next)`:
+/// its bytes without the `\n`, its offset and the next line's offset.
+/// With `at_end`, a final line without a newline is handed over too.
+/// Returns the bytes consumed. A line longer than [`CHUNK`] is
+/// malformed, so no caller ever carries more than one chunk of it.
+fn for_each_line(
+    bytes: &[u8],
+    at_end: bool,
+    mut f: impl FnMut(&[u8], usize, usize) -> Result<(), TraceError>,
+) -> Result<usize, TraceError> {
     let mut i = 0;
     while i < bytes.len() {
         let (end, next) = match bytes[i..].iter().position(|&b| b == b'\n') {
             Some(r) => (i + r, i + r + 1),
-            None if at_end => (bytes.len(), bytes.len()),
+            None if at_end || bytes.len() - i > CHUNK => (bytes.len(), bytes.len()),
             None => break,
         };
-        let line = std::str::from_utf8(&bytes[i..end])
-            .map_err(|_| malformed("trace section", "non-UTF-8 bytes in op line"))?;
-        if let Some(op) = parse_text_op(line)? {
-            out.push(op);
+        if end - i > CHUNK {
+            return Err(malformed("text trace", format!("line longer than {CHUNK} bytes")));
         }
+        f(&bytes[i..end], i, next)?;
         i = next;
     }
     Ok(i)
 }
 
-fn bad_line(line: &str, msg: impl Into<String>) -> TraceError {
-    malformed(format!("op line `{}`", line.trim()), msg)
+/// Index a text trace and validate every line, in one pass.
+fn scan_text(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
+    let mut lineno: u64 = 0;
+    let mut grid: Option<GridDesc> = None;
+    let mut spans: Spans = HashMap::new();
+    let mut open_span: Option<((usize, usize), u64)> = None;
+    let mut at_end = false;
+    while !at_end {
+        at_end = !rd.more()?;
+        let base = rd.off;
+        let n = for_each_line(rd.pending(), at_end, |line, start, next| {
+            lineno += 1;
+            let at = || format!("line {lineno}");
+            if lineno == 1 {
+                return match std::str::from_utf8(line) {
+                    Ok(s) if s.trim() == TEXT_MAGIC => Ok(()),
+                    _ => Err(malformed(at(), format!("expected `{TEXT_MAGIC}` header"))),
+                };
+            }
+            // `grid` and `warp` lines are rare: they, and any line that
+            // opens with a non-ASCII byte, keep `&str` handling.
+            let mut it = match line.trim_ascii_start().first() {
+                Some(b'g' | b'w' | 0x80..) => std::str::from_utf8(line)
+                    .map_err(|_| malformed(at(), "non-UTF-8 bytes"))?
+                    .split_whitespace(),
+                _ => "".split_whitespace(),
+            };
+            match it.next() {
+                Some("grid") => {
+                    if grid.is_some() {
+                        return Err(malformed(at(), "duplicate `grid` line"));
+                    }
+                    if open_span.is_some() {
+                        return Err(malformed(at(), "`grid` must precede all `warp` sections"));
+                    }
+                    let ctas = parse_dim(it.next(), &at(), "cta count")?;
+                    let warps = parse_dim(it.next(), &at(), "warp count")?;
+                    if it.next().is_some() {
+                        return Err(malformed(at(), "trailing tokens after `grid`"));
+                    }
+                    check_grid(ctas, warps, &at())?;
+                    grid = Some(GridDesc { num_ctas: ctas, warps_per_cta: warps });
+                }
+                Some("warp") => {
+                    let g = grid.ok_or_else(|| malformed(at(), "`warp` before `grid`"))?;
+                    let cta = parse_dim(it.next(), &at(), "cta index")?;
+                    let warp = parse_dim(it.next(), &at(), "warp index")?;
+                    if it.next().is_some() {
+                        return Err(malformed(at(), "trailing tokens after `warp`"));
+                    }
+                    if cta >= g.num_ctas || warp >= g.warps_per_cta {
+                        return Err(malformed(at(), format!("warp {cta}/{warp} outside the grid")));
+                    }
+                    if let Some((key, span_off)) = open_span.take() {
+                        spans.insert(key, (span_off, base + start as u64 - span_off));
+                    }
+                    if spans.contains_key(&(cta, warp)) {
+                        let msg = format!("duplicate section for warp {cta}/{warp}");
+                        return Err(malformed(at(), msg));
+                    }
+                    open_span = Some(((cta, warp), base + next as u64));
+                }
+                _ => match decode_op_line(line, false) {
+                    Ok(None) => {}
+                    _ if open_span.is_none() => {
+                        return Err(malformed(at(), "op line before the first `warp` section"));
+                    }
+                    r => drop(r?),
+                },
+            }
+            Ok(())
+        })?;
+        rd.consume(n);
+    }
+    if let Some((key, span_off)) = open_span.take() {
+        spans.insert(key, (span_off, rd.off - span_off));
+    }
+    let grid = grid.ok_or_else(|| malformed("end of file", "missing `grid` line"))?;
+    Ok((grid, spans))
 }
 
-fn parse_text_op(line: &str) -> Result<Option<TraceOp>, TraceError> {
-    let t = line.trim();
-    if t.is_empty() || t.starts_with('#') {
-        return Ok(None);
-    }
-    // Tokens go into a fixed array — this runs once per op line, on
-    // both the validation pass and every replay — while `n` keeps
-    // counting past the array so the arity checks see the true count.
-    let mut toks = [""; 8];
-    let mut n = 0;
-    for tok in t.split_ascii_whitespace() {
-        if let Some(slot) = toks.get_mut(n) {
-            *slot = tok;
+fn parse_dim(tok: Option<&str>, at: &str, what: &str) -> Result<usize, TraceError> {
+    tok.and_then(|t| t.parse().ok())
+        .ok_or_else(|| malformed(at, format!("missing or invalid {what}")))
+}
+
+#[cold]
+fn bad_line(line: &[u8], msg: impl Into<String>) -> TraceError {
+    malformed(format!("op line `{}`", String::from_utf8_lossy(line)), msg)
+}
+
+/// Decode one op line (its `\n` stripped) in a single left-to-right
+/// scan over its bytes; blank and `#` lines give `None`. Without
+/// `build` the line is only validated: lane addresses are checked and
+/// counted but not stored, so nothing is allocated.
+fn decode_op_line(line: &[u8], build: bool) -> Result<Option<TraceOp>, TraceError> {
+    let t = line.trim_ascii();
+    let kw = &t[..t.iter().position(u8::is_ascii_whitespace).unwrap_or(t.len())];
+    let usage = match kw {
+        b"alu" => "expected `alu pc latency active dst s0 s1`",
+        b"ld" => "expected `ld pc dst s0 s1 addr,addr,...`",
+        b"st" => "expected `st pc s0 s1 addr,addr,...`",
+        _ => {
+            // Blank, a comment, or blank but for Unicode whitespace.
+            let s = std::str::from_utf8(line).map_err(|_| bad_line(t, "non-UTF-8 bytes"))?.trim();
+            if s.is_empty() || s.starts_with('#') {
+                return Ok(None);
+            }
+            let kw = String::from_utf8_lossy(kw);
+            return Err(bad_line(t, format!("unknown keyword `{kw}`")));
         }
-        n += 1;
-    }
-    let op = match toks[0] {
-        "alu" => {
-            if n != 7 {
-                return Err(bad_line(t, "expected `alu pc latency active dst s0 s1`"));
-            }
-            let active: u8 =
-                toks[3].parse().map_err(|_| bad_line(t, "invalid active-lane count"))?;
-            if !(1..=32).contains(&active) {
-                return Err(bad_line(t, "active lanes must be 1..=32"));
-            }
-            TraceOp {
-                pc: parse_u32(toks[1], t)?,
-                dst: parse_reg(toks[4], t)?,
-                srcs: [parse_reg(toks[5], t)?, parse_reg(toks[6], t)?],
-                kind: OpKind::Alu { latency: parse_u32(toks[2], t)?, active },
-            }
-        }
-        "ld" => {
-            if n != 6 {
-                return Err(bad_line(t, "expected `ld pc dst s0 s1 addr,addr,...`"));
-            }
-            let dst = parse_reg(toks[2], t)?;
-            if dst == NO_REG {
-                return Err(bad_line(t, "loads must write a register"));
-            }
-            TraceOp {
-                pc: parse_u32(toks[1], t)?,
-                dst,
-                srcs: [parse_reg(toks[3], t)?, parse_reg(toks[4], t)?],
-                kind: OpKind::Mem { is_write: false, addrs: parse_addrs(toks[5], t)? },
-            }
-        }
-        "st" => {
-            if n != 5 {
-                return Err(bad_line(t, "expected `st pc s0 s1 addr,addr,...`"));
-            }
-            TraceOp {
-                pc: parse_u32(toks[1], t)?,
-                dst: NO_REG,
-                srcs: [parse_reg(toks[2], t)?, parse_reg(toks[3], t)?],
-                kind: OpKind::Mem { is_write: true, addrs: parse_addrs(toks[4], t)? },
-            }
-        }
-        kw => return Err(bad_line(t, format!("unknown keyword `{kw}`"))),
     };
-    Ok(Some(op))
+    let mut c = Cursor { line: t, i: kw.len(), usage };
+    let pc = c.num("number")?;
+    let alu = match kw {
+        b"alu" => Some((c.num("number")?, c.num("active-lane count")?)),
+        _ => None,
+    };
+    if alu.is_some_and(|(_, active)| !(1..=32).contains(&active)) {
+        return Err(bad_line(t, "active lanes must be 1..=32"));
+    }
+    let dst = if kw == b"st" { NO_REG } else { c.reg()? };
+    if kw == b"ld" && dst == NO_REG {
+        return Err(bad_line(t, "loads must write a register"));
+    }
+    let srcs = [c.reg()?, c.reg()?];
+    let kind = match alu {
+        Some((latency, active)) => OpKind::Alu { latency, active },
+        None => OpKind::Mem { is_write: kw == b"st", addrs: c.lanes(build)? },
+    };
+    if c.i < t.len() {
+        return Err(bad_line(t, usage));
+    }
+    Ok(Some(TraceOp { pc, dst, srcs, kind }))
 }
 
-fn parse_u32(tok: &str, line: &str) -> Result<u32, TraceError> {
-    tok.parse().map_err(|_| bad_line(line, format!("invalid number `{tok}`")))
+/// Cursor over one trimmed op line.
+struct Cursor<'a> {
+    line: &'a [u8],
+    i: usize,
+    /// The arity error of the line's keyword.
+    usage: &'static str,
 }
 
-fn parse_reg(tok: &str, line: &str) -> Result<Reg, TraceError> {
-    if tok == "-" {
-        return Ok(NO_REG);
+impl<'a> Cursor<'a> {
+    /// Step to the next whitespace-separated field, which must exist.
+    fn field(&mut self) -> Result<&'a [u8], TraceError> {
+        while self.line.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+            self.i += 1;
+        }
+        match &self.line[self.i..] {
+            [] => Err(bad_line(self.line, self.usage)),
+            rest => Ok(rest),
+        }
     }
-    let r: u8 = tok.parse().map_err(|_| bad_line(line, format!("invalid register `{tok}`")))?;
-    if (r as usize) >= MAX_REGS {
-        return Err(bad_line(line, format!("register {r} out of range (< {MAX_REGS})")));
-    }
-    Ok(r)
-}
 
-fn parse_addrs(tok: &str, line: &str) -> Result<Vec<u64>, TraceError> {
-    let addrs: Vec<u64> = tok
-        .split(',')
-        .map(|a| a.parse().map_err(|_| bad_line(line, format!("invalid address `{a}`"))))
-        .collect::<Result<_, _>>()?;
-    if addrs.is_empty() || addrs.len() > 32 {
-        return Err(bad_line(line, "1..=32 lane addresses required"));
+    /// Digits at the cursor, read as `str::parse` reads an unsigned `T`:
+    /// an optional `+`, then one or more digits, rejecting overflow. The
+    /// number must end at a `stop` byte, whitespace or the end of line.
+    fn dec<T: TryFrom<u64>>(&mut self, what: &str, stop: u8) -> Result<T, TraceError> {
+        let (b, start) = (self.line, self.i);
+        let first = start + usize::from(b.get(start) == Some(&b'+'));
+        let (mut i, mut v) = (first, Some(0u64));
+        while i < b.len() && b[i].is_ascii_digit() {
+            v = v.and_then(|v| v.checked_mul(10)?.checked_add((b[i] - b'0').into()));
+            i += 1;
+        }
+        self.i = i;
+        let ends = |c: &u8| *c == stop || c.is_ascii_whitespace();
+        match v.map(T::try_from) {
+            Some(Ok(v)) if i > first && b.get(i).is_none_or(ends) => Ok(v),
+            _ => {
+                let tok = b[start..].split(ends).next().unwrap_or_default();
+                Err(bad_line(b, format!("invalid {what} `{}`", tok.escape_ascii())))
+            }
+        }
     }
-    Ok(addrs)
+
+    fn num<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, TraceError> {
+        self.field()?;
+        self.dec(what, b' ')
+    }
+
+    fn reg(&mut self) -> Result<Reg, TraceError> {
+        if let [b'-', rest @ ..] = self.field()? {
+            if rest.first().is_none_or(u8::is_ascii_whitespace) {
+                self.i += 1;
+                return Ok(NO_REG);
+            }
+        }
+        let r: u8 = self.dec("register", b' ')?;
+        if (r as usize) >= MAX_REGS {
+            return Err(bad_line(self.line, format!("register {r} out of range (< {MAX_REGS})")));
+        }
+        Ok(r)
+    }
+
+    /// Comma-separated lane addresses, kept only when `build`. Pushing one
+    /// at a time into `Vec::new()` gives the lane vector the capacity that
+    /// replay's resident-byte accounting has always seen.
+    fn lanes(&mut self, build: bool) -> Result<Vec<u64>, TraceError> {
+        self.field()?;
+        let (mut addrs, mut n) = (Vec::new(), 0);
+        loop {
+            let v = self.dec("address", b',')?;
+            n += 1;
+            if build && n <= 32 {
+                addrs.push(v);
+            }
+            if self.line.get(self.i) != Some(&b',') {
+                break;
+            }
+            self.i += 1;
+        }
+        if n > 32 {
+            return Err(bad_line(self.line, "1..=32 lane addresses required"));
+        }
+        Ok(addrs)
+    }
 }
 
 // -------------------------------------------------------------- binary
 
-/// Structural scan of a binary trace: header, grid dims, and the
-/// length-prefixed warp blocks (payloads skipped via their prefix; the
-/// replay pass in [`TraceKernel::open`] validates record contents).
-fn scan_binary(path: &Path) -> Result<(GridDesc, Spans), TraceError> {
-    let mut f = File::open(path)?;
-    let file_len = f.metadata()?.len();
-    let mut hdr = [0u8; 13];
-    if read_full(&mut f, &mut hdr)? < 13 {
+/// Index a binary trace and validate every record, in one pass: each
+/// warp block's payload is decoded where the read finds it.
+fn scan_binary(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
+    let file_len = rd.f.metadata()?.len();
+    if rd.pending().len() < 13 {
         return Err(malformed("header", "truncated binary header"));
     }
+    let hdr = &rd.pending()[..13];
     if hdr[4] != BIN_VERSION {
         return Err(malformed("header", format!("unsupported version {}", hdr[4])));
     }
     let ctas = u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]) as usize;
     let warps = u32::from_le_bytes([hdr[9], hdr[10], hdr[11], hdr[12]]) as usize;
     check_grid(ctas, warps, "header")?;
+    rd.consume(13);
     let mut spans: Spans = HashMap::new();
-    let mut pos: u64 = 13;
     loop {
-        let mut wh = [0u8; 16];
-        let n = read_full(&mut f, &mut wh)?;
-        if n == 0 {
-            break;
-        }
+        let pos = rd.off;
         let at = || format!("byte {pos}");
-        if n < 16 {
-            return Err(malformed(at(), "truncated warp-block header"));
+        if rd.pending().len() < 16 {
+            rd.more()?;
         }
+        match rd.pending().len() {
+            0 => break,
+            1..16 => return Err(malformed(at(), "truncated warp-block header")),
+            _ => {}
+        }
+        let wh = &rd.pending()[..16];
         let cta = u32::from_le_bytes([wh[0], wh[1], wh[2], wh[3]]) as usize;
         let warp = u32::from_le_bytes([wh[4], wh[5], wh[6], wh[7]]) as usize;
-        let len = u64::from_le_bytes([wh[8], wh[9], wh[10], wh[11], wh[12], wh[13], wh[14], wh[15]]);
+        let len =
+            u64::from_le_bytes([wh[8], wh[9], wh[10], wh[11], wh[12], wh[13], wh[14], wh[15]]);
+        rd.consume(16);
         if cta >= ctas || warp >= warps {
             return Err(malformed(at(), format!("warp {cta}/{warp} outside the grid")));
         }
         if spans.contains_key(&(cta, warp)) {
             return Err(malformed(at(), format!("duplicate block for warp {cta}/{warp}")));
         }
-        if pos + 16 + len > file_len {
+        let Some(end) = rd.off.checked_add(len).filter(|&end| end <= file_len) else {
             return Err(malformed(at(), "warp-block payload runs past end of file"));
+        };
+        spans.insert((cta, warp), (rd.off, len));
+        while rd.off < end {
+            let avail = rd.pending();
+            let take = usize::try_from(end - rd.off).map_or(avail.len(), |l| l.min(avail.len()));
+            let whole = rd.off + take as u64 == end;
+            let n = bin_records(&avail[..take], false, drop)?;
+            rd.consume(n);
+            if rd.off < end && (whole || !rd.more()?) {
+                let section = format!("warp {cta}/{warp}");
+                return Err(malformed(section, "truncated record at end of section"));
+            }
         }
-        spans.insert((cta, warp), (pos + 16, len));
-        pos += 16 + len;
-        f.seek(SeekFrom::Start(pos))?;
     }
     Ok((GridDesc { num_ctas: ctas, warps_per_cta: warps }, spans))
 }
 
-/// Parse the complete binary op records in `bytes`; returns bytes
-/// consumed (an incomplete trailing record is left for the next chunk).
-fn parse_bin_ops(bytes: &[u8], out: &mut Vec<TraceOp>) -> Result<usize, TraceError> {
+/// Decode the complete binary op records in `bytes`, handing each to
+/// `f`; returns bytes consumed (an incomplete trailing record is left
+/// for the next chunk). Without `build`, lane addresses are not stored.
+fn bin_records(bytes: &[u8], build: bool, mut f: impl FnMut(TraceOp)) -> Result<usize, TraceError> {
     let mut i = 0;
-    while let Some((op, sz)) = parse_bin_op(&bytes[i..])? {
-        out.push(op);
+    while let Some((op, sz)) = bin_op(&bytes[i..], build)? {
+        f(op);
         i += sz;
     }
     Ok(i)
@@ -579,7 +646,7 @@ fn bin_reg(r: u8) -> Result<Reg, TraceError> {
     Ok(r)
 }
 
-fn parse_bin_op(b: &[u8]) -> Result<Option<(TraceOp, usize)>, TraceError> {
+fn bin_op(b: &[u8], build: bool) -> Result<Option<(TraceOp, usize)>, TraceError> {
     // Common prefix: tag, pc, dst, s0, s1.
     if b.len() < 8 {
         return Ok(None);
@@ -614,10 +681,15 @@ fn parse_bin_op(b: &[u8]) -> Result<Option<(TraceOp, usize)>, TraceError> {
             if tag == 1 && dst == NO_REG {
                 return Err(malformed("binary record", "loads must write a register"));
             }
-            let addrs = b[9..need]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect();
+            // Exact capacity: `chunks_exact` reports its length up front.
+            let addrs = if build {
+                b[9..need]
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+                    .collect()
+            } else {
+                Vec::new()
+            };
             let kind = OpKind::Mem { is_write: tag == 2, addrs };
             Ok(Some((TraceOp { pc, dst, srcs, kind }, need)))
         }
@@ -838,15 +910,101 @@ mod tests {
 
     #[test]
     fn op_line_arity_counts_every_token() {
-        let op = parse_text_op("  alu\t64 4 32  2 1 -  ").unwrap().unwrap();
+        let op = decode_op_line(b"  alu\t64 4 32  2 1 -  ", true).unwrap().unwrap();
         assert_eq!(op.pc, 64);
-        let arity = |line: &str| parse_text_op(line).unwrap_err().to_string();
-        // Lines longer than the token array still report the arity error.
-        let long = arity("alu 0 4 32 1 - - 7 8 9 10");
+        let arity = |line: &[u8]| decode_op_line(line, true).unwrap_err().to_string();
+        let long = arity(b"alu 0 4 32 1 - - 7 8 9 10");
         assert!(long.contains("expected `alu pc latency active dst s0 s1`"), "{long}");
-        assert!(arity("ld 0 1 - -").contains("expected `ld pc dst s0 s1"));
-        assert!(arity("st 0 - - 0 0 0 0 0 0").contains("expected `st pc s0 s1"));
-        assert!(parse_text_op("   ").unwrap().is_none());
+        assert!(arity(b"ld 0 1 - -").contains("expected `ld pc dst s0 s1"));
+        assert!(arity(b"st 0 - - 0 0 0 0 0 0").contains("expected `st pc s0 s1"));
+        assert!(decode_op_line(b"   ", true).unwrap().is_none());
+    }
+
+    #[test]
+    fn decimal_fields_match_str_parse() {
+        let toks: [&[u8]; 14] = [
+            b"0",
+            b"+7",
+            b"007",
+            b"+",
+            b"",
+            b"-1",
+            b"++1",
+            b"1+",
+            b"4294967295",
+            b"4294967296",
+            b"18446744073709551615",
+            b"18446744073709551616",
+            b"99999999999999999999",
+            b"000000000000000000000000042",
+        ];
+        fn dec<T: TryFrom<u64>>(tok: &[u8]) -> Option<T> {
+            Cursor { line: tok, i: 0, usage: "" }.dec("number", b' ').ok()
+        }
+        for tok in toks {
+            let s = std::str::from_utf8(tok).unwrap();
+            assert_eq!(dec::<u8>(tok), s.parse::<u8>().ok(), "u8 {s:?}");
+            assert_eq!(dec::<u32>(tok), s.parse::<u32>().ok(), "u32 {s:?}");
+            assert_eq!(dec::<u64>(tok), s.parse::<u64>().ok(), "u64 {s:?}");
+        }
+    }
+
+    #[test]
+    fn validation_builds_no_lane_vectors() {
+        let op = decode_op_line(b"ld 0 1 - - 0,128,256", false).unwrap().unwrap();
+        assert_eq!(op.kind, OpKind::Mem { is_write: false, addrs: Vec::new() });
+        let built = decode_op_line(b"ld 0 1 - - 0,128,256", true).unwrap().unwrap();
+        // Pushed one at a time from empty, as `collect` on a split does.
+        assert!(matches!(built.kind, OpKind::Mem { ref addrs, .. } if addrs.capacity() == 4));
+    }
+
+    #[test]
+    fn unicode_whitespace_blanks_lines_but_not_op_lines() {
+        assert!(decode_op_line("\u{3000}".as_bytes(), true).unwrap().is_none());
+        assert!(decode_op_line("\u{a0}# note".as_bytes(), true).unwrap().is_none());
+        assert!(decode_op_line(b"# bad \xff", true).is_err());
+        let err = decode_op_line("alu 1 1 1 - - -\u{3000}".as_bytes(), true).unwrap_err();
+        assert!(err.to_string().contains("invalid register"), "{err}");
+    }
+
+    #[test]
+    fn lying_binary_length_is_malformed() {
+        let path = tmp("lying.trace");
+        let mut bytes = BIN_MAGIC.to_vec();
+        bytes.push(BIN_VERSION);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]); // warp 0/0
+        bytes.extend_from_slice(&(u64::MAX - 8).to_le_bytes());
+        bytes.extend_from_slice(&[0; 13]);
+        std::fs::write(&path, bytes).unwrap();
+        let err = TraceKernel::open(&path).unwrap_err();
+        assert!(err.to_string().contains("runs past end of file"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn overlong_line_is_malformed_in_open_and_replay() {
+        let path = tmp("long.trace");
+        let line = format!("st 0 - - {}", "1,".repeat(512 << 10));
+        std::fs::write(&path, format!("{TEXT_MAGIC}\ngrid 1 1\nwarp 0 0\n{line}")).unwrap();
+        let err = TraceKernel::open(&path).unwrap_err();
+        assert!(err.to_string().contains("line longer than"), "{err}");
+        // Replay of the same bytes stops within one chunk of carry.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let offset = (TEXT_MAGIC.len() + "\ngrid 1 1\nwarp 0 0\n".len()) as u64;
+        let mut s = TraceKernel {
+            path: path.clone(),
+            name: "LONG".into(),
+            grid: GridDesc { num_ctas: 1, warps_per_cta: 1 },
+            format: Format::Text,
+            spans: HashMap::from([((0, 0), (offset, len - offset))]),
+        }
+        .stream(0, 0);
+        let err = s.refill().unwrap_err();
+        assert!(err.to_string().contains("line longer than"), "{err}");
+        assert!(s.carry.len() <= 2 * CHUNK, "carry grew to {}", s.carry.len());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
