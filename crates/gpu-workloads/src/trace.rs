@@ -2,15 +2,30 @@
 //!
 //! Besides the synthetic models in [`crate::apps`], the simulator can
 //! replay traces captured elsewhere (e.g. converted from Accel-Sim
-//! dumps). [`TraceKernel::open`] reads the file once, front to back:
-//! it indexes one byte-range per `(cta, warp)` section and validates
-//! every record in place, through the replay's own decoder but without
-//! building ops. Each warp then replays its section through a
-//! [`FileStream`], which reads one chunk at a time (open → seek → read
-//! → close per refill, an incomplete trailing record carried into the
-//! next chunk). Resident state per warp is one chunk, not the warp's
-//! trace, so a gigabyte trace file costs the same memory as a kilobyte
-//! one — the ingestion half of the scale axis.
+//! dumps). [`TraceKernel::open`] reads the file once: it indexes one
+//! byte-range per `(cta, warp)` section and validates every record in
+//! place, through the replay's own decoder but without building ops.
+//! Each warp then replays its section through a [`FileStream`], which
+//! reads one chunk at a time (open → seek → read → close per refill, an
+//! incomplete trailing record carried into the next chunk). Resident
+//! state per warp is one chunk, not the warp's trace, so a gigabyte
+//! trace file costs the same memory as a kilobyte one — the ingestion
+//! half of the scale axis.
+//!
+//! A text trace is validated as K byte ranges on K threads, where K is
+//! the machine's available parallelism, capped so every range is at
+//! least 1 MiB (`MIN_PART`): a file under 2 MiB is scanned on the
+//! calling thread. Each range scans the lines that start inside it, so a
+//! line crossing a boundary belongs to the range it starts in. A range
+//! records its `grid` and `warp` lines, its first op line and the first
+//! problem it meets; a merge then replays those records in file order
+//! through the section rules (one `grid`, before every `warp`; no
+//! duplicate or out-of-grid `warp`; no op line before the first `warp`).
+//! The first problem in file order is the one reported, with the same
+//! text and line number as a single-range scan gives. A range stops once
+//! it has recorded more `grid` and `warp` lines than any valid grid
+//! allows, so a file made of section lines costs bounded memory; the
+//! merge then reports the earlier duplicate or out-of-grid `warp`.
 //!
 //! Two formats are supported, sniffed from the first bytes:
 //!
@@ -38,6 +53,7 @@
 //! length-prefixed warp blocks — `u32 cta, u32 warp, u64 payload_len`
 //! followed by `payload_len` bytes of op records (all integers
 //! little-endian). Each length is checked against the file's length.
+//! Binary traces are validated in one sequential pass.
 //!
 //! Malformed input is a typed [`TraceError`], never a panic: the
 //! `figures trace` front-end maps it to exit code 2.
@@ -64,9 +80,19 @@ pub const BIN_VERSION: u8 = 1;
 /// also the longest text line accepted.
 const CHUNK: usize = 64 << 10;
 
+/// Shortest byte range `open` gives a thread of its own when it
+/// validates a text trace.
+const MIN_PART: u64 = 1 << 20;
+
 /// Sanity cap on `ctas * warps` (a million-warp grid is already far
 /// beyond anything the 16-SM machine schedules).
 const MAX_WARPS: u64 = 1 << 22;
+
+/// Most lines one range of a valid text trace records for the merge:
+/// one `grid`, one `warp` per warp of the largest grid, one op line. A
+/// range that meets more stops, so a flood of section lines costs
+/// bounded memory; the merge then reports an earlier problem.
+const MAX_MARKS: usize = MAX_WARPS as usize + 2;
 
 /// Which on-disk format a trace file uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,18 +157,18 @@ pub struct TraceKernel {
 }
 
 impl TraceKernel {
-    /// Index and fully validate a trace file in one front-to-back read.
-    /// Every record goes through the decoder the replay uses, so a
-    /// successful `open` guarantees the simulation never hits a parse
+    /// Index and fully validate a trace file in one read of its bytes
+    /// (a text trace split into ranges across cores; see the module
+    /// docs). Every record goes through the decoder the replay uses, so
+    /// a successful `open` guarantees the simulation never hits a parse
     /// error mid-run.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let mut rd =
-            Reader { f: File::open(path)?, buf: Vec::with_capacity(2 * CHUNK), at: 0, off: 0 };
+        let mut rd = Reader::new(path, 0)?;
         rd.more()?;
         let format =
             if rd.pending().starts_with(&BIN_MAGIC) { Format::Binary } else { Format::Text };
         let (grid, spans) = match format {
-            Format::Text => scan_text(rd)?,
+            Format::Text => scan_text(path, &text_cuts(rd.f.metadata()?.len()))?,
             Format::Binary => scan_binary(rd)?,
         };
         let name = path
@@ -225,10 +251,10 @@ impl FileStream {
             }
             self.pos += n as u64;
             let buf = &mut self.buf;
+            let at_end = self.pos >= self.len;
             let consumed = match self.format {
-                Format::Text => for_each_line(&self.carry, self.pos >= self.len, |line, _, _| {
-                    buf.extend(decode_op_line(line, true)?);
-                    Ok(())
+                Format::Text => for_each_line(&self.carry, at_end, usize::MAX, |line, _, _| {
+                    decode_op_line(line, Some(buf)).map(drop)
                 })?,
                 Format::Binary => bin_records(&self.carry, true, |op| buf.push(op))?,
             };
@@ -276,8 +302,8 @@ impl OpStream for FileStream {
     }
 }
 
-/// `open`'s single front-to-back pass over the file: a window of
-/// unconsumed bytes, refilled one chunk at a time.
+/// A front-to-back pass over (part of) the file for `open`: a window
+/// of unconsumed bytes, refilled one chunk at a time.
 struct Reader {
     f: File,
     buf: Vec<u8>,
@@ -288,6 +314,13 @@ struct Reader {
 }
 
 impl Reader {
+    /// A pass over `path` that starts at byte `off`.
+    fn new(path: &Path, off: u64) -> Result<Self, TraceError> {
+        let mut f = File::open(path)?;
+        f.seek(SeekFrom::Start(off))?;
+        Ok(Reader { f, buf: Vec::with_capacity(2 * CHUNK), at: 0, off })
+    }
+
     fn pending(&self) -> &[u8] {
         &self.buf[self.at..]
     }
@@ -308,37 +341,65 @@ impl Reader {
 
 type Spans = HashMap<(usize, usize), (u64, u64)>;
 
-fn check_grid(ctas: usize, warps: usize, at: &str) -> Result<(), TraceError> {
+/// Check grid dimensions; the error is the message alone.
+fn check_grid(ctas: usize, warps: usize) -> Result<GridDesc, String> {
     if ctas == 0 || warps == 0 {
-        return Err(malformed(at, "grid dimensions must be nonzero"));
+        return Err("grid dimensions must be nonzero".into());
     }
     if (ctas as u64).saturating_mul(warps as u64) > MAX_WARPS {
-        return Err(malformed(at, format!("grid exceeds {MAX_WARPS} warps")));
+        return Err(format!("grid exceeds {MAX_WARPS} warps"));
     }
-    Ok(())
+    Ok(GridDesc { num_ctas: ctas, warps_per_cta: warps })
 }
 
 // ---------------------------------------------------------------- text
 
-/// Hand each complete line of `bytes` to `f` as `(line, start, next)`:
-/// its bytes without the `\n`, its offset and the next line's offset.
-/// With `at_end`, a final line without a newline is handed over too.
-/// Returns the bytes consumed. A line longer than [`CHUNK`] is
-/// malformed, so no caller ever carries more than one chunk of it.
-fn for_each_line(
+/// Index of the first `\n` in `bytes`, tested eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (w, word) in words.by_ref().enumerate() {
+        let x =
+            u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")) ^ NEWLINES;
+        // High bit set in each zero byte of `x` (and possibly in bytes
+        // above one); the lowest flagged byte is always a true zero.
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(w * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|r| bytes.len() - tail.len() + r)
+}
+
+#[cold]
+fn long_line() -> TraceError {
+    malformed("text trace", format!("line longer than {CHUNK} bytes"))
+}
+
+/// Hand each complete line of `bytes` that starts before `stop` to `f`
+/// as `(line, start, next)`: its bytes without the `\n`, its offset and
+/// the next line's offset. With `at_end`, a final line without a newline
+/// is handed over too. Returns the bytes consumed. A line longer than
+/// [`CHUNK`] is malformed, so no caller ever carries more than one chunk
+/// of it.
+fn for_each_line<E: From<TraceError>>(
     bytes: &[u8],
     at_end: bool,
-    mut f: impl FnMut(&[u8], usize, usize) -> Result<(), TraceError>,
-) -> Result<usize, TraceError> {
+    stop: usize,
+    mut f: impl FnMut(&[u8], usize, usize) -> Result<(), E>,
+) -> Result<usize, E> {
     let mut i = 0;
-    while i < bytes.len() {
-        let (end, next) = match bytes[i..].iter().position(|&b| b == b'\n') {
+    while i < bytes.len() && i < stop {
+        let (end, next) = match find_newline(&bytes[i..]) {
             Some(r) => (i + r, i + r + 1),
             None if at_end || bytes.len() - i > CHUNK => (bytes.len(), bytes.len()),
             None => break,
         };
         if end - i > CHUNK {
-            return Err(malformed("text trace", format!("line longer than {CHUNK} bytes")));
+            return Err(long_line().into());
         }
         f(&bytes[i..end], i, next)?;
         i = next;
@@ -346,103 +407,309 @@ fn for_each_line(
     Ok(i)
 }
 
-/// Index a text trace and validate every line, in one pass.
-fn scan_text(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
-    let mut lineno: u64 = 0;
+/// Where `open` splits a text trace of `len` bytes: one range per
+/// available core, each at least [`MIN_PART`] long; the last range runs
+/// to the end of the file.
+fn text_cuts(len: u64) -> Vec<u64> {
+    // Asking for the core count reads cgroup files, so a small file
+    // does not ask.
+    let k = match len / MIN_PART {
+        0 | 1 => 1,
+        most => most.min(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
+    };
+    (0..k).map(|i| i * (len / k)).chain([u64::MAX]).collect()
+}
+
+/// Index a text trace and validate every line. The ranges between
+/// consecutive `cuts` (`0` first, `u64::MAX` last) are scanned on one
+/// thread each, or on the calling thread when there is only one; their
+/// findings are merged in file order.
+fn scan_text(path: &Path, cuts: &[u64]) -> Result<(GridDesc, Spans), TraceError> {
+    let scan = |(start, end): (u64, u64)| {
+        let mut part = Part::default();
+        part.err = scan_part(path, start, end, MAX_MARKS, &mut part).err();
+        part
+    };
+    let ranges = cuts.windows(2).map(|w| (w[0], w[1]));
+    let parts: Vec<Part> = if cuts.len() <= 2 {
+        ranges.map(scan).collect()
+    } else {
+        std::thread::scope(|s| {
+            let threads: Vec<_> = ranges.map(|r| s.spawn(move || scan(r))).collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        })
+    };
+    merge(parts)
+}
+
+/// What one range of a text trace holds.
+#[derive(Default)]
+struct Part {
+    /// Offset of its first line.
+    first: u64,
+    /// Offset just past its last line.
+    next: u64,
+    /// Lines scanned, the one `err` is about included.
+    lines: u64,
+    /// Its `grid` and `warp` lines and its first op line, in file order.
+    marks: Vec<Mark>,
+    /// The problem that ended the scan; it follows every mark.
+    err: Option<Fault>,
+}
+
+/// A line the merge must see. `line` counts from the range's first line.
+struct Mark {
+    line: u64,
+    start: u64,
+    next: u64,
+    kind: MarkKind,
+}
+
+enum MarkKind {
+    /// The dimensions, or `None` when the range's `err` says why not.
+    Grid(Option<GridDesc>),
+    /// `(cta, warp)`, or `None` when the range's `err` says why not.
+    Warp(Option<(usize, usize)>),
+    /// The range's first line that is neither blank nor a comment.
+    Op,
+}
+
+/// Why a range stopped.
+enum Fault {
+    /// Its last line is malformed; the merge knows the line's number.
+    Line(String),
+    /// An error whose text names no line.
+    Other(TraceError),
+}
+
+impl From<TraceError> for Fault {
+    fn from(e: TraceError) -> Self {
+        Fault::Other(e)
+    }
+}
+
+/// Scan the lines that start in `[start, end)`: validate op lines, and
+/// record into `part` what the merge must see. A range that starts past
+/// byte 0 reads from the byte before `start` and skips through the
+/// first `\n`, so it begins at the first line that starts at or past
+/// `start`. The range stops once it has recorded more than `max_marks`
+/// lines.
+fn scan_part(
+    path: &Path,
+    start: u64,
+    end: u64,
+    max_marks: usize,
+    part: &mut Part,
+) -> Result<(), Fault> {
+    let mut skip = start > 0;
+    let mut rd = Reader::new(path, start - u64::from(skip))?;
+    (part.first, part.next) = (rd.off, rd.off);
+    let mut seen_op = false;
+    let mut at_end = false;
+    while !at_end && rd.off < end {
+        at_end = !rd.more()?;
+        let base = rd.off;
+        let stop = usize::try_from(end - base).unwrap_or(usize::MAX);
+        let n = for_each_line(rd.pending(), at_end, stop, |line, at, next| {
+            let (start, next) = (base + at as u64, base + next as u64);
+            if skip {
+                skip = false;
+                part.first = next;
+                return Ok(());
+            }
+            part.lines += 1;
+            if start == 0 {
+                return match std::str::from_utf8(line) {
+                    Ok(s) if s.trim() == TEXT_MAGIC => Ok(()),
+                    _ => Err(Fault::Line(format!("expected `{TEXT_MAGIC}` header"))),
+                };
+            }
+            let line_no = part.lines;
+            let mark = |kind| Mark { line: line_no, start, next, kind };
+            // `grid` and `warp` lines are rare: they, and any line that
+            // opens with a non-ASCII byte, keep `&str` handling.
+            if let Some(b'g' | b'w' | 0x80..) = line.trim_ascii_start().first() {
+                let s =
+                    std::str::from_utf8(line).map_err(|_| Fault::Line("non-UTF-8 bytes".into()))?;
+                // A valid line past `max_marks` makes more `grid` and
+                // `warp` lines than any grid allows, so the merge meets an
+                // error at or before it and this text is never shown.
+                let bounded = |marks: &[Mark]| {
+                    if marks.len() > max_marks {
+                        let msg = "more `grid` and `warp` lines than any grid allows";
+                        return Err(Fault::Line(msg.into()));
+                    }
+                    Ok(())
+                };
+                let mut it = s.split_whitespace();
+                match it.next() {
+                    Some("grid") => {
+                        let grid = dims(it, "grid", ["cta count", "warp count"])
+                            .and_then(|(ctas, warps)| check_grid(ctas, warps));
+                        part.marks.push(mark(MarkKind::Grid(grid.as_ref().ok().copied())));
+                        return grid.map_err(Fault::Line).and_then(|_| bounded(&part.marks));
+                    }
+                    Some("warp") => {
+                        let key = dims(it, "warp", ["cta index", "warp index"]);
+                        part.marks.push(mark(MarkKind::Warp(key.as_ref().ok().copied())));
+                        return key.map_err(Fault::Line).and_then(|_| bounded(&part.marks));
+                    }
+                    _ => {}
+                }
+            }
+            match decode_op_line(line, None) {
+                Ok(false) => Ok(()),
+                r => {
+                    if !seen_op {
+                        seen_op = true;
+                        part.marks.push(mark(MarkKind::Op));
+                    }
+                    r.map(drop).map_err(Fault::Other)
+                }
+            }
+        })?;
+        rd.consume(n);
+        part.next = rd.off;
+    }
+    Ok(())
+}
+
+/// The two dimensions after a `grid` or `warp` keyword, and nothing more.
+fn dims(
+    mut it: std::str::SplitWhitespace<'_>,
+    kw: &str,
+    what: [&str; 2],
+) -> Result<(usize, usize), String> {
+    let mut dim = |what| {
+        it.next().and_then(|t| t.parse().ok()).ok_or_else(|| format!("missing or invalid {what}"))
+    };
+    let pair = (dim(what[0])?, dim(what[1])?);
+    match it.next() {
+        Some(_) => Err(format!("trailing tokens after `{kw}`")),
+        None => Ok(pair),
+    }
+}
+
+/// Replay the ranges' records in file order through the section rules
+/// and build the span index. The first problem in file order wins.
+fn merge(parts: Vec<Part>) -> Result<(GridDesc, Spans), TraceError> {
     let mut grid: Option<GridDesc> = None;
     let mut spans: Spans = HashMap::new();
     let mut open_span: Option<((usize, usize), u64)> = None;
-    let mut at_end = false;
-    while !at_end {
-        at_end = !rd.more()?;
-        let base = rd.off;
-        let n = for_each_line(rd.pending(), at_end, |line, start, next| {
-            lineno += 1;
-            let at = || format!("line {lineno}");
-            if lineno == 1 {
-                return match std::str::from_utf8(line) {
-                    Ok(s) if s.trim() == TEXT_MAGIC => Ok(()),
-                    _ => Err(malformed(at(), format!("expected `{TEXT_MAGIC}` header"))),
-                };
-            }
-            // `grid` and `warp` lines are rare: they, and any line that
-            // opens with a non-ASCII byte, keep `&str` handling.
-            let mut it = match line.trim_ascii_start().first() {
-                Some(b'g' | b'w' | 0x80..) => std::str::from_utf8(line)
-                    .map_err(|_| malformed(at(), "non-UTF-8 bytes"))?
-                    .split_whitespace(),
-                _ => "".split_whitespace(),
-            };
-            match it.next() {
-                Some("grid") => {
+    // Offset where the next range must begin, and lines before it.
+    let (mut next, mut lines) = (0, 0);
+    for part in parts {
+        if part.first != next {
+            return Err(malformed("text trace", "file changed while it was read"));
+        }
+        for m in part.marks {
+            let at = || format!("line {}", lines + m.line);
+            match m.kind {
+                MarkKind::Grid(dims) => {
                     if grid.is_some() {
                         return Err(malformed(at(), "duplicate `grid` line"));
                     }
                     if open_span.is_some() {
                         return Err(malformed(at(), "`grid` must precede all `warp` sections"));
                     }
-                    let ctas = parse_dim(it.next(), &at(), "cta count")?;
-                    let warps = parse_dim(it.next(), &at(), "warp count")?;
-                    if it.next().is_some() {
-                        return Err(malformed(at(), "trailing tokens after `grid`"));
-                    }
-                    check_grid(ctas, warps, &at())?;
-                    grid = Some(GridDesc { num_ctas: ctas, warps_per_cta: warps });
+                    grid = dims;
                 }
-                Some("warp") => {
+                MarkKind::Warp(key) => {
                     let g = grid.ok_or_else(|| malformed(at(), "`warp` before `grid`"))?;
-                    let cta = parse_dim(it.next(), &at(), "cta index")?;
-                    let warp = parse_dim(it.next(), &at(), "warp index")?;
-                    if it.next().is_some() {
-                        return Err(malformed(at(), "trailing tokens after `warp`"));
-                    }
+                    let Some((cta, warp)) = key else { break };
                     if cta >= g.num_ctas || warp >= g.warps_per_cta {
                         return Err(malformed(at(), format!("warp {cta}/{warp} outside the grid")));
                     }
                     if let Some((key, span_off)) = open_span.take() {
-                        spans.insert(key, (span_off, base + start as u64 - span_off));
+                        spans.insert(key, (span_off, m.start - span_off));
                     }
                     if spans.contains_key(&(cta, warp)) {
                         let msg = format!("duplicate section for warp {cta}/{warp}");
                         return Err(malformed(at(), msg));
                     }
-                    open_span = Some(((cta, warp), base + next as u64));
+                    open_span = Some(((cta, warp), m.next));
                 }
-                _ => match decode_op_line(line, false) {
-                    Ok(None) => {}
-                    _ if open_span.is_none() => {
-                        return Err(malformed(at(), "op line before the first `warp` section"));
-                    }
-                    r => drop(r?),
-                },
+                MarkKind::Op if open_span.is_none() => {
+                    return Err(malformed(at(), "op line before the first `warp` section"));
+                }
+                MarkKind::Op => {}
             }
-            Ok(())
-        })?;
-        rd.consume(n);
+        }
+        match part.err {
+            Some(Fault::Line(msg)) => {
+                return Err(malformed(format!("line {}", lines + part.lines), msg));
+            }
+            Some(Fault::Other(e)) => return Err(e),
+            None => (next, lines) = (part.next, lines + part.lines),
+        }
     }
     if let Some((key, span_off)) = open_span.take() {
-        spans.insert(key, (span_off, rd.off - span_off));
+        spans.insert(key, (span_off, next - span_off));
     }
     let grid = grid.ok_or_else(|| malformed("end of file", "missing `grid` line"))?;
     Ok((grid, spans))
 }
 
-fn parse_dim(tok: Option<&str>, at: &str, what: &str) -> Result<usize, TraceError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| malformed(at, format!("missing or invalid {what}")))
+/// Why an op line is malformed. The text is built from this and the
+/// line only on failure ([`Bad::error`]), so validation allocates
+/// nothing.
+#[derive(Clone, Copy, Debug)]
+enum Bad {
+    NonUtf8,
+    Keyword,
+    /// The keyword's arity message: too few or too many fields.
+    Usage(&'static str),
+    /// The field starting at byte `at` is not a valid `what`; it ends at
+    /// `stop` or whitespace.
+    Field {
+        what: &'static str,
+        at: usize,
+        stop: u8,
+    },
+    Active,
+    LoadDst,
+    Register(u8),
+    Lanes,
 }
 
-#[cold]
-fn bad_line(line: &[u8], msg: impl Into<String>) -> TraceError {
-    malformed(format!("op line `{}`", String::from_utf8_lossy(line)), msg)
+impl Bad {
+    /// The error for trimmed op line `t`.
+    #[cold]
+    fn error(self, t: &[u8]) -> TraceError {
+        let msg = match self {
+            Bad::NonUtf8 => "non-UTF-8 bytes".into(),
+            Bad::Keyword => {
+                let kw = t.split(u8::is_ascii_whitespace).next().unwrap_or_default();
+                format!("unknown keyword `{}`", String::from_utf8_lossy(kw))
+            }
+            Bad::Usage(usage) => usage.into(),
+            Bad::Field { what, at, stop } => {
+                let ends = |c: &u8| *c == stop || c.is_ascii_whitespace();
+                let tok = t[at..].split(ends).next().unwrap_or_default();
+                format!("invalid {what} `{}`", tok.escape_ascii())
+            }
+            Bad::Active => "active lanes must be 1..=32".into(),
+            Bad::LoadDst => "loads must write a register".into(),
+            Bad::Register(r) => format!("register {r} out of range (< {MAX_REGS})"),
+            Bad::Lanes => "1..=32 lane addresses required".into(),
+        };
+        malformed(format!("op line `{}`", String::from_utf8_lossy(t)), msg)
+    }
 }
 
 /// Decode one op line (its `\n` stripped) in a single left-to-right
-/// scan over its bytes; blank and `#` lines give `None`. Without
-/// `build` the line is only validated: lane addresses are checked and
-/// counted but not stored, so nothing is allocated.
-fn decode_op_line(line: &[u8], build: bool) -> Result<Option<TraceOp>, TraceError> {
+/// scan over its bytes, and say whether it holds an op (blank and `#`
+/// lines do not). With `ops` the op is pushed there; without, the line
+/// is only validated and nothing is built.
+fn decode_op_line(line: &[u8], ops: Option<&mut Vec<TraceOp>>) -> Result<bool, TraceError> {
     let t = line.trim_ascii();
+    decode_trimmed(line, t, ops).map_err(|bad| bad.error(t))
+}
+
+fn decode_trimmed(line: &[u8], t: &[u8], ops: Option<&mut Vec<TraceOp>>) -> Result<bool, Bad> {
     let kw = &t[..t.iter().position(u8::is_ascii_whitespace).unwrap_or(t.len())];
     let usage = match kw {
         b"alu" => "expected `alu pc latency active dst s0 s1`",
@@ -450,12 +717,8 @@ fn decode_op_line(line: &[u8], build: bool) -> Result<Option<TraceOp>, TraceErro
         b"st" => "expected `st pc s0 s1 addr,addr,...`",
         _ => {
             // Blank, a comment, or blank but for Unicode whitespace.
-            let s = std::str::from_utf8(line).map_err(|_| bad_line(t, "non-UTF-8 bytes"))?.trim();
-            if s.is_empty() || s.starts_with('#') {
-                return Ok(None);
-            }
-            let kw = String::from_utf8_lossy(kw);
-            return Err(bad_line(t, format!("unknown keyword `{kw}`")));
+            let s = std::str::from_utf8(line).map_err(|_| Bad::NonUtf8)?.trim();
+            return if s.is_empty() || s.starts_with('#') { Ok(false) } else { Err(Bad::Keyword) };
         }
     };
     let mut c = Cursor { line: t, i: kw.len(), usage };
@@ -465,21 +728,25 @@ fn decode_op_line(line: &[u8], build: bool) -> Result<Option<TraceOp>, TraceErro
         _ => None,
     };
     if alu.is_some_and(|(_, active)| !(1..=32).contains(&active)) {
-        return Err(bad_line(t, "active lanes must be 1..=32"));
+        return Err(Bad::Active);
     }
     let dst = if kw == b"st" { NO_REG } else { c.reg()? };
     if kw == b"ld" && dst == NO_REG {
-        return Err(bad_line(t, "loads must write a register"));
+        return Err(Bad::LoadDst);
     }
     let srcs = [c.reg()?, c.reg()?];
-    let kind = match alu {
-        Some((latency, active)) => OpKind::Alu { latency, active },
-        None => OpKind::Mem { is_write: kw == b"st", addrs: c.lanes(build)? },
-    };
+    let addrs = if alu.is_none() { c.lanes(ops.is_some())? } else { Vec::new() };
     if c.i < t.len() {
-        return Err(bad_line(t, usage));
+        return Err(Bad::Usage(usage));
     }
-    Ok(Some(TraceOp { pc, dst, srcs, kind }))
+    if let Some(ops) = ops {
+        let kind = match alu {
+            Some((latency, active)) => OpKind::Alu { latency, active },
+            None => OpKind::Mem { is_write: kw == b"st", addrs },
+        };
+        ops.push(TraceOp { pc, dst, srcs, kind });
+    }
+    Ok(true)
 }
 
 /// Cursor over one trimmed op line.
@@ -492,12 +759,12 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// Step to the next whitespace-separated field, which must exist.
-    fn field(&mut self) -> Result<&'a [u8], TraceError> {
+    fn field(&mut self) -> Result<&'a [u8], Bad> {
         while self.line.get(self.i).is_some_and(u8::is_ascii_whitespace) {
             self.i += 1;
         }
         match &self.line[self.i..] {
-            [] => Err(bad_line(self.line, self.usage)),
+            [] => Err(Bad::Usage(self.usage)),
             rest => Ok(rest),
         }
     }
@@ -505,7 +772,7 @@ impl<'a> Cursor<'a> {
     /// Digits at the cursor, read as `str::parse` reads an unsigned `T`:
     /// an optional `+`, then one or more digits, rejecting overflow. The
     /// number must end at a `stop` byte, whitespace or the end of line.
-    fn dec<T: TryFrom<u64>>(&mut self, what: &str, stop: u8) -> Result<T, TraceError> {
+    fn dec<T: TryFrom<u64>>(&mut self, what: &'static str, stop: u8) -> Result<T, Bad> {
         let (b, start) = (self.line, self.i);
         let first = start + usize::from(b.get(start) == Some(&b'+'));
         let (mut i, mut v) = (first, Some(0u64));
@@ -517,19 +784,16 @@ impl<'a> Cursor<'a> {
         let ends = |c: &u8| *c == stop || c.is_ascii_whitespace();
         match v.map(T::try_from) {
             Some(Ok(v)) if i > first && b.get(i).is_none_or(ends) => Ok(v),
-            _ => {
-                let tok = b[start..].split(ends).next().unwrap_or_default();
-                Err(bad_line(b, format!("invalid {what} `{}`", tok.escape_ascii())))
-            }
+            _ => Err(Bad::Field { what, at: start, stop }),
         }
     }
 
-    fn num<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, TraceError> {
+    fn num<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, Bad> {
         self.field()?;
         self.dec(what, b' ')
     }
 
-    fn reg(&mut self) -> Result<Reg, TraceError> {
+    fn reg(&mut self) -> Result<Reg, Bad> {
         if let [b'-', rest @ ..] = self.field()? {
             if rest.first().is_none_or(u8::is_ascii_whitespace) {
                 self.i += 1;
@@ -538,7 +802,7 @@ impl<'a> Cursor<'a> {
         }
         let r: u8 = self.dec("register", b' ')?;
         if (r as usize) >= MAX_REGS {
-            return Err(bad_line(self.line, format!("register {r} out of range (< {MAX_REGS})")));
+            return Err(Bad::Register(r));
         }
         Ok(r)
     }
@@ -546,7 +810,7 @@ impl<'a> Cursor<'a> {
     /// Comma-separated lane addresses, kept only when `build`. Pushing one
     /// at a time into `Vec::new()` gives the lane vector the capacity that
     /// replay's resident-byte accounting has always seen.
-    fn lanes(&mut self, build: bool) -> Result<Vec<u64>, TraceError> {
+    fn lanes(&mut self, build: bool) -> Result<Vec<u64>, Bad> {
         self.field()?;
         let (mut addrs, mut n) = (Vec::new(), 0);
         loop {
@@ -561,7 +825,7 @@ impl<'a> Cursor<'a> {
             self.i += 1;
         }
         if n > 32 {
-            return Err(bad_line(self.line, "1..=32 lane addresses required"));
+            return Err(Bad::Lanes);
         }
         Ok(addrs)
     }
@@ -582,7 +846,7 @@ fn scan_binary(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
     }
     let ctas = u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]) as usize;
     let warps = u32::from_le_bytes([hdr[9], hdr[10], hdr[11], hdr[12]]) as usize;
-    check_grid(ctas, warps, "header")?;
+    let grid = check_grid(ctas, warps).map_err(|msg| malformed("header", msg))?;
     rd.consume(13);
     let mut spans: Spans = HashMap::new();
     loop {
@@ -624,7 +888,7 @@ fn scan_binary(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
             }
         }
     }
-    Ok((GridDesc { num_ctas: ctas, warps_per_cta: warps }, spans))
+    Ok((grid, spans))
 }
 
 /// Decode the complete binary op records in `bytes`, handing each to
@@ -761,9 +1025,10 @@ fn text_op(op: &TraceOp) -> String {
 
 /// Serialize a kernel's streams to the binary trace format. The warp
 /// block's length prefix is written as a placeholder and patched after
-/// the payload streams out, so memory stays bounded by one op.
+/// the payload streams out, so memory stays bounded by one op. Seeking
+/// the `BufWriter` flushes it first, so the patch lands in place.
 pub fn write_binary_trace(path: &Path, kernel: &dyn Kernel) -> io::Result<()> {
-    let mut f = File::create(path)?;
+    let mut f = BufWriter::new(File::create(path)?);
     f.write_all(&BIN_MAGIC)?;
     f.write_all(&[BIN_VERSION])?;
     let g = kernel.grid();
@@ -790,7 +1055,7 @@ pub fn write_binary_trace(path: &Path, kernel: &dyn Kernel) -> io::Result<()> {
             f.seek(SeekFrom::Start(end))?;
         }
     }
-    Ok(())
+    f.flush()
 }
 
 fn encode_bin_op(op: &TraceOp, out: &mut Vec<u8>) {
@@ -857,6 +1122,14 @@ mod tests {
         }
     }
 
+    /// Decode one line as replay does: its op, or `None` for a blank or
+    /// `#` line.
+    fn decode(line: &[u8]) -> Result<Option<TraceOp>, TraceError> {
+        let mut ops = Vec::new();
+        decode_op_line(line, Some(&mut ops))?;
+        Ok(ops.pop())
+    }
+
     fn assert_same_traces(a: &dyn Kernel, b: &dyn Kernel) {
         assert_eq!(a.grid(), b.grid());
         for cta in 0..a.grid().num_ctas {
@@ -910,14 +1183,14 @@ mod tests {
 
     #[test]
     fn op_line_arity_counts_every_token() {
-        let op = decode_op_line(b"  alu\t64 4 32  2 1 -  ", true).unwrap().unwrap();
+        let op = decode(b"  alu\t64 4 32  2 1 -  ").unwrap().unwrap();
         assert_eq!(op.pc, 64);
-        let arity = |line: &[u8]| decode_op_line(line, true).unwrap_err().to_string();
+        let arity = |line: &[u8]| decode(line).unwrap_err().to_string();
         let long = arity(b"alu 0 4 32 1 - - 7 8 9 10");
         assert!(long.contains("expected `alu pc latency active dst s0 s1`"), "{long}");
         assert!(arity(b"ld 0 1 - -").contains("expected `ld pc dst s0 s1"));
         assert!(arity(b"st 0 - - 0 0 0 0 0 0").contains("expected `st pc s0 s1"));
-        assert!(decode_op_line(b"   ", true).unwrap().is_none());
+        assert!(decode(b"   ").unwrap().is_none());
     }
 
     #[test]
@@ -951,19 +1224,22 @@ mod tests {
 
     #[test]
     fn validation_builds_no_lane_vectors() {
-        let op = decode_op_line(b"ld 0 1 - - 0,128,256", false).unwrap().unwrap();
-        assert_eq!(op.kind, OpKind::Mem { is_write: false, addrs: Vec::new() });
-        let built = decode_op_line(b"ld 0 1 - - 0,128,256", true).unwrap().unwrap();
+        // Validation only reports that the line holds an op, and its
+        // lane scan stores nothing.
+        assert!(decode_op_line(b"ld 0 1 - - 0,128,256", None).unwrap());
+        let lanes = Cursor { line: b"0,128,256", i: 0, usage: "" }.lanes(false).unwrap();
+        assert_eq!(lanes.capacity(), 0);
+        let built = decode(b"ld 0 1 - - 0,128,256").unwrap().unwrap();
         // Pushed one at a time from empty, as `collect` on a split does.
         assert!(matches!(built.kind, OpKind::Mem { ref addrs, .. } if addrs.capacity() == 4));
     }
 
     #[test]
     fn unicode_whitespace_blanks_lines_but_not_op_lines() {
-        assert!(decode_op_line("\u{3000}".as_bytes(), true).unwrap().is_none());
-        assert!(decode_op_line("\u{a0}# note".as_bytes(), true).unwrap().is_none());
-        assert!(decode_op_line(b"# bad \xff", true).is_err());
-        let err = decode_op_line("alu 1 1 1 - - -\u{3000}".as_bytes(), true).unwrap_err();
+        assert!(decode("\u{3000}".as_bytes()).unwrap().is_none());
+        assert!(decode("\u{a0}# note".as_bytes()).unwrap().is_none());
+        assert!(decode(b"# bad \xff").is_err());
+        let err = decode("alu 1 1 1 - - -\u{3000}".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("invalid register"), "{err}");
     }
 
@@ -1081,5 +1357,126 @@ mod tests {
         let second: Vec<_> = std::iter::from_fn(|| s.next_op()).collect();
         assert_eq!(first, second);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Index `text` as one range, then split it into two ranges at every
+    /// `every`-th byte offset and into three with the second cut 0, 1, 9
+    /// and 40 bytes further on: every split must give the same grid,
+    /// spans and error text as one range.
+    fn assert_splits_agree(text: &[u8], every: usize) {
+        assert_cuts_agree(text, (0..=text.len() as u64).step_by(every));
+    }
+
+    fn assert_cuts_agree(text: &[u8], first_cuts: impl Iterator<Item = u64>) {
+        let path = tmp("split.trace");
+        std::fs::write(&path, text).unwrap();
+        let scan = |cuts: &[u64]| scan_text(&path, cuts).map_err(|e| e.to_string());
+        let one = scan(&[0, u64::MAX]);
+        let len = text.len() as u64;
+        for a in first_cuts {
+            assert_eq!(scan(&[0, a, u64::MAX]), one, "cut at {a}");
+            for b in [a, a + 1, a + 9, a + 40].into_iter().filter(|&b| b <= len) {
+                assert_eq!(scan(&[0, a, b, u64::MAX]), one, "cuts at {a} and {b}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every spelling the round-trip test renders: CRLF, tabs, `+` signs,
+    /// blank, Unicode-blank and `#` lines, sections out of order, a grid
+    /// with a warp that has no section.
+    const SPELLINGS: &str = "dlp-trace-v1\r\n# captured by hand\n\n grid 2 2\r\n\
+        warp 1 0\nld +0 1 - - 0,128,+256\r\n\talu 64\t4 32 2 1 -\n# café ≠ 42\n\
+        \u{3000}\nst 5 2 - 4096\x0c\nwarp 0 1\n\n  alu 1 1 1 - - -\r\n\r\n\
+        warp\t0 0\nld 3 +7 - 2 64\nst 9 - - 1,2,3";
+
+    #[test]
+    fn range_splits_match_one_range() {
+        assert_splits_agree(SPELLINGS.as_bytes(), 1);
+        assert_splits_agree(format!("{SPELLINGS}\n").as_bytes(), 1);
+        let path = tmp("toy.trace");
+        write_text_trace(&path, &Toy { reps: 2 }).unwrap();
+        assert_splits_agree(&std::fs::read(&path).unwrap(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn range_splits_match_one_range_on_planted_errors() {
+        let lines: Vec<&str> = SPELLINGS.split_inclusive('\n').collect();
+        let plant = |at: usize, line: &str| {
+            let mut v = lines.clone();
+            v.insert(at, line);
+            v.concat()
+        };
+        let cases = [
+            plant(5, "grid 2 2\n"),         // duplicate `grid`
+            plant(12, "grid 9 x\n"),        // duplicate `grid`, malformed too
+            plant(2, "warp 0 0\n"),         // `warp` before `grid`
+            plant(12, "warp 1 0\n"),        // duplicate `warp`
+            plant(9, "warp 2 0\n"),         // `warp` outside the grid
+            plant(4, "alu 0 1 32 - - -\n"), // op line before the first `warp`
+            plant(4, "bogus\n"),            // malformed op line before the first `warp`
+            plant(10, "ld 0 1 - - 12x\n"),  // bad address
+            plant(10, "warp 0 0 0\n"),      // trailing tokens
+            plant(0, "not a header\n"),
+            format!("{}\n", lines[0]), // no `grid` at all
+        ];
+        for case in &cases {
+            assert_splits_agree(case.as_bytes(), 1);
+        }
+        // A comment with a byte that is not UTF-8.
+        let mut bytes = lines[..8].concat().into_bytes();
+        bytes.extend_from_slice(b"# bad \xff\n");
+        bytes.extend_from_slice(lines[8..].concat().as_bytes());
+        assert_splits_agree(&bytes, 1);
+    }
+
+    #[test]
+    fn range_splits_match_one_range_on_a_long_line() {
+        let line = format!("st 0 - - {}", "1,".repeat(512 << 10));
+        let head = format!("{TEXT_MAGIC}\ngrid 1 1\nwarp 0 0\nalu 0 1 32 - - -\n");
+        let text = format!("{head}{line}\nalu 0 1 32 - - -\n");
+        // Cuts around both ends of the long line and every 64 KiB + 1.
+        let (start, end) = (head.len() as u64, (head.len() + line.len()) as u64);
+        let ends = [start - 1, start, start + 1, end - 1, end, end + 1, end + 2];
+        assert_cuts_agree(text.as_bytes(), ends.into_iter().chain((0..end).step_by(65537)));
+    }
+
+    #[test]
+    fn a_flood_of_section_lines_stops_its_range() {
+        let text = format!("{TEXT_MAGIC}\ngrid 1 1\n{}", "warp 0 0\n".repeat(10_000));
+        let path = tmp("flood.trace");
+        std::fs::write(&path, text).unwrap();
+        let mut part = Part::default();
+        part.err = scan_part(&path, 0, u64::MAX, 8, &mut part).err();
+        // The ninth recorded line (the header is not recorded) stops it.
+        assert_eq!((part.marks.len(), part.lines), (9, 10));
+        assert!(matches!(part.err, Some(Fault::Line(_))));
+        // The merge reports the first duplicate, as an uncapped scan does.
+        let one = scan_text(&path, &[0, u64::MAX]).unwrap_err().to_string();
+        assert_eq!(one, "malformed trace (line 4): duplicate section for warp 0/0");
+        assert_eq!(merge(vec![part]).unwrap_err().to_string(), one);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn range_splits_match_one_range_on_cut_and_flipped_files() {
+        let good = SPELLINGS.as_bytes();
+        for cut in 0..good.len() {
+            assert_splits_agree(&good[..cut], 7);
+        }
+        let alphabet = b"0123456789 ,-+#\n\r\tlaustdwrigp\x00\xff\x80";
+        let mut x: u64 = 0x5eed;
+        let mut next = |n: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        for _ in 0..100 {
+            let mut bad = good.to_vec();
+            for _ in 0..1 + next(3) {
+                bad[next(good.len())] = alphabet[next(alphabet.len())];
+            }
+            assert_splits_agree(&bad, 4);
+        }
     }
 }
