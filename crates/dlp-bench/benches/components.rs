@@ -171,14 +171,14 @@ fn bench_next_event(c: &mut Criterion) {
     // and the one the per-SM sleep gate replaces with an array read.
     c.bench_function("sm_next_event_idle", |b| {
         let cfg = SimConfig::tesla_m2090(PolicyKind::Baseline);
-        let mut sm = Sm::new(0, &cfg);
+        let sm = Sm::new(0, &cfg);
         b.iter(|| black_box(sm.next_event(black_box(1_000))));
     });
 }
 
 /// An L1D whose pipeline register holds a stalled access (MSHR entries
-/// exhausted by distinct-line misses) — the state the leap core must
-/// classify before it may skip retry cycles.
+/// exhausted by distinct-line misses) — the state whose stall memo the
+/// leap core replays instead of ticking retry cycles.
 fn stalled_l1d() -> L1dCache {
     let cfg = L1dConfig::fermi_baseline();
     let mut l1d = L1dCache::new(cfg, build_policy(PolicyKind::Baseline, cfg.geom));
@@ -191,12 +191,8 @@ fn stalled_l1d() -> L1dCache {
 }
 
 fn bench_leap_catchup(c: &mut Criterion) {
-    // Classify + arithmetic catch-up: what the cycle-leap core executes
-    // instead of ticking a stalled L1D through dead cycles.
-    c.bench_function("l1d_classify_stalled_retry", |b| {
-        let mut l1d = stalled_l1d();
-        b.iter(|| black_box(l1d.classify_stalled_retry()));
-    });
+    // Arithmetic catch-up from the stall memo: what the cycle-leap core
+    // executes instead of ticking a stalled L1D through dead cycles.
     c.bench_function("l1d_leap_catchup_64", |b| {
         let mut l1d = stalled_l1d();
         b.iter(|| l1d.leap_catchup(black_box(64), false));

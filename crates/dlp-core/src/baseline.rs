@@ -62,10 +62,6 @@ impl ReplacementPolicy for LruBaseline {
         self.recency.touch(set, way);
     }
 
-    fn replacement_would_stall(&self, set: usize, ways: &[WayView]) -> bool {
-        matches!(self.peek_victim(set, ways), MissDecision::Stall)
-    }
-
     fn kind(&self) -> PolicyKind {
         PolicyKind::Baseline
     }
@@ -200,19 +196,6 @@ mod tests {
         let ways = vec![WayView::invalid(); 4];
         assert_eq!(p.decide_replacement(0, &ways, &ctx()), MissDecision::Allocate { way: 0 });
         assert_eq!(p.kind(), PolicyKind::StallBypass);
-    }
-
-    #[test]
-    fn would_stall_peek_matches_decide_replacement() {
-        let mut p = LruBaseline::new(small_geom());
-        let free = vec![WayView::invalid(); 4];
-        assert!(!p.replacement_would_stall(0, &free));
-        let reserved = vec![WayView::reserved(); 4];
-        assert!(p.replacement_would_stall(0, &reserved));
-        assert_eq!(p.decide_replacement(0, &reserved, &ctx()), MissDecision::Stall);
-        // Stall-Bypass never stalls, so the read-only peek must agree.
-        let sb = StallBypass::new(small_geom());
-        assert!(!sb.replacement_would_stall(0, &reserved));
     }
 
     #[test]

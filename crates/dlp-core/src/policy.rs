@@ -127,7 +127,10 @@ pub trait ReplacementPolicy: Send {
     fn on_miss(&mut self, set: usize, tag: u64, ctx: &AccessCtx);
 
     /// Pick a victim way / bypass / stall for a miss that wants to
-    /// allocate. `ways[i].reserved` ways must not be chosen.
+    /// allocate. `ways[i].reserved` ways must not be chosen. The answer
+    /// must depend only on `set`, `ways`, `ctx` and state the other
+    /// hooks change, and the only state it may change is counters
+    /// (see [`ReplacementPolicy::repeat_decision`]).
     fn decide_replacement(&mut self, set: usize, ways: &[WayView], ctx: &AccessCtx) -> MissDecision;
 
     /// A valid line with `tag` was evicted from `way` (capacity or
@@ -153,17 +156,15 @@ pub trait ReplacementPolicy: Send {
         false
     }
 
-    /// Would [`ReplacementPolicy::decide_replacement`] return
-    /// [`MissDecision::Stall`] for this set **without mutating any
-    /// state**? Used by the cycle-leap event core to classify a parked
-    /// access's stall reason read-only. The default `false` is correct
-    /// for every scheme that never stalls (Stall-Bypass converts stalls
-    /// to bypasses; the protection schemes treat a fully reserved set
-    /// like a fully protected one and bypass, §4.1.1); only plain LRU
-    /// overrides it.
-    fn replacement_would_stall(&self, set: usize, ways: &[WayView]) -> bool {
-        let _ = (set, ways);
-        false
+    /// The controller repeated, `times` more times, a `decision` this
+    /// policy already returned: a parked access retried while nothing
+    /// [`ReplacementPolicy::decide_replacement`] reads had changed, so
+    /// the controller replays the retry instead of asking again. Bump
+    /// every counter `decide_replacement` bumps for `decision`, `times`
+    /// times; change nothing else. Schemes whose decisions count
+    /// nothing keep the default.
+    fn repeat_decision(&mut self, decision: MissDecision, times: u64) {
+        let _ = (decision, times);
     }
 
     /// Force the current sampling period to end (used to bound sampling

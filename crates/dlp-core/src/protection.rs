@@ -313,8 +313,14 @@ impl<M: PdModel> ReplacementPolicy for ProtectionPolicy<M> {
         // No way is replaceable: every line is either protected (PL > 0)
         // or reserved by an in-flight fill. §4.1.1 bypasses the miss in
         // this situation rather than contending for the set.
-        self.stats.protected_bypasses += 1;
+        self.repeat_decision(MissDecision::Bypass, 1);
         MissDecision::Bypass
+    }
+
+    fn repeat_decision(&mut self, decision: MissDecision, times: u64) {
+        if decision == MissDecision::Bypass {
+            self.stats.protected_bypasses += times;
+        }
     }
 
     fn on_evict(&mut self, set: usize, way: usize, tag: u64) {
@@ -424,6 +430,9 @@ impl ReplacementPolicy for Dlp {
     fn decide_replacement(&mut self, set: usize, ways: &[WayView], ctx: &AccessCtx) -> MissDecision {
         self.inner.decide_replacement(set, ways, ctx)
     }
+    fn repeat_decision(&mut self, decision: MissDecision, times: u64) {
+        self.inner.repeat_decision(decision, times);
+    }
     fn on_evict(&mut self, set: usize, way: usize, tag: u64) {
         self.inner.on_evict(set, way, tag);
     }
@@ -491,6 +500,9 @@ impl ReplacementPolicy for GlobalProtection {
     }
     fn decide_replacement(&mut self, set: usize, ways: &[WayView], ctx: &AccessCtx) -> MissDecision {
         self.inner.decide_replacement(set, ways, ctx)
+    }
+    fn repeat_decision(&mut self, decision: MissDecision, times: u64) {
+        self.inner.repeat_decision(decision, times);
     }
     fn on_evict(&mut self, set: usize, way: usize, tag: u64) {
         self.inner.on_evict(set, way, tag);

@@ -259,6 +259,13 @@ impl Dram {
         true
     }
 
+    /// Commands started so far. Each start drains a bank queue slot, so
+    /// a caller refused admission can tell from this count whether
+    /// anything has changed since.
+    pub fn commands_started(&self) -> u64 {
+        self.stats.reads + self.stats.writes
+    }
+
     /// Pop the next finished command (data on the bus by now), if any.
     /// Writes are popped too so the caller can drop them.
     pub fn pop_completed(&mut self) -> Option<DramCmd> {

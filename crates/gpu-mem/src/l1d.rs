@@ -17,12 +17,20 @@
 //!    (§2). Policies with `bypass_on_stall()` (Stall-Bypass) convert
 //!    those stalls into bypasses.
 //!
+//! A retry whose inputs have not changed since the last one stalls the
+//! same way, so the cache remembers how the parked access last stalled
+//! (its stall memo) and replays that retry's counter bumps instead of
+//! re-running the access path. Every event that can change the outcome
+//! — a reply, a packet leaving the miss queue, a policy sample, a
+//! functional access or drain — drops the memo, and the next retry
+//! runs for real.
+//!
 //! The cache is write-back / write-allocate: store hits dirty the line,
 //! store misses fetch-and-allocate, and dirty victims generate
 //! `Writeback` packets — the L1D eviction traffic of Figure 11b.
 
 use crate::error::MemError;
-use crate::mshr::{Mshr, MshrLookup};
+use crate::mshr::{LineHash, Mshr, MshrLookup};
 use crate::observer::AccessObserver;
 use crate::packet::{MemReq, MemResp, Packet, PacketKind};
 use crate::stats::CacheStats;
@@ -63,28 +71,29 @@ impl L1dConfig {
 enum Outcome {
     /// The access finished (hit scheduled, merged, queued, or bypassed).
     Consumed,
-    /// The access must park in the pipeline register and retry.
-    Stalled,
+    /// The access must park in the pipeline register and retry; the
+    /// memo says what each unchanged retry bumps.
+    Stalled(StallMemo),
 }
 
-/// Why a parked access would stall again this cycle, as classified by
-/// [`L1dCache::classify_stalled_retry`]. Each variant names the stall
-/// counter a tick-by-tick retry would have bumped, letting the
-/// cycle-leap event core replay a skipped window of retries
-/// arithmetically (`counter += skipped`) with byte-identical statistics.
+/// How an access stalled, and so what each retry of it bumps while
+/// nothing the retry reads changes: `stall_cycles`, the stall counter
+/// the variant names and, where the retry reached the replacement
+/// decision, whatever the policy counts for that decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallClass {
+enum StallMemo {
     /// The line is in flight and its merge list is full
     /// (`stall_merge_full`).
     MergeFull,
     /// No MSHR entry is free for a new line (`stall_mshr_full`).
     MshrFull,
-    /// Every way of the set is reserved by in-flight fills
-    /// (`stall_all_reserved`).
+    /// The policy found every way of the set reserved by in-flight fills
+    /// and decided [`MissDecision::Stall`] (`stall_all_reserved`).
     AllReserved,
     /// The miss queue toward the interconnect is full
-    /// (`stall_miss_queue`).
-    MissQueue,
+    /// (`stall_miss_queue`), after the policy's decision if the access
+    /// reached one.
+    MissQueue(Option<MissDecision>),
 }
 
 struct PendingResp {
@@ -125,8 +134,12 @@ pub struct L1dCache {
     responses: VecDeque<MemResp>,
     /// The blocked access retrying at the head of the memory pipeline.
     pipeline_reg: Option<MemReq>,
+    /// How the parked access's last retry stalled. Set only while an
+    /// access is parked, and dropped by every event that can change the
+    /// retry's outcome (see the module docs).
+    stall_memo: Option<StallMemo>,
     /// Lines ever touched, for compulsory-miss accounting.
-    seen_lines: HashSet<u64>,
+    seen_lines: HashSet<u64, LineHash>,
     observer: Option<Box<dyn AccessObserver>>,
     stats: CacheStats,
     /// Accesses whose PC exceeded the 7-bit instruction-id space (the
@@ -155,7 +168,8 @@ impl L1dCache {
             resp_seq: 0,
             responses: VecDeque::new(),
             pipeline_reg: None,
-            seen_lines: HashSet::new(),
+            stall_memo: None,
+            seen_lines: HashSet::default(),
             observer: None,
             stats: CacheStats::default(),
             insn_id_wraps: 0,
@@ -179,29 +193,34 @@ impl L1dCache {
     /// transaction with the caller) if the pipeline register is occupied
     /// by a stalled access — the §2 blocking behaviour. An `Err` means
     /// the cache's own structural state is corrupt (bad MSHR merge).
+    ///
+    /// A refused submit changes nothing a retry reads; an accepted one
+    /// finds no parked access and so no stall memo.
     pub fn submit(&mut self, mut req: MemReq, cycle: u64) -> Result<bool, MemError> {
         if self.pipeline_reg.is_some() {
             self.stats.rejected_submits += 1;
             return Ok(false);
         }
+        debug_assert!(self.stall_memo.is_none(), "stall memo without a parked access");
         req.born = cycle;
-        match self.process(req, true, cycle)? {
-            Outcome::Consumed => Ok(true),
-            Outcome::Stalled => {
-                self.pipeline_reg = Some(req);
-                Ok(true)
-            }
+        if let Outcome::Stalled(memo) = self.process(req, true, cycle)? {
+            self.pipeline_reg = Some(req);
+            self.stall_memo = Some(memo);
         }
+        Ok(true)
     }
 
     /// Advance one core cycle: retry the stalled access (if any) and
-    /// ripen pending responses.
+    /// ripen pending responses. While the stall memo holds, the retry
+    /// is replayed from it instead of run.
     pub fn cycle(&mut self, cycle: u64) -> Result<(), MemError> {
-        if let Some(req) = self.pipeline_reg.take() {
+        if let Some(memo) = self.stall_memo {
+            self.replay_stalls(memo, 1);
+        } else if let Some(req) = self.pipeline_reg.take() {
             self.stats.stall_cycles += 1;
-            match self.process(req, false, cycle)? {
-                Outcome::Consumed => {}
-                Outcome::Stalled => self.pipeline_reg = Some(req),
+            if let Outcome::Stalled(memo) = self.process(req, false, cycle)? {
+                self.pipeline_reg = Some(req);
+                self.stall_memo = Some(memo);
             }
         }
         while self.pending.peek().is_some_and(|Reverse(head)| head.ready <= cycle) {
@@ -215,10 +234,11 @@ impl L1dCache {
     /// (instead of panicking) when the reply matches no outstanding
     /// fetch — the symptom of a duplicated or misrouted packet.
     pub fn on_reply(&mut self, pkt: Packet, cycle: u64) -> Result<(), MemError> {
+        self.stall_memo = None;
         let line = self.cfg.geom.line_addr(pkt.addr);
         match pkt.kind {
             PacketKind::ReadReply => {
-                let entry =
+                let mut entry =
                     self.mshr.complete(line).ok_or(MemError::MshrMissingFill { line })?;
                 if let Some((set, way)) = entry.target {
                     let dirty = entry.reqs.iter().any(|r| r.is_write);
@@ -227,9 +247,10 @@ impl L1dCache {
                     let ctx = AccessCtx { insn_id: hash_pc(first.pc), is_write: first.is_write };
                     self.policy.on_fill(set, way, self.cfg.geom.tag_of_line(line), &ctx);
                 }
-                for req in entry.reqs {
+                for req in entry.reqs.drain(..) {
                     self.schedule_resp(req, cycle + 1);
                 }
+                self.mshr.recycle(entry.reqs);
                 Ok(())
             }
             PacketKind::BypassReadReply => {
@@ -248,6 +269,7 @@ impl L1dCache {
 
     /// Remove the packet returned by [`L1dCache::peek_outgoing`].
     pub fn pop_outgoing(&mut self) -> Option<Packet> {
+        self.stall_memo = None;
         self.outgoing.pop_front()
     }
 
@@ -295,6 +317,7 @@ impl L1dCache {
     /// Force the policy's sampling period to close (§4.1.4 instruction
     /// cap for cache-sufficient kernels).
     pub fn force_policy_sample(&mut self) {
+        self.stall_memo = None;
         self.policy.force_sample();
     }
 
@@ -354,86 +377,55 @@ impl L1dCache {
         !self.responses.is_empty()
     }
 
-    /// Classify why the access parked in the pipeline register would
-    /// stall *again* this cycle, without mutating anything — a read-only
-    /// mirror of the [`Self::process`] retry path. `None` means the
-    /// retry would make progress (so the next cycle is an event and must
-    /// not be leapt over).
-    ///
-    /// The mirror is **exact** whenever the miss queue is empty — which
-    /// is always the case when the cycle-leap event core consults it,
-    /// since a non-empty miss queue already forces the SM's `next_event`
-    /// to `now + 1`. With packets in the queue the `Absent` arm answers
-    /// conservatively (`MissQueue`) rather than replaying the policy's
-    /// (potentially mutating) `decide_replacement`.
-    pub fn classify_stalled_retry(&mut self) -> Option<StallClass> {
-        let req = self.pipeline_reg?;
-        let line = self.cfg.geom.line_addr(req.addr);
-        let (set, tag) = (self.cfg.geom.set_of_line(line), self.cfg.geom.tag_of_line(line));
-        if matches!(self.tags.lookup(set, tag), Lookup::Hit { .. }) {
-            return None;
-        }
-        match self.mshr.probe(line) {
-            MshrLookup::Merged => {
-                if self.mshr.is_bypass(line) && req.is_write {
-                    // A store cannot ride the no-fill fetch: it needs a
-                    // miss-queue slot to write through.
-                    return (self.miss_queue_free() < 1).then_some(StallClass::MissQueue);
-                }
-                None
-            }
-            MshrLookup::MergeFull => Some(StallClass::MergeFull),
-            MshrLookup::Full => {
-                if self.policy.bypass_on_stall() && self.miss_queue_free() >= 1 {
-                    None
-                } else {
-                    Some(StallClass::MshrFull)
-                }
-            }
-            MshrLookup::Absent => {
-                let views = self.tags.view_set(set);
-                if self.policy.replacement_would_stall(set, views) {
-                    return Some(StallClass::AllReserved);
-                }
-                // An allocation needs up to 2 slots (fetch + dirty
-                // victim writeback), a bypass needs 1. With ≥ 2 free the
-                // retry progresses no matter what the policy decides;
-                // below that, be conservative instead of consulting the
-                // mutating `decide_replacement`.
-                if self.miss_queue_free() < 2 {
-                    Some(StallClass::MissQueue)
-                } else {
-                    None
-                }
-            }
-        }
+    /// Must the parked access's next retry really run? True when an
+    /// access is parked but its stall memo was dropped: something it
+    /// reads changed, so the retry may make progress and the next cycle
+    /// is an event. With a memo the retry provably stalls again.
+    pub fn retry_must_run(&self) -> bool {
+        self.pipeline_reg.is_some() && self.stall_memo.is_none()
     }
 
     /// Replay `skipped` provably-no-op cycles arithmetically after a
     /// leap. The only L1D state a dead-time tick mutates is the aging
-    /// counters: each skipped cycle would have burned one retry of the
-    /// parked access (`stall_cycles` plus exactly one stall-class
-    /// counter) and — when the LD/ST queue had a transaction waiting
-    /// behind it (`submits_pending`) — one rejected submit.
+    /// counters: each skipped cycle would have replayed the parked
+    /// access's stall memo and — when the LD/ST queue had a transaction
+    /// waiting behind it (`submits_pending`) — refused one submit.
     pub fn leap_catchup(&mut self, skipped: u64, submits_pending: bool) {
         debug_assert!(
             self.outgoing.is_empty(),
             "leapt while packets waited for the interconnect"
         );
-        if self.pipeline_reg.is_none() {
+        let Some(memo) = self.stall_memo else {
+            debug_assert!(self.pipeline_reg.is_none(), "leapt across a retry that had to run");
             return;
-        }
-        self.stats.stall_cycles += skipped;
-        match self.classify_stalled_retry() {
-            Some(StallClass::MergeFull) => self.stats.stall_merge_full += skipped,
-            Some(StallClass::MshrFull) => self.stats.stall_mshr_full += skipped,
-            Some(StallClass::AllReserved) => self.stats.stall_all_reserved += skipped,
-            Some(StallClass::MissQueue) => self.stats.stall_miss_queue += skipped,
-            None => debug_assert!(false, "leapt across a retry that would have progressed"),
-        }
+        };
+        self.replay_stalls(memo, skipped);
         if submits_pending {
             self.stats.rejected_submits += skipped;
         }
+    }
+
+    /// Bump what `n` retries stalling as `memo` bump.
+    fn replay_stalls(&mut self, memo: StallMemo, n: u64) {
+        self.stats.stall_cycles += n;
+        if let Some(decision) = self.count_stalls(memo, n) {
+            self.policy.repeat_decision(decision, n);
+        }
+    }
+
+    /// Count `n` stalls of `memo`'s kind; returns the replacement
+    /// decision each of them made, if any.
+    fn count_stalls(&mut self, memo: StallMemo, n: u64) -> Option<MissDecision> {
+        let (counter, decision) = match memo {
+            StallMemo::MergeFull => (&mut self.stats.stall_merge_full, None),
+            StallMemo::MshrFull => (&mut self.stats.stall_mshr_full, None),
+            StallMemo::AllReserved => {
+                (&mut self.stats.stall_all_reserved, Some(MissDecision::Stall))
+            }
+            StallMemo::MissQueue(decision) => (&mut self.stats.stall_miss_queue, decision),
+        };
+        *counter += n;
+        decision
     }
 
     /// State-only access for sampling-mode fast-forward: the full
@@ -460,6 +452,7 @@ impl L1dCache {
             0,
             "functional access with in-flight detailed misses — drain first"
         );
+        self.stall_memo = None;
         let line = self.cfg.geom.line_addr(req.addr);
         let (set, tag) = (self.cfg.geom.set_of_line(line), self.cfg.geom.tag_of_line(line));
         let ctx = AccessCtx { insn_id: hash_pc(req.pc), is_write: req.is_write };
@@ -540,6 +533,7 @@ impl L1dCache {
         while let Some(Reverse(p)) = self.pending.pop() {
             self.responses.push_back(p.resp);
         }
+        self.stall_memo = None;
         if let Some(req) = self.pipeline_reg.take() {
             // The parked access already paid its first-attempt
             // accounting (access count, observer, policy query/miss)
@@ -627,8 +621,7 @@ impl L1dCache {
                             self.do_bypass(req, cycle);
                             Ok(Outcome::Consumed)
                         } else {
-                            self.stats.stall_miss_queue += 1;
-                            Ok(Outcome::Stalled)
+                            Ok(self.stall(StallMemo::MissQueue(None)))
                         };
                     }
                     self.mshr.merge(line, req)?;
@@ -640,8 +633,7 @@ impl L1dCache {
                 return Ok(Outcome::Consumed);
             }
             MshrLookup::MergeFull => {
-                self.stats.stall_merge_full += 1;
-                return Ok(Outcome::Stalled);
+                return Ok(self.stall(StallMemo::MergeFull));
             }
             MshrLookup::Full => {
                 if first_attempt {
@@ -653,8 +645,7 @@ impl L1dCache {
                     self.do_bypass(req, cycle);
                     Ok(Outcome::Consumed)
                 } else {
-                    self.stats.stall_mshr_full += 1;
-                    Ok(Outcome::Stalled)
+                    Ok(self.stall(StallMemo::MshrFull))
                 };
             }
             MshrLookup::Absent => {}
@@ -667,7 +658,8 @@ impl L1dCache {
         // 3. Line reservation via the policy. The views live in the tag
         // array's scratch buffer — no allocation on the access path.
         let views = self.tags.view_set(set);
-        match self.policy.decide_replacement(set, views, &ctx) {
+        let decision = self.policy.decide_replacement(set, views, &ctx);
+        match decision {
             MissDecision::Allocate { way } => {
                 let victim = self.tags.line(set, way);
                 let needed = 1 + (victim.valid && victim.dirty) as usize;
@@ -676,8 +668,7 @@ impl L1dCache {
                         self.do_bypass(req, cycle);
                         Ok(Outcome::Consumed)
                     } else {
-                        self.stats.stall_miss_queue += 1;
-                        Ok(Outcome::Stalled)
+                        Ok(self.stall(StallMemo::MissQueue(Some(decision))))
                     };
                 }
                 if let Some(old) = self.tags.evict_and_reserve(set, way, tag) {
@@ -705,8 +696,7 @@ impl L1dCache {
             }
             MissDecision::Bypass => {
                 if self.miss_queue_free() < 1 {
-                    self.stats.stall_miss_queue += 1;
-                    return Ok(Outcome::Stalled);
+                    return Ok(self.stall(StallMemo::MissQueue(Some(decision))));
                 }
                 // The line will never enter the TDA: let the policy
                 // restore the victim tag its on_miss probe consumed.
@@ -726,11 +716,15 @@ impl L1dCache {
                 }
                 Ok(Outcome::Consumed)
             }
-            MissDecision::Stall => {
-                self.stats.stall_all_reserved += 1;
-                Ok(Outcome::Stalled)
-            }
+            MissDecision::Stall => Ok(self.stall(StallMemo::AllReserved)),
         }
+    }
+
+    /// Count one stall of `memo`'s kind and park the access. The retry
+    /// already made its decision, and the policy counted it.
+    fn stall(&mut self, memo: StallMemo) -> Outcome {
+        self.count_stalls(memo, 1);
+        Outcome::Stalled(memo)
     }
 }
 
@@ -1034,59 +1028,198 @@ mod tests {
         addrs
     }
 
-    #[test]
-    fn classify_stalled_retry_names_the_counter_a_retry_would_bump() {
-        // All ways reserved -> AllReserved, and classification is pure:
-        // repeated calls agree, and a real retry bumps the named counter.
-        let mut c = cache(PolicyKind::Baseline);
-        let addrs = same_set_addrs(5);
-        for (i, &a) in addrs[..4].iter().enumerate() {
-            assert!(c.submit(load(i as u64, a, 4), i as u64).unwrap());
+    /// Two copies of a stalled cache: tick one `n` cycles on its stall
+    /// memo, and force a real retry every cycle on the other. Each real
+    /// retry must stall exactly as memoized, and both copies must end
+    /// with the same counters. Returns the memoized copy.
+    fn assert_memo_matches_real_retries(
+        mk: impl Fn() -> L1dCache,
+        expect: StallMemo,
+        n: u64,
+    ) -> L1dCache {
+        let (mut memo, mut real) = (mk(), mk());
+        assert_eq!(memo.stall_memo, Some(expect));
+        let class_count = |c: &L1dCache| match expect {
+            StallMemo::MergeFull => c.stats().stall_merge_full,
+            StallMemo::MshrFull => c.stats().stall_mshr_full,
+            StallMemo::AllReserved => c.stats().stall_all_reserved,
+            StallMemo::MissQueue(_) => c.stats().stall_miss_queue,
+        };
+        let before = (class_count(&memo), memo.stats().stall_cycles);
+        for cyc in 100..100 + n {
+            memo.cycle(cyc).unwrap();
+            real.stall_memo = None;
+            real.cycle(cyc).unwrap();
+            assert_eq!(real.stall_memo, Some(expect), "a real retry stalled differently");
         }
-        for _ in 0..4 {
-            c.pop_outgoing();
-        }
-        assert!(c.submit(load(99, addrs[4], 4), 10).unwrap());
-        assert_eq!(c.classify_stalled_retry(), Some(StallClass::AllReserved));
-        assert_eq!(c.classify_stalled_retry(), Some(StallClass::AllReserved));
-        let before = c.stats().stall_all_reserved;
-        c.cycle(11).unwrap();
-        assert_eq!(c.stats().stall_all_reserved, before + 1);
-        // A fill frees a way: the classification flips to "would
-        // progress" before the retry actually lands.
-        c.on_reply(
-            Packet { kind: PacketKind::ReadReply, addr: addrs[0], req: load(0, addrs[0], 4) },
-            12,
-        )
-        .unwrap();
-        assert_eq!(c.classify_stalled_retry(), None);
-        c.cycle(13).unwrap();
-        assert!(!c.input_blocked());
+        assert_eq!((class_count(&memo), memo.stats().stall_cycles), (before.0 + n, before.1 + n));
+        assert_eq!(memo.stats(), real.stats());
+        assert_eq!(memo.policy_stats(), real.policy_stats());
+        assert!(!memo.retry_must_run());
+        memo
     }
 
     #[test]
-    fn classify_covers_mshr_full_and_merge_full() {
-        let mut c = L1dCache::new(
-            L1dConfig { mshr_entries: 1, mshr_merge: 1, miss_queue: 64, ..L1dConfig::fermi_baseline() },
-            build_policy(PolicyKind::Baseline, CacheGeometry::fermi_l1d_16k()),
-        );
-        assert!(c.submit(load(1, 0, 4), 0).unwrap());
-        while c.pop_outgoing().is_some() {}
-        // Same line again: the single-entry merge list is full.
-        assert!(c.submit(load(2, 0, 4), 1).unwrap());
-        assert_eq!(c.classify_stalled_retry(), Some(StallClass::MergeFull));
-        // Clear it, then a different line: no MSHR entry free.
-        c.on_reply(Packet { kind: PacketKind::ReadReply, addr: 0, req: load(1, 0, 4) }, 2)
-            .unwrap();
-        c.cycle(3).unwrap();
+    fn stall_memo_replays_all_reserved_under_lru() {
+        let addrs = same_set_addrs(5);
+        let mk = || {
+            let mut c = cache(PolicyKind::Baseline);
+            for (i, &a) in addrs[..4].iter().enumerate() {
+                assert!(c.submit(load(i as u64, a, 4), i as u64).unwrap());
+            }
+            for _ in 0..4 {
+                c.pop_outgoing();
+            }
+            assert!(c.submit(load(99, addrs[4], 4), 10).unwrap());
+            c
+        };
+        let mut c = assert_memo_matches_real_retries(mk, StallMemo::AllReserved, 23);
+        // A fill frees a way: the memo is gone and the next retry lands.
+        c.on_reply(
+            Packet { kind: PacketKind::ReadReply, addr: addrs[0], req: load(0, addrs[0], 4) },
+            200,
+        )
+        .unwrap();
+        assert!(c.retry_must_run());
+        c.cycle(201).unwrap();
         assert!(!c.input_blocked());
-        assert!(c.submit(load(3, 128 * 1000, 4), 4).unwrap());
-        while c.pop_outgoing().is_some() {}
-        assert!(c.submit(load(4, 128 * 2000, 4), 5).unwrap());
-        assert_eq!(c.classify_stalled_retry(), Some(StallClass::MshrFull));
-        // No parked access at all -> no classification.
-        let mut fresh = cache(PolicyKind::Baseline);
-        assert_eq!(fresh.classify_stalled_retry(), None);
+        assert_eq!(c.stats().misses_allocated, 5);
+    }
+
+    #[test]
+    fn stall_memo_covers_merge_full_and_mshr_full() {
+        let small = |mshr_entries, mshr_merge| {
+            L1dCache::new(
+                L1dConfig { mshr_entries, mshr_merge, miss_queue: 64, ..L1dConfig::fermi_baseline() },
+                build_policy(PolicyKind::Baseline, CacheGeometry::fermi_l1d_16k()),
+            )
+        };
+        let fill0 = Packet { kind: PacketKind::ReadReply, addr: 0, req: load(1, 0, 4) };
+        // Same line again: the single-slot merge list is full. The fill
+        // turns the retry into a hit.
+        let mk = || {
+            let mut c = small(4, 1);
+            assert!(c.submit(load(1, 0, 4), 0).unwrap());
+            assert!(c.submit(load(2, 0, 4), 1).unwrap());
+            c
+        };
+        let mut c = assert_memo_matches_real_retries(mk, StallMemo::MergeFull, 17);
+        c.on_reply(fill0, 200).unwrap();
+        assert!(c.retry_must_run());
+        c.cycle(201).unwrap();
+        assert!(!c.input_blocked());
+        assert_eq!(c.stats().hits, 1);
+        // A different line with the one MSHR entry taken: the fill frees
+        // the entry and the retry allocates it.
+        let mk = || {
+            let mut c = small(1, 4);
+            assert!(c.submit(load(1, 0, 4), 0).unwrap());
+            assert!(c.submit(load(2, 128 * 1000, 4), 1).unwrap());
+            c
+        };
+        let mut c = assert_memo_matches_real_retries(mk, StallMemo::MshrFull, 17);
+        c.on_reply(fill0, 200).unwrap();
+        assert!(c.retry_must_run());
+        c.cycle(201).unwrap();
+        assert!(!c.input_blocked());
+        assert_eq!(c.stats().misses_allocated, 2);
+    }
+
+    #[test]
+    fn stall_memo_covers_miss_queue_after_allocate_and_after_bypass() {
+        // Baseline: the second miss is given a way, but the one-slot
+        // miss queue still holds the first fetch.
+        let mk = || {
+            let mut c = L1dCache::new(
+                L1dConfig { miss_queue: 1, ..L1dConfig::fermi_baseline() },
+                build_policy(PolicyKind::Baseline, CacheGeometry::fermi_l1d_16k()),
+            );
+            assert!(c.submit(load(1, 0, 4), 0).unwrap());
+            assert!(c.submit(load(2, 128 * 1000, 4), 1).unwrap());
+            c
+        };
+        let expect = match mk().stall_memo {
+            Some(m @ StallMemo::MissQueue(Some(MissDecision::Allocate { .. }))) => m,
+            other => panic!("expected a miss-queue stall after Allocate, got {other:?}"),
+        };
+        let mut c = assert_memo_matches_real_retries(mk, expect, 19);
+        assert!(c.pop_outgoing().is_some());
+        assert!(c.retry_must_run());
+        c.cycle(200).unwrap();
+        assert!(!c.input_blocked());
+        assert_eq!(c.stats().misses_allocated, 2);
+
+        // DLP: four fetches reserve every way of the set and fill the
+        // four-slot miss queue, so the fifth miss is bypassed (§4.1.1)
+        // and waits for a slot. Every retry repeats the Bypass decision,
+        // and each one counts a protected bypass.
+        let addrs = same_set_addrs(5);
+        let mk = || {
+            let mut c = L1dCache::new(
+                L1dConfig { miss_queue: 4, ..L1dConfig::fermi_baseline() },
+                build_policy(PolicyKind::Dlp, CacheGeometry::fermi_l1d_16k()),
+            );
+            for (i, &a) in addrs[..4].iter().enumerate() {
+                assert!(c.submit(load(i as u64, a, 4), i as u64).unwrap());
+            }
+            assert!(c.submit(load(99, addrs[4], 4), 10).unwrap());
+            c
+        };
+        let expect = StallMemo::MissQueue(Some(MissDecision::Bypass));
+        let mut c = assert_memo_matches_real_retries(mk, expect, 19);
+        assert_eq!(c.policy_stats().protected_bypasses, 20);
+        assert!(c.pop_outgoing().is_some());
+        assert!(c.retry_must_run());
+        c.cycle(200).unwrap();
+        assert!(!c.input_blocked());
+        assert_eq!(c.stats().bypass_fetches, 1);
+        assert_eq!(c.policy_stats().protected_bypasses, 21);
+    }
+
+    #[test]
+    fn every_invalidating_event_forces_a_real_retry() {
+        // A miss-queue stall with no fetch outstanding: the first fetch
+        // is answered but still sits in the one-slot queue. Functional
+        // accesses need an empty MSHR, so this state admits every event.
+        let stalled = || {
+            let mut c = L1dCache::new(
+                L1dConfig { miss_queue: 1, ..L1dConfig::fermi_baseline() },
+                build_policy(PolicyKind::Dlp, CacheGeometry::fermi_l1d_16k()),
+            );
+            assert!(c.submit(load(1, 0, 4), 0).unwrap());
+            assert!(c.submit(load(2, 128 * 1000, 4), 1).unwrap());
+            c.on_reply(Packet { kind: PacketKind::ReadReply, addr: 0, req: load(1, 0, 4) }, 2)
+                .unwrap();
+            c.cycle(3).unwrap();
+            assert_eq!(c.mshr_occupancy(), 0);
+            assert!(c.input_blocked() && !c.retry_must_run());
+            c
+        };
+        let events = ["reply", "pop_outgoing", "policy sample", "functional access", "drain"];
+        for what in events {
+            let mut c = stalled();
+            match what {
+                "reply" => {
+                    let req = load(7, 64, 4);
+                    let pkt = Packet { kind: PacketKind::BypassReadReply, addr: 64, req };
+                    c.on_reply(pkt, 4).unwrap();
+                }
+                "pop_outgoing" => assert!(c.pop_outgoing().is_some()),
+                "policy sample" => c.force_policy_sample(),
+                "functional access" => {
+                    c.access_functional(load(8, 0x9000, 4), true, false, &mut Vec::new())
+                }
+                _ => c.drain_functional(&mut Vec::new()),
+            }
+            assert!(c.stall_memo.is_none(), "{what} kept the stall memo");
+            c.cycle(5).unwrap();
+            // A freed miss-queue slot lets the retry land (a drain has
+            // already resolved the access); otherwise the real retry
+            // stalls again and memoizes that.
+            let unblocked = matches!(what, "pop_outgoing" | "drain");
+            assert_eq!(c.input_blocked(), !unblocked, "{what}");
+            assert!(!c.retry_must_run(), "{what}");
+        }
     }
 
     #[test]

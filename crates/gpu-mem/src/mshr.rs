@@ -7,6 +7,37 @@
 use crate::error::MemError;
 use crate::packet::MemReq;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for the simulator's line-address tables: the MSHRs and the
+/// L1D's compulsory-miss set. Keys are line addresses the simulator
+/// computes itself, never outside input, so std's randomly seeded
+/// SipHash buys nothing here and costs a hash per access.
+#[derive(Default)]
+pub(crate) struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // Fibonacci hashing: odd multiplier, so the low bits the table
+        // indexes by stay a bijection of the key's low bits and the high
+        // bits mix all of it.
+        // dlp-lint: allow(F103) -- multiplicative hashing is modular multiplication by definition
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// [`HashMap`]/[`std::collections::HashSet`] state for line-address keys.
+pub(crate) type LineHash = BuildHasherDefault<LineHasher>;
 
 /// Outcome of presenting a missed request to the MSHR.
 #[derive(Debug, PartialEq, Eq)]
@@ -36,7 +67,11 @@ pub struct MshrEntry {
 
 /// The MSHR file.
 pub struct Mshr {
-    entries: HashMap<u64, MshrEntry>,
+    entries: HashMap<u64, MshrEntry, LineHash>,
+    /// Drained merge lists handed back by [`Mshr::recycle`], reused by
+    /// the next [`Mshr::allocate`] so a miss allocates nothing once the
+    /// file has warmed up.
+    spare: Vec<Vec<MemReq>>,
     max_entries: usize,
     max_merge: usize,
     peak_occupancy: usize,
@@ -47,7 +82,13 @@ impl Mshr {
     /// `max_merge` requests per line.
     pub fn new(max_entries: usize, max_merge: usize) -> Self {
         assert!(max_entries > 0 && max_merge > 0);
-        Mshr { entries: HashMap::new(), max_entries, max_merge, peak_occupancy: 0 }
+        Mshr {
+            entries: HashMap::default(),
+            spare: Vec::new(),
+            max_entries,
+            max_merge,
+            peak_occupancy: 0,
+        }
     }
 
     /// Current number of in-flight lines.
@@ -95,8 +136,9 @@ impl Mshr {
     /// Caller must have seen `MshrLookup::Absent`.
     pub fn allocate(&mut self, line_addr: u64, target: Option<(usize, usize)>, req: MemReq) {
         assert!(self.entries.len() < self.max_entries, "MSHR overflow");
-        // dlp-lint: allow(P301) -- one Vec per MSHR entry (per miss, not per cycle); the merge list's ownership moves out at complete(), so a pool cannot reclaim it
-        let prev = self.entries.insert(line_addr, MshrEntry { target, reqs: vec![req] });
+        let mut reqs = self.spare.pop().unwrap_or_default();
+        reqs.push(req);
+        let prev = self.entries.insert(line_addr, MshrEntry { target, reqs });
         assert!(prev.is_none(), "duplicate MSHR entry for line {line_addr:#x}");
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
     }
@@ -110,6 +152,13 @@ impl Mshr {
     /// The fill for `line_addr` arrived: pop and return its entry.
     pub fn complete(&mut self, line_addr: u64) -> Option<MshrEntry> {
         self.entries.remove(&line_addr)
+    }
+
+    /// Hand back a completed entry's merge list once its requests have
+    /// been drained, for reuse by a later [`Mshr::allocate`].
+    pub fn recycle(&mut self, mut reqs: Vec<MemReq>) {
+        reqs.clear();
+        self.spare.push(reqs);
     }
 
     /// Total requests (original + merged) waiting across all entries.

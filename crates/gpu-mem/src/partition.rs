@@ -10,6 +10,7 @@
 use crate::dram::{Dram, DramCmd, DramConfig};
 use crate::error::MemError;
 use crate::fault::FaultInjector;
+use crate::mshr::LineHash;
 use crate::packet::{Packet, PacketKind};
 use crate::stats::CacheStats;
 use crate::tag_array::{Lookup, TagArray};
@@ -88,8 +89,17 @@ pub struct MemoryPartition {
     cfg: PartitionConfig,
     tags: TagArray,
     policy: LruBaseline,
-    mshr: HashMap<u64, L2MshrEntry>,
+    mshr: HashMap<u64, L2MshrEntry, LineHash>,
+    /// Drained merge lists of completed fills, reused by the next miss.
+    spare_pkts: Vec<Vec<Packet>>,
     in_queue: VecDeque<Packet>,
+    /// [`Dram::commands_started`] when the input head was last refused.
+    /// A refused head can only be unblocked by a DRAM command starting
+    /// (a bank queue drains) or completing (an MSHR entry or reserved
+    /// way frees), so while the count is unchanged and no completion
+    /// has retired since, [`Self::cycle`] skips the retry: it would be
+    /// refused again. Read completions clear it.
+    head_refused_at: Option<u64>,
     pending: BinaryHeap<Reverse<PendingReply>>,
     seq: u64,
     out_queue: VecDeque<Packet>,
@@ -100,7 +110,7 @@ pub struct MemoryPartition {
     /// the gap is caught up arithmetically (DRAM-clock accumulation and
     /// idle DRAM ticks are pure counter advances), keeping skipped runs
     /// byte-identical to fully ticked ones.
-    last_now: Option<u64>,
+    last_now: u64,
     stats: CacheStats,
 }
 
@@ -110,14 +120,16 @@ impl MemoryPartition {
         MemoryPartition {
             tags: TagArray::new(cfg.l2_geom),
             policy: LruBaseline::new(cfg.l2_geom),
-            mshr: HashMap::new(),
+            mshr: HashMap::default(),
+            spare_pkts: Vec::new(),
             in_queue: VecDeque::new(),
+            head_refused_at: None,
             pending: BinaryHeap::new(),
             seq: 0,
             out_queue: VecDeque::new(),
             dram: Dram::new(cfg.dram),
             dram_acc: 0,
-            last_now: None,
+            last_now: 0,
             stats: CacheStats::default(),
             cfg,
         }
@@ -151,7 +163,7 @@ impl MemoryPartition {
     /// barrier planner — must pass this as `now` to get correct
     /// absolute event times.
     pub fn last_cycled(&self) -> u64 {
-        self.last_now.unwrap_or(0)
+        self.last_now
     }
 
     /// All queues drained and DRAM idle?
@@ -276,9 +288,9 @@ impl MemoryPartition {
     /// cycle 0 — it must catch up from there, or its fractional DRAM
     /// clock would start out of phase with a fully ticked run.
     pub fn advance_quiet(&mut self, now: u64) {
-        let prev = self.last_now.unwrap_or(0);
+        let prev = self.last_now;
         let skipped = now.saturating_sub(prev).saturating_sub(1);
-        self.last_now = Some(now);
+        self.last_now = now;
         if skipped > 0 {
             // Input packets may have just arrived (that is what woke us
             // up), and with the cycle-leap event core the partition may
@@ -322,8 +334,9 @@ impl MemoryPartition {
             if cmd.is_write {
                 continue;
             }
+            self.head_refused_at = None;
             let line = self.cfg.l2_geom.line_addr(cmd.addr);
-            let entry =
+            let mut entry =
                 self.mshr.remove(&line).ok_or(MemError::L2MshrMissingFill { line })?;
             let dirty = entry
                 .pkts
@@ -332,12 +345,13 @@ impl MemoryPartition {
             self.tags.fill(entry.set, entry.way, dirty);
             let ctx = AccessCtx { insn_id: 0, is_write: false };
             self.policy.on_fill(entry.set, entry.way, line, &ctx);
-            for pkt in entry.pkts {
+            for pkt in entry.pkts.drain(..) {
                 if pkt.kind.expects_reply() {
                     let reply = Packet { kind: Self::reply_kind(pkt.kind)?, ..pkt };
                     self.schedule_reply(reply, now + 1);
                 }
             }
+            self.spare_pkts.push(entry.pkts);
         }
 
         // 3. Ripen pending replies.
@@ -349,11 +363,22 @@ impl MemoryPartition {
         // 4. Service one input packet; the head blocks on structural
         //    hazards (head-of-line, as in the real ejection port).
         if let Some(&pkt) = self.in_queue.front() {
-            if self.process(pkt, now)? {
-                self.in_queue.pop_front();
+            if !self.head_refused() {
+                if self.process(pkt, now)? {
+                    self.in_queue.pop_front();
+                    self.head_refused_at = None;
+                } else {
+                    self.head_refused_at = Some(self.dram.commands_started());
+                }
             }
         }
         Ok(())
+    }
+
+    /// Was the input head refused with no DRAM command started or
+    /// completed since? Then a retry is refused again.
+    fn head_refused(&self) -> bool {
+        self.head_refused_at == Some(self.dram.commands_started())
     }
 
     /// Earliest future interconnect cycle (strictly after `now`, the
@@ -379,10 +404,10 @@ impl MemoryPartition {
     /// reserved, or DRAM admission refused) only unblocks via a DRAM
     /// event — a completion freeing an MSHR entry / reserved way, or a
     /// command start draining a bank queue — so it needs no extra term.
-    /// Retrying a blocked head in the skipped window would have been
-    /// stat-neutral anyway: `accesses` is incremented and then undone on
-    /// every refusal path, leaving only the (never-reported) L2 policy
-    /// query count, which the reference-mode equivalence suite pins.
+    /// [`Self::cycle`] relies on the same fact to skip such retries.
+    /// Skipping is stat-neutral: `accesses` is incremented and then
+    /// undone on every refusal path, leaving only the L2 policy's
+    /// never-reported query count.
     pub fn next_event(&mut self, now: u64) -> Option<u64> {
         // Cheap terms first; `head_would_process` replays the whole
         // admission chain (tag lookup, MSHR probes, victim peek, DRAM
@@ -410,7 +435,7 @@ impl MemoryPartition {
             }
             t = t.min(now + k);
         }
-        if self.head_would_process() {
+        if !self.head_refused() && self.head_would_process() {
             return Some(now + 1);
         }
         (t != u64::MAX).then_some(t)
@@ -470,6 +495,7 @@ impl MemoryPartition {
     /// ways would collide with the instant fills); callers drain first.
     pub fn l2_touch_functional(&mut self, addr: u64, is_write: bool) {
         debug_assert!(self.mshr.is_empty(), "functional L2 touch with in-flight fills");
+        self.head_refused_at = None;
         let geom = self.cfg.l2_geom;
         let line = geom.line_addr(addr);
         let (set, tag) = (geom.set_of_line(line), geom.tag_of_line(line));
@@ -528,6 +554,7 @@ impl MemoryPartition {
     /// is [`Self::idle`].
     pub fn drain_functional(&mut self) -> Vec<Packet> {
         let mut replies = Vec::new();
+        self.head_refused_at = None;
         // 1. Complete outstanding L2 fills in sorted line order so the
         //    fill/reply order — and thus every downstream consumer — is
         //    deterministic.
@@ -666,8 +693,9 @@ impl MemoryPartition {
             self.policy.on_fill(set, way, line, &ctx);
             self.stats.misses_allocated += 1;
         } else {
-            // dlp-lint: allow(P301) -- one Vec per L2 MSHR entry (per miss, not per cycle); the merge list's ownership moves out at fill, so a pool cannot reclaim it
-            self.mshr.insert(line, L2MshrEntry { set, way, pkts: vec![pkt] });
+            let mut pkts = self.spare_pkts.pop().unwrap_or_default();
+            pkts.push(pkt);
+            self.mshr.insert(line, L2MshrEntry { set, way, pkts });
             self.dram.enqueue(DramCmd { addr: pkt.addr, is_write: false, pkt: Some(pkt) });
             self.stats.misses_allocated += 1;
         }
@@ -865,6 +893,74 @@ mod tests {
         assert_eq!(leaped.l2_stats().misses_allocated, ticked.l2_stats().misses_allocated);
         assert_eq!(leaped.dram_stats().reads, ticked.dram_stats().reads);
         assert_eq!(leaped.dram_stats().row_hits, ticked.dram_stats().row_hits);
+    }
+
+    #[test]
+    fn refused_head_retries_only_after_a_dram_start_or_completion() {
+        // Tiny MSHR, merge lists and bank queues, so the head is refused
+        // for each reason in turn. One twin retries a refused head every
+        // cycle, as if it had no memo; the other may skip. Both must
+        // agree cycle by cycle, and the memoized twin must retry a
+        // refused head exactly in the cycles where DRAM started or
+        // completed a command.
+        let cfg = PartitionConfig {
+            l2_mshr_entries: 2,
+            l2_mshr_merge: 2,
+            dram: DramConfig { queue_depth: 1, ..DramConfig::gddr5() },
+            ..PartitionConfig::fermi()
+        };
+        let (mut memo, mut real) = (MemoryPartition::new(cfg), MemoryPartition::new(cfg));
+        let set_stride = cfg.l2_geom.num_sets as u64 * cfg.l2_geom.line_bytes;
+        let bank_stride = cfg.dram.row_bytes * cfg.dram.num_banks as u64;
+        // Nine writebacks to one set: the ninth evicts a dirty line, and
+        // its DRAM write holds bank 4. A read to that bank waits behind
+        // it; the next read to bank 4 is refused until the write has
+        // finished and the first read starts — a start with no read
+        // completing, so only the start count can unblock it.
+        let mut pkts: Vec<_> =
+            (1..=9).map(|k| read_pkt(PacketKind::Writeback, k * set_stride, 0)).collect();
+        let bank4 = 4 * cfg.dram.row_bytes + bank_stride;
+        pkts.extend([bank4, bank4 + bank_stride].map(|a| read_pkt(PacketKind::ReadReq, a, 1)));
+        // A full merge list, then a full MSHR: both wait for a fill.
+        pkts.extend(
+            [0, 0, 0, bank_stride, 2 * bank_stride, 3 * bank_stride]
+                .map(|a| read_pkt(PacketKind::ReadReq, a, 2)),
+        );
+        let (mut fed, mut refusals, mut skipped, mut start_only) = (0, 0, 0, 0);
+        for now in 0..4000 {
+            while fed < pkts.len() && memo.can_accept() {
+                for p in [&mut memo, &mut real] {
+                    p.enqueue(pkts[fed]);
+                }
+                fed += 1;
+            }
+            let was_refused = memo.head_refused_at.is_some();
+            let (started, queries) = (memo.dram.commands_started(), memo.policy.stats().queries);
+            let (replies, hits) = (memo.seq, memo.l2_stats().hits);
+            memo.cycle(now).unwrap();
+            real.head_refused_at = None;
+            real.cycle(now).unwrap();
+            let retried = memo.policy.stats().queries > queries;
+            // Replies scheduled beyond the head's own hit are fills.
+            let completed = memo.seq - replies > memo.l2_stats().hits - hits;
+            let started = memo.dram.commands_started() != started;
+            if was_refused {
+                assert_eq!(retried, started || completed, "cycle {now}");
+                skipped += u32::from(!retried);
+                start_only += u32::from(retried && !completed);
+            }
+            refusals += u32::from(retried && memo.head_refused_at.is_some());
+            assert_eq!(memo.l2_stats(), real.l2_stats(), "cycle {now}");
+            assert_eq!(memo.dram_stats(), real.dram_stats(), "cycle {now}");
+            assert_eq!(memo.in_queue_len(), real.in_queue_len(), "cycle {now}");
+            let (a, b) = (memo.pop_reply(), real.pop_reply());
+            assert_eq!(a.map(|r| r.req.addr), b.map(|r| r.req.addr), "cycle {now}");
+        }
+        assert!(fed == pkts.len() && memo.idle() && real.idle(), "every packet must be served");
+        assert!(refusals >= 3 && skipped > 0 && start_only >= 1, "{refusals} {skipped} {start_only}");
+        assert_eq!(memo.l2_stats().accesses, pkts.len() as u64);
+        assert!(memo.l2_stats().mshr_merges >= 1);
+        assert_eq!(memo.dram_stats().writes, 2, "the ninth writeback and the read of line 0 evict");
     }
 
     #[test]

@@ -352,8 +352,9 @@ impl Sm {
     /// - a warp is eligible to issue (same mask predicate as
     ///   [`Sm::pick_ready`]);
     /// - the L1D has packets for the interconnect, ripe responses, or a
-    ///   parked access whose retry would make progress
-    ///   ([`L1dCache::classify_stalled_retry`] returns `None`);
+    ///   parked access whose retry must really run
+    ///   ([`L1dCache::retry_must_run`]: no stall memo vouches that it
+    ///   stalls again);
     /// - the LD/ST queue could feed the L1D a transaction;
     /// - the §4.1.4 sampling cap is due.
     ///
@@ -362,7 +363,7 @@ impl Sm {
     /// issuable inside the window: every producer completion (memory
     /// response, ALU writeback, store retirement) is itself one of the
     /// events above, so the bound is conservative.
-    pub fn next_event(&mut self, now: u64) -> Option<u64> {
+    pub fn next_event(&self, now: u64) -> Option<u64> {
         #[cfg(debug_assertions)]
         for (slot, w) in self.warps.iter().enumerate() {
             debug_assert_eq!(
@@ -382,7 +383,7 @@ impl Sm {
             || self.l1d.outgoing_len() > 0
             || self.l1d.has_ready_responses()
             || (!self.ldst_queue.is_empty() && !self.l1d.input_blocked())
-            || (self.l1d.input_blocked() && self.l1d.classify_stalled_retry().is_none())
+            || self.l1d.retry_must_run()
             || (self.sample_insn_cap > 0 && self.insns_since_sample >= self.sample_insn_cap)
         {
             return Some(now + 1);

@@ -7,10 +7,11 @@
 //! place, through the replay's own decoder but without building ops.
 //! Each warp then replays its section through a [`FileStream`], which
 //! reads one chunk at a time (open → seek → read → close per refill, an
-//! incomplete trailing record carried into the next chunk). Resident
-//! state per warp is one chunk, not the warp's trace, so a gigabyte
-//! trace file costs the same memory as a kilobyte one — the ingestion
-//! half of the scale axis.
+//! incomplete trailing record carried into the next chunk) and decodes
+//! one op at a time from those raw bytes, as the warp asks for it.
+//! Resident state per warp is at most two chunks of raw bytes and one
+//! decoded op, not the warp's trace, so a gigabyte trace file costs the
+//! same memory as a kilobyte one — the ingestion half of the scale axis.
 //!
 //! A text trace is validated as K byte ranges on K threads, where K is
 //! the machine's available parallelism, capped so every range is at
@@ -59,7 +60,7 @@
 //! `figures trace` front-end maps it to exit code 2.
 
 use gpu_sim::isa::{OpKind, Reg, TraceOp, MAX_REGS, NO_REG};
-use gpu_sim::stream::{ops_bytes, OpStream};
+use gpu_sim::stream::{op_bytes, OpStream};
 use gpu_sim::{GridDesc, Kernel};
 use std::collections::HashMap;
 use std::fmt;
@@ -193,8 +194,8 @@ impl TraceKernel {
             len,
             pos: 0,
             carry: Vec::new(),
-            buf: Vec::new(),
             at: 0,
+            next: None,
             peak: 0,
             chunk: CHUNK,
         }
@@ -220,50 +221,85 @@ impl Kernel for TraceKernel {
 /// Each refill opens the file, seeks to the unread tail of the section,
 /// reads one chunk and closes the file again (no descriptor is held
 /// between refills — thousands of concurrent warps cannot exhaust the
-/// fd table). Complete records in the chunk are parsed into the op
-/// buffer; an incomplete trailing line/record is carried into the next
-/// refill.
+/// fd table). Ops are decoded from the chunk one at a time, as the warp
+/// asks for them: the stream holds raw bytes and one decoded op of
+/// lookahead, so each op's lane vector lives only from just before the
+/// op issues to just after. An incomplete trailing line/record is
+/// carried into the next refill.
 pub struct FileStream {
     path: PathBuf,
     format: Format,
     section: String,
     offset: u64,
     len: u64,
+    /// Section bytes read so far.
     pos: u64,
+    /// Raw bytes read and not yet discarded: at most the carried partial
+    /// record plus one chunk.
     carry: Vec<u8>,
-    buf: Vec<TraceOp>,
+    /// Start of the undecoded bytes in `carry`.
     at: usize,
+    /// The decoded op [`OpStream::peek`] returns next.
+    next: Option<TraceOp>,
     peak: usize,
     chunk: usize,
 }
 
 impl FileStream {
+    /// Fill the lookahead with the next op, reading chunks until one
+    /// decodes or the section ends.
     fn refill(&mut self) -> Result<(), TraceError> {
-        self.buf.clear();
-        self.at = 0;
-        while self.buf.is_empty() && self.pos < self.len {
-            let want = self.chunk.min((self.len - self.pos) as usize);
-            let mut f = File::open(&self.path)?;
-            f.seek(SeekFrom::Start(self.offset + self.pos))?;
-            let n = f.take(want as u64).read_to_end(&mut self.carry)?;
-            if n < want {
-                return Err(malformed(&self.section, "trace file shrank during replay"));
+        while !self.decode()? {
+            if self.pos < self.len {
+                self.read_chunk()?;
+            } else if self.at < self.carry.len() {
+                return Err(malformed(&self.section, "truncated record at end of section"));
+            } else {
+                break;
             }
-            self.pos += n as u64;
-            let buf = &mut self.buf;
-            let at_end = self.pos >= self.len;
-            let consumed = match self.format {
-                Format::Text => for_each_line(&self.carry, at_end, usize::MAX, |line, _, _| {
-                    decode_op_line(line, Some(buf)).map(drop)
-                })?,
-                Format::Binary => bin_records(&self.carry, true, |op| buf.push(op))?,
-            };
-            self.carry.drain(..consumed);
         }
-        if self.pos >= self.len && !self.carry.is_empty() && self.buf.is_empty() {
-            return Err(malformed(&self.section, "truncated record at end of section"));
+        self.peak = self.peak.max(self.resident_bytes());
+        Ok(())
+    }
+
+    /// Decode the next op from the undecoded bytes into the lookahead;
+    /// false if no complete record is there. Blank and comment lines are
+    /// skipped.
+    fn decode(&mut self) -> Result<bool, TraceError> {
+        let at_end = self.pos >= self.len;
+        loop {
+            let rest = &self.carry[self.at..];
+            match self.format {
+                Format::Text => {
+                    let Some((end, next)) = line_at(rest, at_end)? else { return Ok(false) };
+                    let holds_op = decode_op_line(&rest[..end], Some(&mut self.next))?;
+                    self.at += next;
+                    if holds_op {
+                        return Ok(true);
+                    }
+                }
+                Format::Binary => {
+                    let Some((op, size)) = bin_op(rest, true)? else { return Ok(false) };
+                    self.next = Some(op);
+                    self.at += size;
+                    return Ok(true);
+                }
+            }
         }
-        self.peak = self.peak.max(ops_bytes(&self.buf) + self.carry.len());
+    }
+
+    /// Discard the decoded bytes and append the section's next chunk.
+    fn read_chunk(&mut self) -> Result<(), TraceError> {
+        self.carry.drain(..self.at);
+        self.at = 0;
+        let want = self.chunk.min((self.len - self.pos) as usize);
+        let mut f = File::open(&self.path)?;
+        f.seek(SeekFrom::Start(self.offset + self.pos))?;
+        let n = f.take(want as u64).read_to_end(&mut self.carry)?;
+        if n < want {
+            return Err(malformed(&self.section, "trace file shrank during replay"));
+        }
+        self.pos += n as u64;
         Ok(())
     }
 }
@@ -271,30 +307,26 @@ impl FileStream {
 impl OpStream for FileStream {
     fn next_op(&mut self) -> Option<TraceOp> {
         self.peek()?;
-        // Move the op out, leaving a heap-free placeholder so consumed
-        // slots cost nothing and the buffer keeps its capacity.
-        let op = std::mem::replace(&mut self.buf[self.at], TraceOp::alu(0, 0));
-        self.at += 1;
-        Some(op)
+        self.next.take()
     }
 
     fn peek(&mut self) -> Option<&TraceOp> {
-        if self.at >= self.buf.len() {
+        if self.next.is_none() {
             self.refill()
                 .expect("trace file validated at open() failed during replay — changed on disk?");
         }
-        self.buf.get(self.at)
+        self.next.as_ref()
     }
 
     fn reset(&mut self) {
         self.pos = 0;
         self.carry.clear();
-        self.buf.clear();
         self.at = 0;
+        self.next = None;
     }
 
     fn resident_bytes(&self) -> usize {
-        ops_bytes(&self.buf) + self.carry.len()
+        self.next.as_ref().map_or(0, op_bytes) + self.carry.len() - self.at
     }
 
     fn peak_resident_bytes(&self) -> usize {
@@ -379,12 +411,27 @@ fn long_line() -> TraceError {
     malformed("text trace", format!("line longer than {CHUNK} bytes"))
 }
 
+/// The first line of nonempty `bytes` as `(end, next)`: where it ends
+/// without its `\n`, and where the next line starts. `None` while the
+/// line may still be incomplete; with `at_end`, a final line without a
+/// newline is complete. A line longer than [`CHUNK`] is malformed, so no
+/// caller ever carries more than one chunk of it.
+fn line_at(bytes: &[u8], at_end: bool) -> Result<Option<(usize, usize)>, TraceError> {
+    let (end, next) = match find_newline(bytes) {
+        Some(r) => (r, r + 1),
+        None if bytes.is_empty() => return Ok(None),
+        None if at_end || bytes.len() > CHUNK => (bytes.len(), bytes.len()),
+        None => return Ok(None),
+    };
+    if end > CHUNK {
+        return Err(long_line());
+    }
+    Ok(Some((end, next)))
+}
+
 /// Hand each complete line of `bytes` that starts before `stop` to `f`
 /// as `(line, start, next)`: its bytes without the `\n`, its offset and
-/// the next line's offset. With `at_end`, a final line without a newline
-/// is handed over too. Returns the bytes consumed. A line longer than
-/// [`CHUNK`] is malformed, so no caller ever carries more than one chunk
-/// of it.
+/// the next line's offset (see [`line_at`]). Returns the bytes consumed.
 fn for_each_line<E: From<TraceError>>(
     bytes: &[u8],
     at_end: bool,
@@ -392,17 +439,10 @@ fn for_each_line<E: From<TraceError>>(
     mut f: impl FnMut(&[u8], usize, usize) -> Result<(), E>,
 ) -> Result<usize, E> {
     let mut i = 0;
-    while i < bytes.len() && i < stop {
-        let (end, next) = match find_newline(&bytes[i..]) {
-            Some(r) => (i + r, i + r + 1),
-            None if at_end || bytes.len() - i > CHUNK => (bytes.len(), bytes.len()),
-            None => break,
-        };
-        if end - i > CHUNK {
-            return Err(long_line().into());
-        }
-        f(&bytes[i..end], i, next)?;
-        i = next;
+    while i < stop {
+        let Some((end, next)) = line_at(&bytes[i..], at_end)? else { break };
+        f(&bytes[i..i + end], i, i + next)?;
+        i += next;
     }
     Ok(i)
 }
@@ -702,14 +742,14 @@ impl Bad {
 
 /// Decode one op line (its `\n` stripped) in a single left-to-right
 /// scan over its bytes, and say whether it holds an op (blank and `#`
-/// lines do not). With `ops` the op is pushed there; without, the line
+/// lines do not). With `out` the op is stored there; without, the line
 /// is only validated and nothing is built.
-fn decode_op_line(line: &[u8], ops: Option<&mut Vec<TraceOp>>) -> Result<bool, TraceError> {
+fn decode_op_line(line: &[u8], out: Option<&mut Option<TraceOp>>) -> Result<bool, TraceError> {
     let t = line.trim_ascii();
-    decode_trimmed(line, t, ops).map_err(|bad| bad.error(t))
+    decode_trimmed(line, t, out).map_err(|bad| bad.error(t))
 }
 
-fn decode_trimmed(line: &[u8], t: &[u8], ops: Option<&mut Vec<TraceOp>>) -> Result<bool, Bad> {
+fn decode_trimmed(line: &[u8], t: &[u8], out: Option<&mut Option<TraceOp>>) -> Result<bool, Bad> {
     let kw = &t[..t.iter().position(u8::is_ascii_whitespace).unwrap_or(t.len())];
     let usage = match kw {
         b"alu" => "expected `alu pc latency active dst s0 s1`",
@@ -735,16 +775,16 @@ fn decode_trimmed(line: &[u8], t: &[u8], ops: Option<&mut Vec<TraceOp>>) -> Resu
         return Err(Bad::LoadDst);
     }
     let srcs = [c.reg()?, c.reg()?];
-    let addrs = if alu.is_none() { c.lanes(ops.is_some())? } else { Vec::new() };
+    let addrs = if alu.is_none() { c.lanes(out.is_some())? } else { Vec::new() };
     if c.i < t.len() {
         return Err(Bad::Usage(usage));
     }
-    if let Some(ops) = ops {
+    if let Some(out) = out {
         let kind = match alu {
             Some((latency, active)) => OpKind::Alu { latency, active },
             None => OpKind::Mem { is_write: kw == b"st", addrs },
         };
-        ops.push(TraceOp { pc, dst, srcs, kind });
+        *out = Some(TraceOp { pc, dst, srcs, kind });
     }
     Ok(true)
 }
@@ -880,7 +920,7 @@ fn scan_binary(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
             let avail = rd.pending();
             let take = usize::try_from(end - rd.off).map_or(avail.len(), |l| l.min(avail.len()));
             let whole = rd.off + take as u64 == end;
-            let n = bin_records(&avail[..take], false, drop)?;
+            let n = bin_records(&avail[..take])?;
             rd.consume(n);
             if rd.off < end && (whole || !rd.more()?) {
                 let section = format!("warp {cta}/{warp}");
@@ -891,13 +931,12 @@ fn scan_binary(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
     Ok((grid, spans))
 }
 
-/// Decode the complete binary op records in `bytes`, handing each to
-/// `f`; returns bytes consumed (an incomplete trailing record is left
-/// for the next chunk). Without `build`, lane addresses are not stored.
-fn bin_records(bytes: &[u8], build: bool, mut f: impl FnMut(TraceOp)) -> Result<usize, TraceError> {
+/// Validate the complete binary op records in `bytes` without storing
+/// lane addresses; returns bytes consumed (an incomplete trailing record
+/// is left for the next chunk).
+fn bin_records(bytes: &[u8]) -> Result<usize, TraceError> {
     let mut i = 0;
-    while let Some((op, sz)) = bin_op(&bytes[i..], build)? {
-        f(op);
+    while let Some((_, sz)) = bin_op(&bytes[i..], false)? {
         i += sz;
     }
     Ok(i)
@@ -1087,7 +1126,7 @@ fn encode_bin_op(op: &TraceOp, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::stream::{materialize, VecStream};
+    use gpu_sim::stream::{materialize, ops_bytes, VecStream};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique temp path per test (process id + counter).
@@ -1125,9 +1164,9 @@ mod tests {
     /// Decode one line as replay does: its op, or `None` for a blank or
     /// `#` line.
     fn decode(line: &[u8]) -> Result<Option<TraceOp>, TraceError> {
-        let mut ops = Vec::new();
-        decode_op_line(line, Some(&mut ops))?;
-        Ok(ops.pop())
+        let mut op = None;
+        decode_op_line(line, Some(&mut op))?;
+        Ok(op)
     }
 
     fn assert_same_traces(a: &dyn Kernel, b: &dyn Kernel) {
