@@ -262,20 +262,6 @@ fn bench_streaming(c: &mut Criterion) {
             black_box(n)
         });
     });
-    // Reset-and-replay: the restart path of the sharded engine. A
-    // native stream must rewind without re-synthesizing its segment
-    // source from scratch each op.
-    c.bench_function("warp_stream_reset_replay", |b| {
-        let mut s = kernel.warp_stream(0, 0);
-        b.iter(|| {
-            s.reset();
-            let mut n = 0u64;
-            while s.next_op().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        });
-    });
 }
 
 fn bench_estimator(c: &mut Criterion) {

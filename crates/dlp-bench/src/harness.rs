@@ -16,7 +16,7 @@
 
 use crate::estimate::{summarize, SamplingSummary};
 use crate::persist;
-use crate::telemetry::{self, JobRecord, ShardRecord};
+use crate::telemetry::{self, JobRecord};
 use dlp_core::{CacheGeometry, PolicyKind, ProtectionConfig};
 use gpu_sim::{Gpu, RunStats, SamplingConfig, SamplingParseError, SimConfig};
 use gpu_workloads::{build, registry, BenchSpec, Scale};
@@ -215,9 +215,7 @@ pub const JOB_DEADLINE_ENV: &str = "DLP_JOB_DEADLINE_MS";
 /// frame, and a `OnceLock` here silently pinned every later job to
 /// whatever the first request established (the bug this replaced).
 /// The env read is nowhere near hot — a job simulates for milliseconds
-/// to minutes. Contrast [`shards_override`], which *is* safe to cache:
-/// the shard count never changes a statistic, so a stale value cannot
-/// corrupt a result, only its wall-clock time.
+/// to minutes.
 fn env_deadline() -> Option<Duration> {
     std::env::var(JOB_DEADLINE_ENV)
         .ok()
@@ -226,21 +224,19 @@ fn env_deadline() -> Option<Duration> {
         .map(Duration::from_millis)
 }
 
-/// Environment variable selecting the sharded lock-step engine's shard
-/// count for every simulation job (unset or 1 = the classic sequential
-/// engine). Statistics are byte-identical at any value — pinned by the
-/// shard-equivalence suite — so this only trades wall-clock time.
-pub const SHARDS_ENV: &str = "DLP_SHARDS";
-
-/// The `DLP_SHARDS` override, read once per process. Caching is safe
-/// here (unlike the per-job deadline above) because the shard count is
-/// statistics-invariant: the worst a stale value can do is run at the
-/// wrong speed.
-fn shards_override() -> Option<usize> {
-    static SHARDS: OnceLock<Option<usize>> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var(SHARDS_ENV).ok().and_then(|v| v.parse().ok()).filter(|&s| s >= 1)
-    })
+/// The sharded engine `DLP_SHARDS` once selected was retired after it
+/// measured slower than one thread everywhere. A leftover setting is
+/// ignored, but said so once per process on stderr rather than silently.
+fn note_retired_shards_env() {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    NOTE.call_once(|| {
+        if std::env::var_os("DLP_SHARDS").is_some() {
+            eprintln!(
+                "note: DLP_SHARDS is ignored: the sharded engine was retired \
+                 (see EXPERIMENTS.md \"Shard telemetry\")"
+            );
+        }
+    });
 }
 
 /// Environment variable enabling SMARTS-style interval sampling for
@@ -263,7 +259,7 @@ pub fn sampling_env() -> Result<Option<SamplingConfig>, SamplingParseError> {
 }
 
 /// The `DLP_SAMPLING` override, read once per process. Memoization is
-/// safe for the same reason as [`shards_override`]'s: the parsed
+/// safe here (unlike the per-job deadline above) because the parsed
 /// config is part of every [`ExperimentConfig`] cache key, so a stale
 /// value can never alias a sampled result to an exact one. Malformed
 /// values degrade to `None` here; [`sampling_env`] is the validating
@@ -354,11 +350,12 @@ pub fn run_app_with_deadline(
     cfg: ExperimentConfig,
     deadline: Option<Duration>,
 ) -> Result<AppRun, RunFailure> {
+    note_retired_shards_env();
     if force_fail_target() == Some(abbr) {
         panic!("{abbr}: forced failure ({FORCE_FAIL_ENV} is set)");
     }
     let start = Instant::now();
-    let record = |cached: bool, store_hit: bool, run: Option<&AppRun>, shard: ShardRecord| {
+    let record = |cached: bool, store_hit: bool, run: Option<&AppRun>| {
         telemetry::record_job(JobRecord {
             app: abbr.to_string(),
             policy: cfg.policy.label().to_string(),
@@ -379,30 +376,27 @@ pub fn run_app_with_deadline(
             insn_id_wraps: run.map_or(0, |r| r.stats.insn_id_wraps),
             pdpt_evict_pressure: run.map_or(0, |r| r.stats.pdpt_evict_pressure),
             peak_warp_trace_bytes: run.map_or(0, |r| r.stats.peak_warp_trace_bytes),
-            shard,
         });
     };
     let key = (abbr.to_string(), cfg);
     if let Some(hit) = run_cache().lock().get(&key).cloned() {
-        // Cache and store hits never instantiated an engine in this
-        // call, so their shard telemetry is honestly all-zero.
-        record(true, false, Some(&hit), ShardRecord::default());
+        record(true, false, Some(&hit));
         return Ok(hit);
     }
     if let Some(run) = persist::load(abbr, &cfg) {
-        record(true, true, Some(&run), ShardRecord::default());
+        record(true, true, Some(&run));
         run_cache().lock().insert(key, run.clone());
         return Ok(run);
     }
     match run_app_uncached(abbr, cfg, deadline, None) {
-        Ok((run, shard)) => {
-            record(false, false, Some(&run), shard);
+        Ok(run) => {
+            record(false, false, Some(&run));
             run_cache().lock().insert(key, run.clone());
             persist::save(abbr, &cfg, &run);
             Ok(run)
         }
         Err(f) => {
-            record(false, false, None, ShardRecord::default());
+            record(false, false, None);
             Err(f)
         }
     }
@@ -421,17 +415,16 @@ pub fn run_app_uncached_for_tests(
     deadline: Option<Duration>,
     chunk_override: Option<u64>,
 ) -> Result<AppRun, RunFailure> {
-    run_app_uncached(abbr, cfg, deadline, chunk_override).map(|(run, _)| run)
+    run_app_uncached(abbr, cfg, deadline, chunk_override)
 }
 
-/// The actual simulation behind [`run_app`]'s memo layer. Returns the
-/// run plus the sharded engine's telemetry for the job record.
+/// The actual simulation behind [`run_app`]'s memo layer.
 fn run_app_uncached(
     abbr: &str,
     cfg: ExperimentConfig,
     deadline: Option<Duration>,
     chunk_override: Option<u64>,
-) -> Result<(AppRun, ShardRecord), RunFailure> {
+) -> Result<AppRun, RunFailure> {
     let fail = |error: String, class: FailureClass| RunFailure {
         app: abbr.to_string(),
         policy: cfg.policy,
@@ -444,17 +437,11 @@ fn run_app_uncached(
     };
     let spec = gpu_workloads::registry::spec(abbr);
     let kernel = build(abbr, cfg.scale);
-    // Profiled jobs force a single shard explicitly: an attached L1D
-    // observer disables both the leap and shard engines anyway (the
-    // observer sees every access in sequential order), so asking for
-    // more would only mislead the telemetry.
-    let shards = if cfg.profile_rd { 1 } else { shards_override().unwrap_or(1) };
-    // Profiled jobs also force exact simulation: the fast-forward path
+    // Profiled jobs force exact simulation: the fast-forward path
     // executes accesses functionally, which would punch unprofiled
     // holes into the reuse-distance histograms.
     let sampling = if cfg.profile_rd { None } else { cfg.sampling };
-    let mut sim_cfg =
-        SimConfig::tesla_m2090(cfg.policy).with_l1_geometry(cfg.geom).with_shards(shards);
+    let mut sim_cfg = SimConfig::tesla_m2090(cfg.policy).with_l1_geometry(cfg.geom);
     sim_cfg.protection_override = cfg.protection;
     sim_cfg.warp_limit = cfg.warp_limit;
     sim_cfg.sampling = sampling;
@@ -513,17 +500,8 @@ fn run_app_uncached(
     if !stats.completed {
         return Err(fail("run stopped before kernel completion".to_string(), FailureClass::Fatal));
     }
-    let tel = gpu.shard_telemetry();
-    let shard = ShardRecord {
-        shards: shards as u64,
-        epoch_cycles: tel.epoch_cycles,
-        rounds: tel.rounds,
-        barrier_stalls: tel.barrier_stalls,
-        restarts: tel.restarts,
-        per_shard_ticked: tel.per_shard_ticked.clone(),
-    };
     let sampling = gpu.sampling_report().map(summarize);
-    Ok((AppRun { spec, stats, ticked_cycles, rdd, sampling }, shard))
+    Ok(AppRun { spec, stats, ticked_cycles, rdd, sampling })
 }
 
 /// `run_app` behind `catch_unwind`, so a panicking job becomes a

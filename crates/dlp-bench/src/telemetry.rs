@@ -60,31 +60,6 @@ pub struct JobRecord {
     /// stream (schema v6). O(1) per warp under streaming regardless of
     /// scale factor — the bound the scale-smoke CI job asserts.
     pub peak_warp_trace_bytes: u64,
-    /// Sharded-engine telemetry (schema v4).
-    pub shard: ShardRecord,
-}
-
-/// Per-job telemetry from the sharded lock-step engine (schema v4).
-/// All-zero/empty when the job ran on the classic sequential engine,
-/// was served from a cache, or failed — no engine ran, so there is
-/// nothing to report.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardRecord {
-    /// Shard count the job was configured with (`DLP_SHARDS`, forced
-    /// to 1 for profiled jobs). The engine may still have run
-    /// sequentially — `per_shard_ticked` is empty in that case.
-    pub shards: u64,
-    /// Epoch (barrier round) length upper bound in core cycles.
-    pub epoch_cycles: u64,
-    /// Barrier rounds executed.
-    pub rounds: u64,
-    /// Shard-rounds in which a shard had no event to step — it paid
-    /// the barrier without doing work (the load-imbalance signal).
-    pub barrier_stalls: u64,
-    /// Misspeculation restarts (rounds re-run sequentially).
-    pub restarts: u64,
-    /// Cycles each shard stepped one at a time (index = shard).
-    pub per_shard_ticked: Vec<u64>,
 }
 
 impl JobRecord {
@@ -250,7 +225,7 @@ fn num(v: f64) -> String {
 pub fn render_json() -> String {
     with_collector(|c| {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"dlp-bench/figures-telemetry/v6\",\n");
+        out.push_str("{\n  \"schema\": \"dlp-bench/figures-telemetry/v7\",\n");
         let total_ms: f64 = c.sweeps.iter().map(|s| s.wall_ms).sum();
         let total_cycles: u64 = c.jobs.iter().map(|j| j.sim_cycles).sum();
         let total_ticked: u64 = c.jobs.iter().map(|j| j.ticked_cycles).sum();
@@ -295,15 +270,8 @@ pub fn render_json() -> String {
         }
         out.push_str("  ],\n  \"jobs\": [\n");
         for (i, j) in c.jobs.iter().enumerate() {
-            let ticked_list = j
-                .shard
-                .per_shard_ticked
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
             out.push_str(&format!(
-                "    {{\"app\": \"{}\", \"policy\": \"{}\", \"geom\": \"{}\", \"scale\": \"{}\", \"cached\": {}, \"store_hit\": {}, \"wall_ms\": {}, \"sim_cycles\": {}, \"ticked_cycles\": {}, \"cycles_per_sec\": {}, \"leap_efficiency\": {}, \"windows\": {}, \"sampled_fraction\": {}, \"ci_rel_width\": {}, \"insn_id_wraps\": {}, \"pdpt_evict_pressure\": {}, \"peak_warp_trace_bytes\": {}, \"shards\": {}, \"epoch_cycles\": {}, \"rounds\": {}, \"barrier_stalls\": {}, \"restarts\": {}, \"per_shard_ticked\": [{}]}}{}\n",
+                "    {{\"app\": \"{}\", \"policy\": \"{}\", \"geom\": \"{}\", \"scale\": \"{}\", \"cached\": {}, \"store_hit\": {}, \"wall_ms\": {}, \"sim_cycles\": {}, \"ticked_cycles\": {}, \"cycles_per_sec\": {}, \"leap_efficiency\": {}, \"windows\": {}, \"sampled_fraction\": {}, \"ci_rel_width\": {}, \"insn_id_wraps\": {}, \"pdpt_evict_pressure\": {}, \"peak_warp_trace_bytes\": {}}}{}\n",
                 esc(&j.app),
                 esc(&j.policy),
                 esc(&j.geom),
@@ -321,12 +289,6 @@ pub fn render_json() -> String {
                 j.insn_id_wraps,
                 j.pdpt_evict_pressure,
                 j.peak_warp_trace_bytes,
-                j.shard.shards,
-                j.shard.epoch_cycles,
-                j.shard.rounds,
-                j.shard.barrier_stalls,
-                j.shard.restarts,
-                ticked_list,
                 if i + 1 < c.jobs.len() { "," } else { "" },
             ));
         }
@@ -362,7 +324,6 @@ mod tests {
             insn_id_wraps: 0,
             pdpt_evict_pressure: 0,
             peak_warp_trace_bytes: 0,
-            shard: ShardRecord::default(),
         };
         assert!((j.cycles_per_sec() - 2_000_000.0).abs() < 1e-6);
         assert!((j.leap_efficiency() - 0.75).abs() < 1e-9, "3/4 of the cycles were leapt");
@@ -390,19 +351,11 @@ mod tests {
             insn_id_wraps: 3,
             pdpt_evict_pressure: 17,
             peak_warp_trace_bytes: 4096,
-            shard: ShardRecord {
-                shards: 4,
-                epoch_cycles: 41,
-                rounds: 9,
-                barrier_stalls: 2,
-                restarts: 0,
-                per_shard_ticked: vec![3, 1, 2, 1],
-            },
         });
         let out = sweep("test_sweep", render_json);
         assert!(out.contains("\\\"pp"), "{out}");
         assert!(out.contains("base\\\\line"), "{out}");
-        assert!(out.contains("\"schema\": \"dlp-bench/figures-telemetry/v6\""));
+        assert!(out.contains("\"schema\": \"dlp-bench/figures-telemetry/v7\""));
         assert!(out.contains("\"ticked_cycles\": 7"), "{out}");
         assert!(out.contains("\"store_hit\": true"), "{out}");
         assert!(out.contains("\"windows\": 5"), "{out}");
@@ -413,10 +366,7 @@ mod tests {
         assert!(out.contains("\"ci_rel_width\": 0.018"), "3 decimals: {out}");
         assert!(!out.contains("\"store\": null"), "store section is always an object: {out}");
         assert!(out.contains("\"store\": {\"hits\": "), "{out}");
-        assert!(out.contains("\"shards\": 4"), "{out}");
-        assert!(out.contains("\"epoch_cycles\": 41"), "{out}");
-        assert!(out.contains("\"barrier_stalls\": 2"), "{out}");
-        assert!(out.contains("\"per_shard_ticked\": [3, 1, 2, 1]"), "{out}");
+        assert!(out.contains("\"peak_warp_trace_bytes\": 4096}"), "last job key: {out}");
         let out2 = render_json();
         assert!(out2.contains("\"name\": \"test_sweep\""), "{out2}");
         assert!(out2.contains("\"store_hits\":"), "sweep rows carry the field: {out2}");

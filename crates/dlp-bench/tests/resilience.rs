@@ -9,6 +9,8 @@
 //! * Injected write-path corruption is quarantined and recomputed on
 //!   the next sweep — never silently served — and the figures output
 //!   still matches the clean reference.
+//! * A leftover `DLP_SHARDS` (the retired sharded engine's switch)
+//!   changes no output byte and is named once on stderr.
 //!
 //! Each scenario runs the real binary in a child process so the store
 //! is exercised across process boundaries, exactly like an operator's
@@ -37,6 +39,7 @@ fn figures_cmd(store: Option<&Path>, telemetry: &Path, fault: Option<&str>) -> C
         .env_remove("DLP_STORE_FAULT")
         .env_remove("DLP_FORCE_FAIL")
         .env_remove("DLP_JOB_DEADLINE_MS")
+        .env_remove("DLP_SHARDS")
         .env("DLP_WORKERS", "1")
         .env("DLP_TELEMETRY_PATH", telemetry)
         .stdout(Stdio::piped())
@@ -215,5 +218,22 @@ fn injected_corruption_is_quarantined_and_recomputed() {
     let cw = store_counters(&root.join("t_warm.json"));
     assert_eq!(counter(&cw, "misses"), 0, "healed store still missing: {cw:?}");
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn leftover_shards_variable_is_noted_once_and_changes_nothing() {
+    let root = test_root("shards");
+    let plain = run_to_completion(None, &root.join("t_plain.json"), None);
+    let mut cmd = figures_cmd(None, &root.join("t_shards.json"), None);
+    // Two workers: the note is once per process, not once per thread.
+    cmd.env("DLP_SHARDS", "2").env("DLP_WORKERS", "2");
+    let noted = cmd.output().unwrap();
+    let stderr = String::from_utf8_lossy(&noted.stderr);
+    assert!(noted.status.success(), "figures failed: {stderr}");
+    assert_eq!(noted.stdout, plain.stdout, "DLP_SHARDS must not change the figures output");
+    let notes = |err: &str| err.lines().filter(|l| l.contains("DLP_SHARDS")).count();
+    assert_eq!(notes(&String::from_utf8_lossy(&plain.stderr)), 0);
+    assert_eq!(notes(&stderr), 1, "stderr: {stderr}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -139,7 +139,7 @@ fn resolve(
 /// Does a receiver path segment plausibly name a value of type `ty`?
 /// Lowercased: exact match, a ≥3-char substring of the type (`l1d` →
 /// `L1dCache`, `part` → `MemoryPartition`), or containing the type
-/// (`shard_gpu` → `Gpu`). Short segments (`w`, `sm`) only match
+/// (`cur_gpu` → `Gpu`). Short segments (`w`, `sm`) only match
 /// exactly, so `w.finished()` never reaches `Gpu::finished`.
 fn recv_matches(seg: &str, ty: &str) -> bool {
     let seg = seg.trim_start_matches('_').to_ascii_lowercase();

@@ -5,14 +5,12 @@
 //!
 //! 1. **Build.** Every tier file is lexed and parsed into a
 //!    [`FileAst`]; the sim-tier ASTs feed one workspace [`Symbols`]
-//!    table and [`CallGraph`], from which three reachability sweeps
+//!    table and [`CallGraph`], from which two reachability sweeps
 //!    are computed: the *hot* set (transitive callees of the per-cycle
-//!    roots — `cycle`/`step`/`tick`/`step_local`/`run_round`/
-//!    `next_event`), the *probe* set (callees of `next_event`), and
-//!    the *shard-parallel* set (callees of `run_round`/`step_local`/
-//!    `worker`).
+//!    roots — `cycle`/`step`/`tick`/`next_event`) and the *probe* set
+//!    (callees of `next_event`).
 //! 2. **Scan.** Token rules run per file with AST-derived test and
-//!    hot masks; the semantic rules (S503, L601, L602) run off the
+//!    hot masks; the semantic rules (L601, L602) run off the
 //!    sweeps; suppression directives are applied with per-rule usage
 //!    tracking so stale allows surface as X002.
 
@@ -42,11 +40,6 @@ const STORE_CRATES: &[&str] = &["dlp-store", "dlp-sweepd"];
 /// everyone else to.
 const STORE_ATOMIC_IMPL: &str = "crates/dlp-store/src/atomic.rs";
 
-/// The one sim-tier file allowed to hold concurrency primitives: it
-/// *implements* the sharded epoch engine S501 steers everyone else
-/// away from.
-const SHARD_IMPL: &str = "crates/gpu-sim/src/shard.rs";
-
 /// Crates whose `src/` trees carry only the trace-streaming rule
 /// (P302) on top of whatever other tier they belong to. The workload
 /// generators are harness-adjacent (seeded RNG, Vec-built segments are
@@ -69,10 +62,7 @@ const DELTA_PARAMS: &[&str] =
     &["skipped", "delta", "ticks", "cycles", "dt", "elapsed", "quiet", "behind"];
 
 /// Root names of the transitive hot set (P301/F103 v2).
-const HOT_ROOTS: &[&str] = &["cycle", "step", "tick", "step_local", "run_round", "next_event"];
-
-/// Root names of the shard-parallel set (S503).
-const PAR_ROOTS: &[&str] = &["run_round", "step_local", "worker"];
+const HOT_ROOTS: &[&str] = &["cycle", "step", "tick", "next_event"];
 
 /// Does the full simulator rule set apply to this workspace-relative path?
 pub fn is_sim_tier(rel: &str) -> bool {
@@ -147,7 +137,6 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
     let graph = CallGraph::build(&syms);
     let hot = graph.reach(&syms, &syms.roots_named(HOT_ROOTS));
     let probe = graph.reach(&syms, &syms.roots_named(&["next_event"]));
-    let par = graph.reach(&syms, &syms.roots_named(PAR_ROOTS));
 
     let mut out: Vec<Finding> = Vec::new();
     for u in &units {
@@ -174,7 +163,7 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
             let owner = owner_map(&u.ast, tokens.len());
             let in_hot: Vec<bool> =
                 owner.iter().map(|o| o.is_some_and(|ni| hot.contains((fi, ni)))).collect();
-            raw.extend(scan(tokens, &is_test, &in_hot, u.rel == SHARD_IMPL));
+            raw.extend(scan(tokens, &is_test, &in_hot));
             // Attach the root-to-here call chain to hot-set findings.
             for f in raw.iter_mut() {
                 if f.rule != "P301" && f.rule != "F103" {
@@ -184,7 +173,7 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
                     f.reachable = hot.chain(&syms, (fi, ni));
                 }
             }
-            semantic_scan(fi, &u.ast, &syms, &probe, &par, &mut raw);
+            semantic_scan(fi, &u.ast, &syms, &probe, &mut raw);
         } else if is_store_tier(u.rel) {
             raw.extend(scan_store(tokens, &is_test));
         }
@@ -262,7 +251,6 @@ fn semantic_scan(
     ast: &FileAst,
     syms: &Symbols<'_>,
     probe: &Reach,
-    par: &Reach,
     raw: &mut Vec<RawFinding>,
 ) {
     for (ni, f) in ast.fns.iter().enumerate() {
@@ -318,52 +306,6 @@ fn semantic_scan(
                         });
                     }
                 }
-            }
-        }
-
-        // S503: no shared-interconnect access inside the shard-parallel
-        // region — cross-shard traffic goes through the deferred-send log.
-        if par.contains(id) {
-            if let Some(body) = &f.body {
-                for c in &body.calls {
-                    // Receiver-path evidence only: matching the method
-                    // name against `Interconnect`'s method set would
-                    // flag every binheap `.pop()` and stats `.stats()`
-                    // in the tier.
-                    let recv_hit = c.method
-                        && c.recv.iter().any(|r| {
-                            r.contains("icnt") || r.contains("interconnect") || r.contains("crossbar")
-                        });
-                    if recv_hit {
-                        raw.push(RawFinding {
-                            rule: "S503",
-                            line: c.line,
-                            col: c.col,
-                            token: c.name.clone(),
-                            message: format!(
-                                "`{}` touches the shared interconnect (`.{}()`) inside the \
-                                 shard-parallel region",
-                                f.qual_name(),
-                                c.name
-                            ),
-                            reachable: par.chain(syms, id),
-                        });
-                    }
-                }
-            }
-            if f.params.iter().any(|p| p.ty.iter().any(|t| t == "Interconnect")) {
-                raw.push(RawFinding {
-                    rule: "S503",
-                    line: f.line,
-                    col: f.col,
-                    token: "Interconnect".to_string(),
-                    message: format!(
-                        "`{}` takes the shared Interconnect while reachable in the \
-                         shard-parallel region",
-                        f.qual_name()
-                    ),
-                    reachable: par.chain(syms, id),
-                });
             }
         }
     }

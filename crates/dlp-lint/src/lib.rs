@@ -19,10 +19,8 @@
 //! * **R rules** — no raw filesystem mutation in the store tier
 //!   (`dlp-store`/`dlp-sweepd`); every write goes through the atomic
 //!   temp+fsync+rename helpers so a crash never tears an entry.
-//! * **S rules** — shard-safety: concurrency primitives live only in
-//!   the sharded epoch engine (`gpu-sim/src/shard.rs`),
-//!   `Ordering::Relaxed` is banned, and nothing reachable inside the
-//!   shard-parallel region touches the shared interconnect.
+//! * **S rules** — no concurrency in the sim tier: no locks, atomics,
+//!   channels or host threads in `dlp-core`/`gpu-mem`/`gpu-sim`.
 //! * **L rules** — leap-contract: every `next_event` implementor
 //!   defines a catch-up method, and probe-reachable code never
 //!   mutates stats counters without an explicit cycle delta.

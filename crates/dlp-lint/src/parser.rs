@@ -1,8 +1,8 @@
 //! A minimal item-level recursive-descent parser over the token
 //! stream from [`crate::lexer`].
 //!
-//! The semantic rule families (S5xx shard-safety, L6xx leap-contract,
-//! transitive P301/F103) need more than tokens: which functions exist,
+//! The semantic rule families (L6xx leap-contract, transitive
+//! P301/F103) need more than tokens: which functions exist,
 //! which type each method belongs to, what each body calls, and which
 //! fields it assigns. That is *all* they need — so this parser builds
 //! exactly that and nothing more: no expression trees, no types, no
@@ -75,15 +75,12 @@ impl FnDef {
     }
 }
 
-/// One parameter: its binding name and the identifiers appearing in
-/// its type (enough to spot an `Interconnect`-typed argument).
+/// One parameter: its binding name.
 #[derive(Debug)]
 pub struct Param {
     /// Binding name (first identifier of the pattern; `self` for the
     /// receiver).
     pub name: String,
-    /// Identifiers occurring in the type annotation.
-    pub ty: Vec<String>,
 }
 
 /// A function body: its token extent plus the calls and field
@@ -571,14 +568,7 @@ impl Parser<'_> {
             let id = self.ident(i)?;
             (id != "mut").then(|| id.to_string())
         })?;
-        let ty = match colon {
-            Some(c) => seg[c + 1..]
-                .iter()
-                .filter_map(|&i| self.ident(i).map(str::to_string))
-                .collect(),
-            None => Vec::new(),
-        };
-        Some(Param { name, ty })
+        Some(Param { name })
     }
 
     /// Scan a body's tokens (`open`/`close` are the brace indices) for
@@ -850,7 +840,7 @@ mod tests {
         assert!(f.is_cold);
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[0].name, "report");
-        assert!(f.params[0].ty.iter().any(|t| t == "HangReport"));
+        assert_eq!(f.params[1].name, "n");
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub enum Group {
     Perf,
     /// Crash-safety discipline in the persistence tier.
     Robustness,
-    /// Concurrency containment in the sharded epoch engine.
-    ShardSafety,
+    /// No host-side concurrency inside the simulator.
+    Concurrency,
     /// The cycle-leap catch-up contract between `next_event` probes
     /// and the skipped-cycle accounting.
     LeapContract,
@@ -63,7 +63,7 @@ impl Group {
             Group::ErrorHandling => "error-handling",
             Group::Perf => "perf",
             Group::Robustness => "robustness",
-            Group::ShardSafety => "shard-safety",
+            Group::Concurrency => "concurrency",
             Group::LeapContract => "leap-contract",
             Group::Telemetry => "telemetry",
             Group::Meta => "meta",
@@ -173,7 +173,7 @@ pub const RULES: &[Rule] = &[
         name: "hot-path-alloc",
         group: Group::Perf,
         summary: "heap allocation inside a per-cycle hot function (fn cycle / fn step / \
-                  fn tick / fn step_local / fn run_round)",
+                  fn tick / fn next_event)",
         hint: "preallocate in the constructor and reuse the buffer (clear + extend), or move \
                the allocation off the per-cycle path; for cold error/report arms add an allow \
                directive stating why the allocation cannot run per cycle",
@@ -200,32 +200,13 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "S501",
-        name: "concurrency-outside-shard",
-        group: Group::ShardSafety,
-        summary: "concurrency primitive (Mutex/RwLock/atomics/thread/channel) in sim-tier \
-                  code outside gpu-sim/src/shard.rs",
-        hint: "all threading lives in the sharded epoch engine (gpu-sim/src/shard.rs); \
-               simulator state itself must stay single-threaded-deterministic — move the \
-               coordination into shard.rs or model it as simulated state",
-    },
-    Rule {
-        id: "S502",
-        name: "relaxed-ordering",
-        group: Group::ShardSafety,
-        summary: "`Ordering::Relaxed` atomic access in sim-tier code",
-        hint: "use Release for stores and Acquire for loads — the barrier rendezvous makes \
-               the stronger orderings free on x86/aarch64, and Relaxed invites silent \
-               reordering bugs the shard-determinism CI job cannot reliably catch",
-    },
-    Rule {
-        id: "S503",
-        name: "crossbar-in-shard-parallel",
-        group: Group::ShardSafety,
-        summary: "direct interconnect/crossbar access from a function reachable inside the \
-                  shard-parallel region (run_round/step_local/worker)",
-        hint: "cross-shard traffic must go through the deferred-send log (Shard::sends, \
-               drained by the coordinator between rounds); touching the shared Interconnect \
-               from inside a round races with the other shards",
+        name: "concurrency-in-sim-tier",
+        group: Group::Concurrency,
+        summary: "no concurrency in the sim tier: concurrency primitive \
+                  (Mutex/RwLock/atomics/thread/channel) in simulator code",
+        hint: "the simulator is single-threaded and deterministic; parallelism lives in the \
+               harness, one simulation per job — model the coordination as simulated state \
+               or move it out of the sim tier",
     },
     Rule {
         id: "L601",
@@ -364,8 +345,8 @@ fn ident_in(t: Option<&Token>, set: &[&str]) -> bool {
 }
 
 /// Identifiers that mean "this code is doing host-side concurrency".
-/// Any of them in sim-tier code outside the sharded epoch engine is an
-/// S501 finding (imports included — an unused import still invites use).
+/// Any of them in sim-tier code is an S501 finding (imports included —
+/// an unused import still invites use).
 const CONCURRENCY_IDENTS: &[&str] =
     &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc", "JoinHandle", "MutexGuard", "RwLockGuard"];
 
@@ -373,16 +354,8 @@ const CONCURRENCY_IDENTS: &[&str] =
 /// inside `#[cfg(test)]`-style items, which are exempt from all
 /// groups; `in_hot[i]` marks tokens inside bodies of functions in the
 /// *transitive* hot set (reachable from `fn cycle`/`step`/`tick`/
-/// `step_local`/`run_round`/`next_event`), where P301 applies.
-/// `allow_concurrency` exempts the one sim-tier file licensed to hold
-/// threading primitives (`gpu-sim/src/shard.rs`) from S501 — never
-/// from S502.
-pub fn scan(
-    tokens: &[Token],
-    is_test: &[bool],
-    in_hot: &[bool],
-    allow_concurrency: bool,
-) -> Vec<RawFinding> {
+/// `next_event`), where P301 applies.
+pub fn scan(tokens: &[Token], is_test: &[bool], in_hot: &[bool]) -> Vec<RawFinding> {
     let mut out = Vec::new();
     let hash_names = collect_hash_container_names(tokens);
 
@@ -494,41 +467,19 @@ pub fn scan(
             out.push(at("E203", name, format!("panicking macro `{name}!` in simulator code")));
         }
 
-        // S501: concurrency primitives outside the sharded epoch engine.
-        if !allow_concurrency {
-            if CONCURRENCY_IDENTS.contains(&name)
-                || (name.starts_with("Atomic") && name.len() > "Atomic".len())
-            {
-                out.push(at(
-                    "S501",
-                    name,
-                    format!("concurrency primitive `{name}` outside gpu-sim/src/shard.rs"),
-                ));
-            }
-            if name == "thread"
-                && is_punct(tokens.get(i + 1), ':')
-                && is_punct(tokens.get(i + 2), ':')
-            {
-                out.push(at(
-                    "S501",
-                    name,
-                    "host-thread access (`thread::…`) outside gpu-sim/src/shard.rs".to_string(),
-                ));
-            }
+        // S501: no concurrency primitives in the sim tier.
+        if CONCURRENCY_IDENTS.contains(&name)
+            || (name.starts_with("Atomic") && name.len() > "Atomic".len())
+        {
+            let msg = format!("concurrency primitive `{name}` in the sim tier");
+            out.push(at("S501", name, msg));
         }
-
-        // S502: Ordering::Relaxed — banned everywhere in the sim tier,
-        // shard.rs included. (`cmp::Ordering` has no `Relaxed` variant,
-        // so the path pattern cannot cross-match it.)
-        if name == "Ordering"
-            && is_punct(tokens.get(i + 1), ':')
-            && is_punct(tokens.get(i + 2), ':')
-            && is_ident(tokens.get(i + 3), "Relaxed")
+        if name == "thread" && is_punct(tokens.get(i + 1), ':') && is_punct(tokens.get(i + 2), ':')
         {
             out.push(at(
-                "S502",
-                "Relaxed",
-                "`Ordering::Relaxed` atomic access in the sim tier".to_string(),
+                "S501",
+                name,
+                "host-thread access (`thread::…`) in the sim tier".to_string(),
             ));
         }
 

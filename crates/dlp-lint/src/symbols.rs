@@ -70,7 +70,7 @@ impl<'a> Symbols<'a> {
     }
 
     /// Does any workspace type carry a method with this self type?
-    /// (Used to tell `Vec::new` — external — from `Shard::new`.)
+    /// (Used to tell `Vec::new` — external — from `Sm::new`.)
     pub fn knows_type(&self, ty: &str) -> bool {
         self.by_ty_name.keys().any(|(t, _)| *t == ty)
     }

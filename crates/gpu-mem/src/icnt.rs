@@ -46,14 +46,6 @@ impl IcntConfig {
     }
 }
 
-/// The address → partition mapping as a free function, for callers
-/// that route packets without holding the crossbar (the sharded epoch
-/// engine defers sends to per-shard logs and must agree on the
-/// destination before the merge).
-pub fn partition_for(addr: u64, num_partitions: usize) -> usize {
-    ((addr / 256) % num_partitions as u64) as usize
-}
-
 struct Port {
     /// Cycle until which this destination port is busy serializing.
     busy_until: u64,
@@ -127,7 +119,7 @@ impl Interconnect {
     /// Which partition services a byte address: 256-byte chunks are
     /// interleaved across partitions (GPGPU-Sim's default mapping).
     pub fn partition_of(&self, addr: u64) -> usize {
-        partition_for(addr, self.cfg.num_partitions)
+        ((addr / 256) % self.cfg.num_partitions as u64) as usize
     }
 
     fn try_send(
@@ -136,9 +128,8 @@ impl Interconnect {
         pkt: Packet,
         now: u64,
         extra: u64,
-        slack: usize,
     ) -> Option<u64> {
-        if port.queue.len() + slack >= cfg.queue_capacity {
+        if port.queue.len() >= cfg.queue_capacity {
             return None;
         }
         let start = port.busy_until.max(now);
@@ -151,17 +142,7 @@ impl Interconnect {
     /// Accept an already-admitted packet, applying any injected fault.
     /// Returns the flits serialized (0 when the packet was dropped or a
     /// misrouted copy found its new port full — both are faults).
-    /// `slack(port)` is extra occupancy charged against a queue's
-    /// capacity (zero on the direct path; see
-    /// [`Interconnect::merge_send_fwd`]).
-    fn send_faulted(
-        &mut self,
-        forward: bool,
-        dst: usize,
-        pkt: Packet,
-        now: u64,
-        slack: &mut dyn FnMut(usize) -> usize,
-    ) -> u64 {
+    fn send_faulted(&mut self, forward: bool, dst: usize, pkt: Packet, now: u64) -> u64 {
         let site = if forward { FaultSite::IcntForward } else { FaultSite::IcntReturn };
         let (mut dst, mut extra, mut copies) = (dst, 0, 1);
         match self.fault.as_mut().and_then(|f| f.should_inject(site)) {
@@ -182,13 +163,12 @@ impl Interconnect {
         }
         let mut flits = 0;
         for _ in 0..copies {
-            let headroom = slack(dst);
             let (port, nonempty) = if forward {
                 (&mut self.fwd[dst], &mut self.fwd_nonempty)
             } else {
                 (&mut self.ret[dst], &mut self.ret_nonempty)
             };
-            if let Some(f) = Self::try_send(port, &self.cfg, pkt, now, extra, headroom) {
+            if let Some(f) = Self::try_send(port, &self.cfg, pkt, now, extra) {
                 flits += f;
                 self.in_flight_count += 1;
                 *nonempty |= mask::bit(dst);
@@ -204,7 +184,7 @@ impl Interconnect {
             self.stats.rejects += 1;
             return false;
         }
-        self.stats.fwd_flits += self.send_faulted(true, dst, pkt, now, &mut |_| 0).max(pkt.flits());
+        self.stats.fwd_flits += self.send_faulted(true, dst, pkt, now).max(pkt.flits());
         true
     }
 
@@ -214,134 +194,29 @@ impl Interconnect {
             self.stats.rejects += 1;
             return false;
         }
-        self.stats.ret_flits += self.send_faulted(false, dst, pkt, now, &mut |_| 0).max(pkt.flits());
+        self.stats.ret_flits += self.send_faulted(false, dst, pkt, now).max(pkt.flits());
         true
     }
 
-    // ---- Sharded-execution support --------------------------------
-    //
-    // The sharded epoch engine (gpu-sim's shard module) runs disjoint
-    // component sets in parallel for a crossbar-latency-bounded epoch
-    // and keeps this struct authoritative only at epoch barriers. The
-    // entry points below exist for that engine alone: extraction hands
-    // a port's ripe FIFO prefix to the owning shard at round start,
-    // restore returns the unconsumed tail at the barrier, and the
-    // merge sends replay the epoch's deferred traffic in canonical
-    // order with capacity evaluated against the *sequential* queue
-    // occupancy (extracted-but-not-yet-popped packets re-counted via
-    // the `slack` closure).
-
-    fn extract_ready(
-        port: &mut Port,
-        nonempty: &mut u64,
-        dst: usize,
-        horizon: u64,
-    ) -> VecDeque<(u64, Packet)> {
-        let mut out = VecDeque::new();
-        loop {
-            match port.queue.front() {
-                Some(&(ready, _)) if ready <= horizon => {
-                    if let Some(item) = port.queue.pop_front() {
-                        out.push_back(item);
-                    }
-                }
-                _ => break,
-            }
-        }
-        if port.queue.is_empty() {
-            *nonempty &= !mask::bit(dst);
-        }
-        out
+    /// Deliver partition `dst`'s whole forward queue at once, in FIFO
+    /// order, regardless of ready stamps — the functional drain before a
+    /// sampled fast-forward, where in-flight packets arrive instantly.
+    pub fn drain_fwd(&mut self, dst: usize) -> impl Iterator<Item = Packet> + '_ {
+        self.fwd_nonempty &= !mask::bit(dst);
+        Self::drain(&mut self.fwd[dst], &mut self.in_flight_count)
     }
 
-    fn restore_front(
-        port: &mut Port,
-        nonempty: &mut u64,
-        dst: usize,
-        mut leftover: VecDeque<(u64, Packet)>,
-    ) -> usize {
-        let n = leftover.len();
-        while let Some(item) = leftover.pop_back() {
-            port.queue.push_front(item);
-        }
-        if n > 0 {
-            *nonempty |= mask::bit(dst);
-        }
-        n
+    /// Deliver SM `dst`'s whole return queue at once (see
+    /// [`Interconnect::drain_fwd`]).
+    pub fn drain_ret(&mut self, dst: usize) -> impl Iterator<Item = Packet> + '_ {
+        self.ret_nonempty &= !mask::bit(dst);
+        Self::drain(&mut self.ret[dst], &mut self.in_flight_count)
     }
 
-    /// Detach the FIFO prefix of partition `dst`'s forward queue whose
-    /// packets become poppable by `horizon` (inclusive). Ejection is
-    /// head-gated, so the prefix is exactly what [`Interconnect::pop_fwd`]
-    /// could ever deliver through that cycle.
-    pub fn extract_ready_fwd(&mut self, dst: usize, horizon: u64) -> VecDeque<(u64, Packet)> {
-        let out = Self::extract_ready(&mut self.fwd[dst], &mut self.fwd_nonempty, dst, horizon);
-        self.in_flight_count -= out.len();
-        out
-    }
-
-    /// Detach the ripe FIFO prefix of SM `dst`'s return queue (see
-    /// [`Interconnect::extract_ready_fwd`]).
-    pub fn extract_ready_ret(&mut self, dst: usize, horizon: u64) -> VecDeque<(u64, Packet)> {
-        let out = Self::extract_ready(&mut self.ret[dst], &mut self.ret_nonempty, dst, horizon);
-        self.in_flight_count -= out.len();
-        out
-    }
-
-    /// Return the unconsumed tail of an extracted forward prefix to the
-    /// head of its queue, preserving FIFO order (the leftovers are older
-    /// than everything still enqueued).
-    pub fn restore_front_fwd(&mut self, dst: usize, leftover: VecDeque<(u64, Packet)>) {
-        self.in_flight_count +=
-            Self::restore_front(&mut self.fwd[dst], &mut self.fwd_nonempty, dst, leftover);
-    }
-
-    /// Return the unconsumed tail of an extracted return prefix (see
-    /// [`Interconnect::restore_front_fwd`]).
-    pub fn restore_front_ret(&mut self, dst: usize, leftover: VecDeque<(u64, Packet)>) {
-        self.in_flight_count +=
-            Self::restore_front(&mut self.ret[dst], &mut self.ret_nonempty, dst, leftover);
-    }
-
-    /// Replay an epoch-deferred forward send at the barrier merge.
-    ///
-    /// Identical to [`Interconnect::try_send_fwd`] except every
-    /// capacity check — on the intended port and on any port a fault
-    /// redirects a copy to — charges `slack(port)` phantom entries:
-    /// packets the shards already popped this round that the
-    /// sequential machine would still hold at the send's cycle.
-    /// `false` means the sequential machine would have refused the
-    /// packet (a shard misspeculation); nothing is enqueued and no
-    /// reject is counted, because the caller restarts the whole run on
-    /// the sequential path, which re-counts it.
-    pub fn merge_send_fwd(
-        &mut self,
-        dst: usize,
-        pkt: Packet,
-        now: u64,
-        slack: &mut dyn FnMut(usize) -> usize,
-    ) -> bool {
-        if self.fwd[dst].queue.len() + slack(dst) >= self.cfg.queue_capacity {
-            return false;
-        }
-        self.stats.fwd_flits += self.send_faulted(true, dst, pkt, now, slack).max(pkt.flits());
-        true
-    }
-
-    /// Replay an epoch-deferred return send at the barrier merge (see
-    /// [`Interconnect::merge_send_fwd`]).
-    pub fn merge_send_ret(
-        &mut self,
-        dst: usize,
-        pkt: Packet,
-        now: u64,
-        slack: &mut dyn FnMut(usize) -> usize,
-    ) -> bool {
-        if self.ret[dst].queue.len() + slack(dst) >= self.cfg.queue_capacity {
-            return false;
-        }
-        self.stats.ret_flits += self.send_faulted(false, dst, pkt, now, slack).max(pkt.flits());
-        true
+    /// Empty one queue, keeping its buffer for the next window's traffic.
+    fn drain<'a>(port: &'a mut Port, in_flight: &mut usize) -> impl Iterator<Item = Packet> + 'a {
+        *in_flight -= port.queue.len();
+        port.queue.drain(..).map(|(_, pkt)| pkt)
     }
 
     fn pop(port: &mut Port, nonempty: &mut u64, dst: usize, now: u64) -> Option<Packet> {
@@ -632,59 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_restore_roundtrip_preserves_fifo_and_census() {
-        let mut icnt = small();
-        // Two packets: ready at 5 (1 flit + 4 hop) and 10 (5+4 after
-        // serializing behind the first).
-        assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0));
-        assert!(icnt.try_send_fwd(0, pkt(PacketKind::Writeback, 128), 0));
-        assert_eq!(icnt.in_flight(), 2);
-
-        // Horizon 5 captures only the head.
-        let ripe = icnt.extract_ready_fwd(0, 5);
-        assert_eq!(ripe.len(), 1);
-        assert_eq!(icnt.in_flight(), 1);
-
-        // Restoring it puts it back at the head, older than the tail.
-        icnt.restore_front_fwd(0, ripe);
-        assert_eq!(icnt.in_flight(), 2);
-        assert_eq!(icnt.pop_fwd(0, 100).map(|p| p.addr), Some(0));
-        assert_eq!(icnt.pop_fwd(0, 100).map(|p| p.addr), Some(128));
-    }
-
-    #[test]
-    fn extraction_is_head_gated_like_pop() {
-        let mut icnt = small();
-        let delayed = FaultConfig {
-            delay_cycles: 100,
-            ..FaultConfig::single(FaultKind::Delay, FaultSite::IcntForward, 1)
-        };
-        icnt.set_fault_injector(FaultInjector::new(delayed));
-        assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0)); // ready at 105
-        assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 256), 0)); // ready at 6
-        // The head is not ripe, so nothing is extractable even though
-        // its follower is — exactly mirroring pop_fwd's gating.
-        assert!(icnt.extract_ready_fwd(0, 50).is_empty());
-        assert_eq!(icnt.extract_ready_fwd(0, 200).len(), 2);
-    }
-
-    #[test]
-    fn merge_send_slack_reproduces_sequential_capacity() {
-        let mut icnt = small(); // capacity 2
-        assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0));
-        // Physically one entry, but the shards popped one this round
-        // that the sequential machine still held: slack 1 makes the
-        // queue full, so the merge refuses without counting a reject.
-        assert!(!icnt.merge_send_fwd(0, pkt(PacketKind::ReadReq, 256), 0, &mut |_| 1));
-        assert_eq!(icnt.stats().rejects, 0);
-        assert_eq!(icnt.in_flight(), 1);
-        // With no slack the same send is admitted and counted.
-        assert!(icnt.merge_send_fwd(0, pkt(PacketKind::ReadReq, 256), 0, &mut |_| 0));
-        assert_eq!(icnt.stats().fwd_flits, 2);
-        assert_eq!(icnt.in_flight(), 2);
-    }
-
-    #[test]
     fn misroute_fault_diverts_to_neighbouring_port() {
         let mut icnt = small();
         icnt.set_fault_injector(FaultInjector::new(FaultConfig::single(
@@ -729,26 +551,55 @@ mod tests {
     }
 
     #[test]
+    fn extract_restore_roundtrip_preserves_fifo_and_census() {
+        let mut icnt = small();
+        // Two packets: ready at 5 (1 flit + 4 hop) and 10 (5+4 after
+        // serializing behind the first).
+        assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0));
+        assert!(icnt.try_send_fwd(0, pkt(PacketKind::Writeback, 128), 0));
+        assert_eq!(icnt.in_flight(), 2);
+        let flits = icnt.in_flight_flits();
+
+        // Draining ignores ready stamps: both packets leave, oldest first.
+        let drained: Vec<Packet> = icnt.drain_fwd(0).collect();
+        assert_eq!(drained.iter().map(|p| p.addr).collect::<Vec<_>>(), vec![0, 128]);
+        assert_eq!(icnt.in_flight(), 0);
+        assert_eq!(icnt.in_flight_flits(), (0, 0));
+
+        // Sending them back in drain order restores the census and the
+        // FIFO order.
+        for p in drained {
+            assert!(icnt.try_send_fwd(0, p, 0));
+        }
+        assert_eq!(icnt.in_flight(), 2);
+        assert_eq!(icnt.in_flight_flits(), flits);
+        assert_eq!(icnt.pop_fwd(0, 100).map(|p| p.addr), Some(0));
+        assert_eq!(icnt.pop_fwd(0, 100).map(|p| p.addr), Some(128));
+    }
+
+    #[test]
     fn nonempty_masks_track_extract_and_restore() {
         let mut icnt = small();
         icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0); // ready at 5
         icnt.try_send_fwd(0, pkt(PacketKind::Writeback, 128), 0); // ready at 10
         icnt.try_send_ret(1, pkt(PacketKind::ReadReply, 0), 0);
         assert_eq!(checked_masks(&icnt), (0b01, 0b10));
-        // A partial extraction leaves the tail, and the bit.
-        let head = icnt.extract_ready_fwd(0, 5);
-        assert_eq!(head.len(), 1);
-        assert_eq!(checked_masks(&icnt), (0b01, 0b10));
-        let tail = icnt.extract_ready_fwd(0, 100);
+        // A drain clears its own port's bit, even before the packets ripen.
+        let fwd: Vec<Packet> = icnt.drain_fwd(0).collect();
         assert_eq!(checked_masks(&icnt), (0, 0b10));
-        let ret = icnt.extract_ready_ret(1, 100);
+        // An empty port drains nothing and leaves the other direction.
+        assert_eq!(icnt.drain_fwd(1).count(), 0);
+        assert_eq!(checked_masks(&icnt), (0, 0b10));
+        let ret: Vec<Packet> = icnt.drain_ret(1).collect();
         assert_eq!(checked_masks(&icnt), (0, 0));
-        // Restoring nothing sets nothing; restoring packets sets the bit.
-        icnt.restore_front_ret(0, VecDeque::new());
-        assert_eq!(checked_masks(&icnt), (0, 0));
-        icnt.restore_front_fwd(0, tail);
-        icnt.restore_front_fwd(0, head);
-        icnt.restore_front_ret(1, ret);
+        assert_eq!(icnt.in_flight(), 0);
+        // Sending the drained packets back sets the bits again.
+        for p in fwd {
+            assert!(icnt.try_send_fwd(0, p, 0));
+        }
+        for p in ret {
+            assert!(icnt.try_send_ret(1, p, 0));
+        }
         assert_eq!(checked_masks(&icnt), (0b01, 0b10));
         assert_eq!(icnt.in_flight(), 3);
     }

@@ -42,30 +42,6 @@ impl Iterator for Ones {
     }
 }
 
-/// The `len` lowest bits set.
-#[inline]
-pub fn low(len: usize) -> u64 {
-    if len >= MAX {
-        u64::MAX
-    } else {
-        (1 << len) - 1
-    }
-}
-
-/// Bits `lo..lo + len` of `mask`, shifted down to start at bit 0 — a
-/// contiguous slice of the machine seen in local indices.
-#[inline]
-pub fn slice(mask: u64, lo: usize, len: usize) -> u64 {
-    mask.checked_shr(lo as u32).unwrap_or(0) & low(len)
-}
-
-/// A local mask moved back up to start at bit `lo` (inverse of
-/// [`slice`]).
-#[inline]
-pub fn place(local: u64, lo: usize) -> u64 {
-    local.checked_shl(lo as u32).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,17 +52,5 @@ mod tests {
         assert_eq!(ones(m).collect::<Vec<_>>(), vec![0, 5, 17, 63]);
         assert_eq!(ones(0).count(), 0);
         assert_eq!(ones(u64::MAX).count(), 64);
-    }
-
-    #[test]
-    fn slice_and_place_round_trip() {
-        let m = 0b1011_0110u64;
-        assert_eq!(slice(m, 1, 3), 0b011);
-        assert_eq!(place(slice(m, 4, 4), 4), 0b1011_0000);
-        assert_eq!(low(0), 0);
-        assert_eq!(low(64), u64::MAX);
-        // Empty slices at the very top of the word must not overflow.
-        assert_eq!(slice(u64::MAX, 64, 0), 0);
-        assert_eq!(place(0, 64), 0);
     }
 }

@@ -156,16 +156,6 @@ impl MemoryPartition {
         self.out_queue.push_front(pkt);
     }
 
-    /// The core cycle this partition last caught its clocks up to (0 if
-    /// never cycled). [`Self::next_event`] computes its DRAM-domain
-    /// term relative to the *internal* clock state, so callers probing
-    /// a partition they have not just cycled — the sharded engine's
-    /// barrier planner — must pass this as `now` to get correct
-    /// absolute event times.
-    pub fn last_cycled(&self) -> u64 {
-        self.last_now
-    }
-
     /// All queues drained and DRAM idle?
     pub fn idle(&self) -> bool {
         self.in_queue.is_empty()

@@ -59,13 +59,6 @@ pub struct SimConfig {
     /// the integrity tests to prove the watchdog and auditor catch
     /// corruption. `None` (the default) simulates faithfully.
     pub fault: Option<FaultConfig>,
-    /// Sharded epoch engine: partition the SMs and memory partitions
-    /// into this many shards and run them on parallel threads in
-    /// deterministic lock-step epochs bounded by the crossbar hop
-    /// latency. Statistics are byte-identical at any shard count (the
-    /// shard-equivalence suite pins 1 vs 2 vs 4). 1 (the default)
-    /// selects the classic single-threaded path; requires `leap`.
-    pub shards: usize,
     /// SMARTS-style interval sampling: `Some` alternates detailed
     /// measurement windows with functional fast-forward and reports
     /// per-window counter samples for confidence intervals. `None`
@@ -99,7 +92,6 @@ impl SimConfig {
             audit_interval: if cfg!(feature = "audit") { 4096 } else { 0 },
             leap: true,
             fault: None,
-            shards: 1,
             sampling: None,
         }
     }
@@ -134,20 +126,10 @@ impl SimConfig {
         self
     }
 
-    /// Run the machine as `shards` parallel lock-step shards (1 =
-    /// classic single-threaded execution). Statistics are byte-identical
-    /// at any count; values beyond the component counts are clamped at
-    /// run time.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1);
-        self.shards = shards;
-        self
-    }
-
     /// Enable SMARTS-style interval sampling: detailed windows of
     /// `sc.detail` cycles (each preceded by `sc.warmup` discarded
     /// warm-up cycles) separated by functionally fast-forwarded gaps
-    /// of `sc.skip` cycles. Forces the sequential shard path.
+    /// of `sc.skip` cycles.
     pub fn with_sampling(mut self, sc: SamplingConfig) -> Self {
         self.sampling = Some(sc);
         self
@@ -179,12 +161,5 @@ mod tests {
             .with_l1_geometry(CacheGeometry::fermi_l1d_32k());
         assert_eq!(c.l1d.geom.capacity_bytes(), 32 * 1024);
         assert_eq!(c.l1d.geom.num_sets, 32, "sets unchanged, associativity doubled");
-    }
-
-    #[test]
-    fn shards_default_to_single_threaded() {
-        let c = SimConfig::tesla_m2090(PolicyKind::Baseline);
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.with_shards(4).shards, 4);
     }
 }

@@ -33,7 +33,6 @@ use crate::config::SimConfig;
 use crate::error::{HangReport, PartitionSnapshot, SimError, SmSnapshot};
 use crate::kernel::Kernel;
 use crate::sampling::{SamplingConfig, SamplingReport, WindowSample};
-use crate::shard::ShardTelemetry;
 use crate::sm::Sm;
 use crate::stats::RunStats;
 use gpu_mem::fault::{FaultInjector, FaultSite};
@@ -47,90 +46,11 @@ use std::collections::VecDeque;
 /// Advance the round-robin CTA launch cursor by `slots` denied scan
 /// slots with overflow detection: a wrap would silently rotate the
 /// launch order, which is a fidelity corruption, not a recoverable
-/// condition. Shared by the per-cycle launch scan, the leap replay and
-/// the shard barrier replay.
-pub(crate) fn advance_cursor(cursor: &mut usize, slots: u128, now: u64) -> Result<(), SimError> {
+/// condition. Shared by the per-cycle launch scan and the leap replay.
+fn advance_cursor(cursor: &mut usize, slots: u128, now: u64) -> Result<(), SimError> {
     let overflow = SimError::LaunchCursorOverflow { cycle: now, slots };
     let sum = (*cursor as u128).checked_add(slots).ok_or_else(|| overflow.clone())?;
     *cursor = usize::try_from(sum).map_err(|_| overflow)?;
-    Ok(())
-}
-
-/// Build the crossbar and memory partitions (with any configured fault
-/// injectors) from scratch — shared by [`Gpu::new`] and the sharded
-/// engine's misspeculation restart, which must reproduce the injector
-/// seeds exactly.
-fn build_memory_system(cfg: &SimConfig) -> (Interconnect, Vec<MemoryPartition>) {
-    let mut icnt = Interconnect::new(cfg.icnt);
-    let mut parts: Vec<MemoryPartition> =
-        (0..cfg.icnt.num_partitions).map(|_| MemoryPartition::new(cfg.partition)).collect();
-    if let Some(f) = cfg.fault {
-        match f.site {
-            FaultSite::IcntForward | FaultSite::IcntReturn => {
-                icnt.set_fault_injector(FaultInjector::new(f));
-            }
-            FaultSite::Dram => {
-                for (i, p) in parts.iter_mut().enumerate() {
-                    p.set_dram_fault_injector(FaultInjector::with_salt(f, i as u64));
-                }
-            }
-        }
-    }
-    (icnt, parts)
-}
-
-/// Every conservation and structural check, against an explicitly
-/// assembled view of the machine. [`Gpu::run_audit`] passes its own
-/// component vectors; the sharded engine passes references collected
-/// from the shards in global order at a barrier (where the crossbar is
-/// authoritative because the round has been merged).
-pub(crate) fn audit_machine(
-    now: u64,
-    counters: &FlowCounters,
-    icnt: &Interconnect,
-    sms: &[&Sm],
-    parts: &[&MemoryPartition],
-) -> Result<(), SimError> {
-    let fail = |check: &'static str, detail: String| SimError::InvariantViolation {
-        check,
-        detail,
-        cycle: now,
-    };
-
-    let in_partitions: usize = parts.iter().map(|p| p.held_reply_packets()).sum();
-    let in_network = icnt.fwd_expecting_reply() + icnt.ret_in_flight();
-    check_reply_conservation(
-        counters.fetches_sent,
-        counters.replies_delivered,
-        in_network,
-        in_partitions,
-    )
-    .map_err(|d| fail("reply conservation", d))?;
-
-    let (fwd_in_flight, ret_in_flight) = icnt.in_flight_flits();
-    let stats = icnt.stats();
-    check_flit_conservation(
-        "forward",
-        stats.fwd_flits,
-        counters.fwd_flits_delivered,
-        fwd_in_flight,
-    )
-    .map_err(|d| fail("flit conservation", d))?;
-    check_flit_conservation(
-        "return",
-        stats.ret_flits,
-        counters.ret_flits_delivered,
-        ret_in_flight,
-    )
-    .map_err(|d| fail("flit conservation", d))?;
-
-    for (s, sm) in sms.iter().enumerate() {
-        sm.l1d.audit().map_err(|d| fail("L1D structural audit", format!("SM {s}: {d}")))?;
-    }
-    for (p, part) in parts.iter().enumerate() {
-        part.audit()
-            .map_err(|d| fail("partition structural audit", format!("partition {p}: {d}")))?;
-    }
     Ok(())
 }
 
@@ -150,26 +70,26 @@ pub struct Gpu {
     /// would each re-probe their stalled access per tick for nothing.
     /// 0 means "must cycle" (external input arrived), `u64::MAX` means
     /// "wake only on an interconnect reply".
-    pub(crate) sm_next_ev: Vec<u64>,
+    sm_next_ev: Vec<u64>,
     /// The last cycle SM `s` actually ran `cycle`, i.e. has aged its
     /// stall counters through. A waking SM first replays the gap with
     /// [`Sm::leap_catchup`]; [`Gpu::settle_sms`] does the same before
     /// any state is reported (stats, hang reports). This single
     /// deferred-aging account also covers whole-machine leaps.
-    pub(crate) sm_last_cycled: Vec<u64>,
-    pub(crate) cfg: SimConfig,
-    pub(crate) sms: Vec<Sm>,
-    pub(crate) icnt: Interconnect,
-    pub(crate) parts: Vec<MemoryPartition>,
-    pub(crate) kernel: Box<dyn Kernel>,
-    pub(crate) pending_ctas: VecDeque<usize>,
-    pub(crate) launch_cursor: usize,
-    pub(crate) now: u64,
-    pub(crate) counters: FlowCounters,
+    sm_last_cycled: Vec<u64>,
+    cfg: SimConfig,
+    sms: Vec<Sm>,
+    icnt: Interconnect,
+    parts: Vec<MemoryPartition>,
+    kernel: Box<dyn Kernel>,
+    pending_ctas: VecDeque<usize>,
+    launch_cursor: usize,
+    now: u64,
+    counters: FlowCounters,
     /// Progress metric (insns issued + replies delivered) at the last
     /// cycle it changed, and that cycle — the watchdog's state.
-    pub(crate) last_progress: u64,
-    pub(crate) last_progress_cycle: u64,
+    last_progress: u64,
+    last_progress_cycle: u64,
     /// Active sets: which SMs / partitions have work, one bit per
     /// component ([`gpu_mem::mask`]). A component is promoted to busy at
     /// the event that gives it work (CTA launch, packet enqueue, reply
@@ -177,11 +97,11 @@ pub struct Gpu {
     /// Every per-cycle loop visits only set bits (plus the crossbar's
     /// own non-empty port masks), so quiescent components cost nothing,
     /// and [`Gpu::finished`] is two word compares.
-    pub(crate) active_sms: u64,
-    pub(crate) active_parts: u64,
+    active_sms: u64,
+    active_parts: u64,
     /// Running total of warp instructions issued (the watchdog metric's
     /// SM half, maintained incrementally).
-    pub(crate) total_warp_insns: u64,
+    total_warp_insns: u64,
     /// Cycles actually stepped (as opposed to leapt over). With the
     /// cycle-leap event core this is the count of event cycles; the
     /// ratio against [`RunStats::cycles`] is the leap efficiency
@@ -189,22 +109,10 @@ pub struct Gpu {
     /// [`RunStats`]: simulated results are byte-identical with leaping
     /// on or off, and this counter is the one number that legitimately
     /// differs.
-    pub(crate) ticked_cycles: u64,
-    /// Whether any L1D observer is attached. Observed runs force the
-    /// single-threaded path: the sharded engine's misspeculation
-    /// restart would replay accesses into the (external, shared)
-    /// observer sink, and restart cannot unsee them.
-    pub(crate) observed: bool,
-    /// Latched after a shard misspeculation restart: the rest of this
-    /// GPU's lifetime runs single-threaded so the sequential replay's
-    /// byte-identity guarantee holds without re-restarting.
-    pub(crate) shards_disabled: bool,
-    /// Accumulated sharded-engine telemetry (empty when every run took
-    /// the classic path).
-    pub(crate) shard_telemetry: ShardTelemetry,
+    ticked_cycles: u64,
     /// What the SMARTS sampling controller measured, when
     /// [`SimConfig::sampling`] was set for the last `run`.
-    pub(crate) sampling_report: Option<SamplingReport>,
+    sampling_report: Option<SamplingReport>,
 }
 
 impl Gpu {
@@ -226,7 +134,21 @@ impl Gpu {
             grid.warps_per_cta,
             slots
         );
-        let (icnt, parts) = build_memory_system(&cfg);
+        let mut icnt = Interconnect::new(cfg.icnt);
+        let mut parts: Vec<MemoryPartition> =
+            (0..cfg.icnt.num_partitions).map(|_| MemoryPartition::new(cfg.partition)).collect();
+        if let Some(f) = cfg.fault {
+            match f.site {
+                FaultSite::IcntForward | FaultSite::IcntReturn => {
+                    icnt.set_fault_injector(FaultInjector::new(f));
+                }
+                FaultSite::Dram => {
+                    for (i, p) in parts.iter_mut().enumerate() {
+                        p.set_dram_fault_injector(FaultInjector::with_salt(f, i as u64));
+                    }
+                }
+            }
+        }
         Gpu {
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, &cfg)).collect(),
             icnt,
@@ -244,9 +166,6 @@ impl Gpu {
             ticked_cycles: 0,
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
-            observed: false,
-            shards_disabled: false,
-            shard_telemetry: ShardTelemetry::default(),
             sampling_report: None,
             cfg,
         }
@@ -256,58 +175,6 @@ impl Gpu {
     /// harness reports `ticked_cycles / cycles` as leap efficiency.
     pub fn ticked_cycles(&self) -> u64 {
         self.ticked_cycles
-    }
-
-    /// Telemetry from the sharded epoch engine, accumulated across
-    /// every `run`/`run_for` call of this GPU. All-zero (and an empty
-    /// per-shard vector) when every run took the classic
-    /// single-threaded path.
-    pub fn shard_telemetry(&self) -> &ShardTelemetry {
-        &self.shard_telemetry
-    }
-
-    /// How many shards this run will actually use. The classic
-    /// single-threaded path (1) is forced when leaping is off (the
-    /// reference loop is the equivalence oracle), when an observer is
-    /// attached (see [`Gpu::observed`]) or after a misspeculation
-    /// restart; otherwise the configured count, clamped to the
-    /// component counts.
-    pub(crate) fn effective_shards(&self) -> usize {
-        if !self.cfg.leap
-            || self.observed
-            || self.shards_disabled
-            || self.cfg.sampling.is_some()
-        {
-            return 1;
-        }
-        self.cfg.shards.clamp(1, self.cfg.num_sms.max(self.cfg.icnt.num_partitions))
-    }
-
-    /// Rebuild every component from the configuration, exactly as
-    /// [`Gpu::new`] left them — the sharded engine's misspeculation
-    /// restart. The kernel is stateless by contract
-    /// ([`Kernel::warp_stream`] is a pure function of `(cta, warp)`),
-    /// so re-queueing the grid reproduces the run from cycle 0. `ticked_cycles` and the shard
-    /// telemetry deliberately survive: work done by the abandoned
-    /// attempt was real wall-clock work and the telemetry reports it.
-    pub(crate) fn reset_run_state(&mut self) {
-        let cfg = self.cfg;
-        let (icnt, parts) = build_memory_system(&cfg);
-        self.sms = (0..cfg.num_sms).map(|i| Sm::new(i, &cfg)).collect();
-        self.icnt = icnt;
-        self.parts = parts;
-        self.pending_ctas = (0..self.kernel.grid().num_ctas).collect();
-        self.launch_cursor = 0;
-        self.now = 0;
-        self.counters = FlowCounters::default();
-        self.last_progress = 0;
-        self.last_progress_cycle = 0;
-        self.active_sms = 0;
-        self.active_parts = 0;
-        self.total_warp_insns = 0;
-        self.sm_next_ev = vec![0; cfg.num_sms];
-        self.sm_last_cycled = vec![0; cfg.num_sms];
-        self.sampling_report = None;
     }
 
     #[inline]
@@ -335,7 +202,7 @@ impl Gpu {
     /// periodically-audited builds deliberately tick every busy SM so
     /// the tick-through no-op verification exercises real cycles.
     #[inline]
-    pub(crate) fn sm_sleep_enabled(&self) -> bool {
+    fn sm_sleep_enabled(&self) -> bool {
         self.cfg.leap && self.cfg.audit_interval == 0 && !cfg!(feature = "audit")
     }
 
@@ -343,7 +210,7 @@ impl Gpu {
     /// current cycle, inclusive) so externally visible state — run
     /// statistics, hang reports, post-run introspection — is identical
     /// to what the tick-every-cycle reference produces.
-    pub(crate) fn settle_sms(&mut self) {
+    fn settle_sms(&mut self) {
         let now = self.now;
         for s in mask::ones(self.active_sms) {
             let behind = now - self.sm_last_cycled[s];
@@ -355,12 +222,8 @@ impl Gpu {
     }
 
     /// Attach a reuse-distance observer to one SM's L1D (do this before
-    /// running). Observed runs always take the classic single-threaded
-    /// path regardless of [`SimConfig::shards`] — the shard engine's
-    /// misspeculation restart cannot withdraw accesses already pushed
-    /// into an external sink.
+    /// running).
     pub fn set_l1d_observer(&mut self, sm: usize, obs: Box<dyn AccessObserver>) {
-        self.observed = true;
         self.sms[sm].l1d.set_observer(obs);
     }
 
@@ -743,9 +606,49 @@ impl Gpu {
     /// runs once per `audit_interval` cycles, never per tick.
     #[cold]
     pub fn run_audit(&self) -> Result<(), SimError> {
-        let sms: Vec<&Sm> = self.sms.iter().collect();
-        let parts: Vec<&MemoryPartition> = self.parts.iter().collect();
-        audit_machine(self.now, &self.counters, &self.icnt, &sms, &parts)
+        let fail = |check: &'static str, detail: String| SimError::InvariantViolation {
+            check,
+            detail,
+            cycle: self.now,
+        };
+        let counters = &self.counters;
+        let icnt = &self.icnt;
+
+        let in_partitions: usize = self.parts.iter().map(|p| p.held_reply_packets()).sum();
+        let in_network = icnt.fwd_expecting_reply() + icnt.ret_in_flight();
+        check_reply_conservation(
+            counters.fetches_sent,
+            counters.replies_delivered,
+            in_network,
+            in_partitions,
+        )
+        .map_err(|d| fail("reply conservation", d))?;
+
+        let (fwd_in_flight, ret_in_flight) = icnt.in_flight_flits();
+        let stats = icnt.stats();
+        check_flit_conservation(
+            "forward",
+            stats.fwd_flits,
+            counters.fwd_flits_delivered,
+            fwd_in_flight,
+        )
+        .map_err(|d| fail("flit conservation", d))?;
+        check_flit_conservation(
+            "return",
+            stats.ret_flits,
+            counters.ret_flits_delivered,
+            ret_in_flight,
+        )
+        .map_err(|d| fail("flit conservation", d))?;
+
+        for (s, sm) in self.sms.iter().enumerate() {
+            sm.l1d.audit().map_err(|d| fail("L1D structural audit", format!("SM {s}: {d}")))?;
+        }
+        for (p, part) in self.parts.iter().enumerate() {
+            part.audit()
+                .map_err(|d| fail("partition structural audit", format!("partition {p}: {d}")))?;
+        }
+        Ok(())
     }
 
     /// Watchdog abort: box the diagnostic snapshot into the error off
@@ -796,7 +699,7 @@ impl Gpu {
         }
     }
 
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         // O(1): the active sets are maintained by step(); a component is
         // demoted only after a cycle in which it reported idle, so empty
         // sets imply the full scans would find nothing either.
@@ -819,9 +722,6 @@ impl Gpu {
     pub fn run(&mut self) -> Result<RunStats, SimError> {
         if let Some(sc) = self.cfg.sampling {
             return self.run_sampled(sc);
-        }
-        if self.effective_shards() > 1 {
-            return crate::shard::run_sharded(self, None);
         }
         while !self.finished() {
             if self.now >= self.cfg.max_cycles {
@@ -848,9 +748,6 @@ impl Gpu {
     /// requested horizon is success, not an error.
     pub fn run_for(&mut self, cycles: u64) -> Result<RunStats, SimError> {
         let end = self.now + cycles;
-        if self.effective_shards() > 1 {
-            return crate::shard::run_sharded(self, Some(end));
-        }
         while !self.finished() && self.now < end {
             if self.cfg.leap {
                 let target = self.next_step_cycle();
@@ -1011,7 +908,7 @@ impl Gpu {
         }
         // 3. Packets in flight toward the partitions arrive now.
         for p in 0..self.parts.len() {
-            for (_, pkt) in self.icnt.extract_ready_fwd(p, u64::MAX) {
+            for pkt in self.icnt.drain_fwd(p) {
                 self.counters.fwd_flits_delivered += pkt.flits();
                 if let Some(reply) = self.parts[p].apply_functional(pkt) {
                     replies.push(reply);
@@ -1020,7 +917,7 @@ impl Gpu {
         }
         // 4. Replies in flight toward the SMs arrive now.
         for s in 0..self.sms.len() {
-            for (_, pkt) in self.icnt.extract_ready_ret(s, u64::MAX) {
+            for pkt in self.icnt.drain_ret(s) {
                 self.counters.ret_flits_delivered += pkt.flits();
                 replies.push(pkt);
             }
@@ -1155,7 +1052,7 @@ impl Gpu {
         self.sms.iter().map(|sm| sm.peak_warp_trace_bytes()).max().unwrap_or(0)
     }
 
-    pub(crate) fn collect(&self, completed: bool) -> RunStats {
+    fn collect(&self, completed: bool) -> RunStats {
         let mut out = RunStats { cycles: self.now, completed, ..Default::default() };
         for sm in &self.sms {
             let s = sm.stats();

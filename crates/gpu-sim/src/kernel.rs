@@ -23,11 +23,10 @@ impl GridDesc {
 ///
 /// `warp_stream(cta, warp)` must be a pure function of its arguments
 /// (and the kernel's construction parameters): the simulator may call
-/// it at any time relative to execution, the sharded engine re-derives
-/// streams after a misspeculation restart, and the analysis tools
+/// it at any time relative to execution, and the analysis tools
 /// re-derive the same traces when profiling reuse distances. Two
-/// streams for the same `(cta, warp)` — and one stream replayed via
-/// [`OpStream::reset`] — must yield identical op sequences.
+/// streams for the same `(cta, warp)` must yield identical op
+/// sequences.
 pub trait Kernel: Send {
     /// Short benchmark name (e.g. `"BFS"`).
     fn name(&self) -> &str;

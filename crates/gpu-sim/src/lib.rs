@@ -63,7 +63,6 @@ pub mod isa;
 pub mod kernel;
 pub mod sampling;
 pub mod scheduler;
-pub mod shard;
 pub mod sm;
 pub mod stats;
 pub mod stream;
@@ -74,6 +73,5 @@ pub use error::{HangReport, SimError};
 pub use gpu::Gpu;
 pub use kernel::{GridDesc, Kernel};
 pub use sampling::{SamplingConfig, SamplingParseError, SamplingReport, WindowSample};
-pub use shard::ShardTelemetry;
 pub use stats::RunStats;
 pub use stream::{OpStream, VecStream};

@@ -20,10 +20,8 @@ use crate::isa::{OpKind, TraceOp};
 ///
 /// Contract:
 /// * the op sequence is **deterministic**: two streams created from the
-///   same `(kernel, cta, warp)` yield identical sequences, and
-///   [`OpStream::reset`] rewinds to an identical replay (the sharded
-///   engine's misspeculation restart and the analysis tools both
-///   re-derive traces and must observe the same ops);
+///   same `(kernel, cta, warp)` yield identical sequences (the analysis
+///   tools re-derive traces and must observe the same ops);
 /// * [`OpStream::peek`] does not advance the cursor: `peek()` followed
 ///   by `next_op()` returns the same op;
 /// * resident state is O(1) in the *trace length* — implementations
@@ -35,9 +33,6 @@ pub trait OpStream: Send {
 
     /// The op [`OpStream::next_op`] would return, without consuming it.
     fn peek(&mut self) -> Option<&TraceOp>;
-
-    /// Rewind to the beginning of the stream for an identical replay.
-    fn reset(&mut self);
 
     /// Bytes of trace data currently buffered by this stream.
     fn resident_bytes(&self) -> usize;
@@ -95,10 +90,6 @@ impl OpStream for VecStream {
         self.ops.get(self.at)
     }
 
-    fn reset(&mut self) {
-        self.at = 0;
-    }
-
     fn resident_bytes(&self) -> usize {
         self.bytes
     }
@@ -148,15 +139,6 @@ mod tests {
         assert_eq!(s.peek().cloned(), Some(trace()[0].clone()));
         assert_eq!(s.next_op(), Some(trace()[0].clone()));
         assert_eq!(s.peek().cloned(), Some(trace()[1].clone()));
-    }
-
-    #[test]
-    fn reset_rewinds_to_an_identical_replay() {
-        let mut s = VecStream::new(trace());
-        let first: Vec<_> = std::iter::from_fn(|| s.next_op()).collect();
-        s.reset();
-        let second: Vec<_> = std::iter::from_fn(|| s.next_op()).collect();
-        assert_eq!(first, second);
     }
 
     #[test]

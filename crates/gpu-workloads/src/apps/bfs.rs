@@ -127,10 +127,6 @@ impl SegmentSource for BfsGen {
         out.push(TraceOp::store(4, updates).with_srcs([rb + 3]));
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

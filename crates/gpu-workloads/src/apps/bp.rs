@@ -92,10 +92,6 @@ impl SegmentSource for BpGen {
         }
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

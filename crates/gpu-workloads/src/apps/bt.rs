@@ -97,10 +97,6 @@ impl SegmentSource for BtGen {
         alu_block(out, &mut self.ctx.apc, 30, rb + 6);
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

@@ -109,10 +109,6 @@ impl SegmentSource for CfdGen {
         out.push(TraceOp::store(7, coalesced(self.app.flux + elem)).with_srcs([rb + 1]));
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

@@ -103,10 +103,6 @@ impl SegmentSource for GemmGen {
         }
         false
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

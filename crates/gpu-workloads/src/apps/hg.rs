@@ -93,10 +93,6 @@ impl SegmentSource for HgGen {
         }
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

@@ -101,10 +101,6 @@ impl SegmentSource for HsGen {
         );
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

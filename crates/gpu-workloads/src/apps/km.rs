@@ -112,10 +112,6 @@ impl SegmentSource for KmGen {
         out.push(TraceOp::store(2, coalesced(self.app.assign + gwarp * 128)).with_srcs([3]));
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

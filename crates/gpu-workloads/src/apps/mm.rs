@@ -114,10 +114,6 @@ impl SegmentSource for MmGen {
         }
         false
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

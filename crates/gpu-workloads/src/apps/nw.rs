@@ -92,10 +92,6 @@ impl SegmentSource for NwGen {
         out.push(TraceOp::store(2, coalesced(self.app.score + row * self.app.row_bytes + col)).with_srcs([rb + 2]));
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

@@ -100,10 +100,6 @@ impl SegmentSource for PvrGen {
         out.push(TraceOp::store(3, self.ctx.scratch.clone()).with_srcs([rb + 2]));
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

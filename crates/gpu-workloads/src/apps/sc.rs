@@ -82,10 +82,6 @@ impl SegmentSource for ScGen {
         out.push(TraceOp::store(2, coalesced(self.app.output + row * self.app.row_bytes + x)).with_srcs([rb + 2]));
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

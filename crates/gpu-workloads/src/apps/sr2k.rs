@@ -113,10 +113,6 @@ impl SegmentSource for Sr2kGen {
         }
         false
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

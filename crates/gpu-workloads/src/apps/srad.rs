@@ -98,10 +98,6 @@ impl SegmentSource for SradGen {
         );
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

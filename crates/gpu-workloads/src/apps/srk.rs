@@ -105,10 +105,6 @@ impl SegmentSource for SrkGen {
         }
         false
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

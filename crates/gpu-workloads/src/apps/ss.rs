@@ -110,10 +110,6 @@ impl SegmentSource for SsGen {
         }
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

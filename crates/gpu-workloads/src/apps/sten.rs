@@ -105,10 +105,6 @@ impl SegmentSource for StenGen {
         );
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

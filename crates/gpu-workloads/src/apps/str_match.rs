@@ -103,10 +103,6 @@ impl SegmentSource for StrGen {
         }
         true
     }
-
-    fn reset(&mut self) {
-        self.ctx.reset();
-    }
 }
 
 #[cfg(test)]

@@ -37,22 +37,13 @@ pub struct WarpCtx {
     pub rng: StdRng,
     /// Reusable lane-address build buffer for `*_into` pattern helpers.
     pub scratch: Vec<u64>,
-    seed: u64,
 }
 
 impl WarpCtx {
     /// Fresh state for `(seed, cta, warp)`. Apps without an RNG pass
     /// any fixed seed; the RNG is simply never consumed.
     pub fn new(seed: u64, cta: usize, warp: usize) -> Self {
-        WarpCtx { cta, warp, apc: 64, rng: warp_rng(seed, cta, warp), scratch: Vec::new(), seed }
-    }
-
-    /// Rewind to the state [`WarpCtx::new`] produced (same RNG stream,
-    /// `apc` back at 64) for an identical replay.
-    pub fn reset(&mut self) {
-        self.apc = 64;
-        self.rng = warp_rng(self.seed, self.cta, self.warp);
-        self.scratch.clear();
+        WarpCtx { cta, warp, apc: 64, rng: warp_rng(seed, cta, warp), scratch: Vec::new() }
     }
 }
 
@@ -62,14 +53,11 @@ impl WarpCtx {
 /// segment `seg`'s ops to `out` and returns `true`, or returns `false`
 /// (appending nothing) once `seg` is past the end. State carried
 /// across segments (RNG, apc) must advance only in calls that return
-/// `true`, and [`SegmentSource::reset`] must restore it so the segment
-/// sequence replays identically.
+/// `true`, so two sources built for the same warp emit the same
+/// segment sequence.
 pub trait SegmentSource: Send {
     /// Append segment `seg`'s ops; `false` = no such segment.
     fn emit(&mut self, seg: u64, out: &mut Vec<TraceOp>) -> bool;
-
-    /// Restore the post-construction state for an identical replay.
-    fn reset(&mut self);
 }
 
 /// [`OpStream`] over a [`SegmentSource`]: buffers exactly one segment
@@ -121,14 +109,6 @@ impl<G: SegmentSource> OpStream for GenStream<G> {
         self.buf.get(self.at)
     }
 
-    fn reset(&mut self) {
-        self.gen.reset();
-        self.seg = 0;
-        self.buf.clear();
-        self.at = 0;
-        self.done = false;
-    }
-
     fn resident_bytes(&self) -> usize {
         ops_bytes(&self.buf)
     }
@@ -153,7 +133,20 @@ mod tests {
             out.push(TraceOp::alu(seg as u32 + 100, 1));
             true
         }
-        fn reset(&mut self) {}
+    }
+
+    /// Four segments whose ALU latencies come from the warp's RNG.
+    struct Noisy(WarpCtx);
+    impl SegmentSource for Noisy {
+        fn emit(&mut self, seg: u64, out: &mut Vec<TraceOp>) -> bool {
+            if seg >= 4 {
+                return false;
+            }
+            let lat = rand::Rng::gen_range(&mut self.0.rng, 1..100);
+            out.push(TraceOp::alu(self.0.apc, lat));
+            self.0.apc += 1;
+            true
+        }
     }
 
     #[test]
@@ -175,12 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_replays_identically() {
-        let mut s = GenStream::new(Three);
-        let first: Vec<u32> = std::iter::from_fn(|| s.next_op()).map(|o| o.pc).collect();
-        s.reset();
-        let again: Vec<u32> = std::iter::from_fn(|| s.next_op()).map(|o| o.pc).collect();
-        assert_eq!(first, again);
+    fn a_second_stream_for_the_same_warp_replays_identically() {
+        let stream = |cta, warp| Box::new(GenStream::new(Noisy(WarpCtx::new(7, cta, warp))));
+        let first = materialize(stream(1, 2));
+        assert_eq!(first.len(), 4);
+        assert_eq!(first, materialize(stream(1, 2)));
+        assert_ne!(first, materialize(stream(1, 3)), "another warp, other latencies");
     }
 
     #[test]
@@ -191,16 +184,5 @@ mod tests {
         assert_eq!(s.resident_bytes(), std::mem::size_of::<TraceOp>());
         while s.next_op().is_some() {}
         assert_eq!(s.peak_resident_bytes(), std::mem::size_of::<TraceOp>());
-    }
-
-    #[test]
-    fn warp_ctx_reset_restores_rng_and_apc() {
-        let mut ctx = WarpCtx::new(7, 1, 2);
-        let a: u64 = rand::Rng::gen(&mut ctx.rng);
-        ctx.apc = 99;
-        ctx.reset();
-        let b: u64 = rand::Rng::gen(&mut ctx.rng);
-        assert_eq!(a, b);
-        assert_eq!(ctx.apc, 64);
     }
 }

@@ -318,13 +318,6 @@ impl OpStream for FileStream {
         self.next.as_ref()
     }
 
-    fn reset(&mut self) {
-        self.pos = 0;
-        self.carry.clear();
-        self.at = 0;
-        self.next = None;
-    }
-
     fn resident_bytes(&self) -> usize {
         self.next.as_ref().map_or(0, op_bytes) + self.carry.len() - self.at
     }
@@ -1376,7 +1369,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_replay_is_bounded_and_resettable() {
+    fn chunked_replay_is_bounded_and_repeatable() {
         let path = tmp("chunked.trace");
         let toy = Toy { reps: 200 };
         write_text_trace(&path, &toy).unwrap();
@@ -1392,8 +1385,9 @@ mod tests {
             "peak {} vs total {total}: replay must not materialize the section",
             s.peak_resident_bytes()
         );
-        s.reset();
-        let second: Vec<_> = std::iter::from_fn(|| s.next_op()).collect();
+        let mut again = tk.stream(1, 0);
+        again.chunk = 512;
+        let second: Vec<_> = std::iter::from_fn(|| again.next_op()).collect();
         assert_eq!(first, second);
         std::fs::remove_file(&path).ok();
     }

@@ -5,14 +5,14 @@
 //!
 //! 1. **Op-sequence identity** — for every app, pulling a native
 //!    generator stream op by op yields exactly `warp_ops`, `peek`
-//!    always previews the next pull, and `reset` replays the identical
-//!    sequence (the contract the sharded engine's misspeculation
-//!    restarts depend on).
+//!    always previews the next pull, and a second stream for the same
+//!    `(cta, warp)` replays the identical sequence (the determinism
+//!    contract of `Kernel::warp_stream`).
 //! 2. **Whole-machine identity** — a full simulation fed through the
 //!    `VecStream` compatibility adapter (eager materialization, the
 //!    pre-streaming world) produces the same `RunStats` as the native
-//!    O(1)-memory stream, across shard counts and with sampling on or
-//!    off. Only `peak_warp_trace_bytes` may differ: that counter
+//!    O(1)-memory stream, under more than one policy and with sampling
+//!    on or off. Only `peak_warp_trace_bytes` may differ: that counter
 //!    *measures* the materialization the adapter reintroduces.
 
 use gpu_sim::isa::TraceOp;
@@ -90,54 +90,38 @@ fn native_streams_replay_their_materialized_traces() {
             }
             assert_eq!(got, want, "{}: stream ({cta},{warp}) diverges", spec.abbr);
 
-            // Replay after reset must be byte-identical.
-            stream.reset();
-            let replay: Vec<TraceOp> = std::iter::from_fn(|| stream.next_op()).collect();
-            assert_eq!(replay, want, "{}: reset replay diverges", spec.abbr);
+            // A second stream for the same warp must be byte-identical.
+            let mut again = k.warp_stream(cta, warp);
+            let replay: Vec<TraceOp> = std::iter::from_fn(|| again.next_op()).collect();
+            assert_eq!(replay, want, "{}: second stream diverges", spec.abbr);
         }
     }
 }
 
 #[test]
 fn adapter_and_native_runs_are_architecturally_identical() {
-    for spec in registry() {
-        let cfg = SimConfig::tesla_m2090(PolicyKind::Baseline);
-        let native = run(build(spec.abbr, Scale::Tiny), cfg);
-        let adapted = run(
-            Box::new(Materialized(build(spec.abbr, Scale::Tiny))),
-            cfg,
-        );
+    // Every app under Baseline, plus DLP (whose PDPT/VTA machinery
+    // reacts to the exact access order) on one reuse-heavy and one
+    // irregular app.
+    let baseline = registry().into_iter().map(|spec| (spec.abbr, PolicyKind::Baseline));
+    let dlp = ["KM", "BFS"].map(|app| (app, PolicyKind::Dlp));
+    for (app, policy) in baseline.chain(dlp) {
+        let cfg = SimConfig::tesla_m2090(policy);
+        let native = run(build(app, Scale::Tiny), cfg);
+        let adapted = run(Box::new(Materialized(build(app, Scale::Tiny))), cfg);
         assert_eq!(
             arch(&native),
             arch(&adapted),
-            "{}: adapter run diverges from native stream",
-            spec.abbr
+            "{app} ({policy:?}): adapter run diverges from native stream"
         );
         // The adapter holds whole traces resident; the native stream
         // must never hold more than the adapter's high-water mark.
         assert!(
             native.peak_warp_trace_bytes <= adapted.peak_warp_trace_bytes,
-            "{}: native stream ({} B) resident above the materialized bound ({} B)",
-            spec.abbr,
+            "{app} ({policy:?}): native stream ({} B) resident above the materialized bound ({} B)",
             native.peak_warp_trace_bytes,
             adapted.peak_warp_trace_bytes
         );
-    }
-}
-
-#[test]
-fn equivalence_holds_under_sharding() {
-    for app in ["KM", "BFS"] {
-        for shards in [1usize, 2] {
-            let cfg = SimConfig::tesla_m2090(PolicyKind::Dlp).with_shards(shards);
-            let native = run(build(app, Scale::Tiny), cfg);
-            let adapted = run(Box::new(Materialized(build(app, Scale::Tiny))), cfg);
-            assert_eq!(
-                arch(&native),
-                arch(&adapted),
-                "{app}: adapter diverges at {shards} shard(s)"
-            );
-        }
     }
 }
 

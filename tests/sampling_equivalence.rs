@@ -5,7 +5,7 @@
 //! is deterministic, and the per-window ratio estimators it feeds
 //! produce 95% confidence intervals that actually cover the exact-run
 //! metric. These tests pin all three across the same app × policy
-//! matrix the leap- and shard-equivalence suites use.
+//! matrix the leap-equivalence suite uses.
 //!
 //! Everything here is deterministic: the windows are placed by a fixed
 //! `seed`, so a cell either passes forever or fails forever — there is
