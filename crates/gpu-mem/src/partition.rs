@@ -278,9 +278,25 @@ impl MemoryPartition {
     /// cycle 0 — it must catch up from there, or its fractional DRAM
     /// clock would start out of phase with a fully ticked run.
     pub fn advance_quiet(&mut self, now: u64) {
-        let prev = self.last_now;
-        let skipped = now.saturating_sub(prev).saturating_sub(1);
+        let skipped = now.saturating_sub(self.last_now).saturating_sub(1);
+        self.replay_quiet(skipped, now);
         self.last_now = now;
+    }
+
+    /// Account every cycle after the last [`Self::cycle`] call through
+    /// `now` *inclusive*, for a caller that stops at `now` without
+    /// cycling this partition in it (a sampled window that ends inside a
+    /// leap). [`Self::advance_quiet`] leaves `now` to the `cycle` call
+    /// that normally follows it; here none follows, so that cycle's DRAM
+    /// tick is replayed too. The next `cycle` then resumes at `now + 1`.
+    pub fn settle(&mut self, now: u64) {
+        let skipped = now.saturating_sub(self.last_now);
+        self.replay_quiet(skipped, now + 1);
+        self.last_now = now;
+    }
+
+    /// Replay `skipped` quiet cycles ending just before cycle `next`.
+    fn replay_quiet(&mut self, skipped: u64, next: u64) {
         if skipped > 0 {
             // Input packets may have just arrived (that is what woke us
             // up), and with the cycle-leap event core the partition may
@@ -295,7 +311,7 @@ impl MemoryPartition {
                 "cycles were skipped while replies waited at the output port"
             );
             debug_assert!(
-                self.pending.peek().is_none_or(|Reverse(h)| h.ready >= now),
+                self.pending.peek().is_none_or(|Reverse(h)| h.ready >= next),
                 "cycles were skipped across a reply ripening"
             );
             let total = self.dram_acc + skipped * self.cfg.dram_clock_khz;

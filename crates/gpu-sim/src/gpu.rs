@@ -864,9 +864,17 @@ impl Gpu {
         // current right after a step that cycled it — so before the next
         // window probes for a leap bound, replay the leapt tail into
         // each partition's clock (sound: the bound that licensed the
-        // leap guarantees the tail was quiet).
-        for p in &mut self.parts {
-            p.advance_quiet(self.now);
+        // leap guarantees the tail was quiet). A busy partition is
+        // settled through `now` inclusive: reference ticking cycled it
+        // in the window's last cycle, DRAM tick included. An idle one
+        // was not cycled there in either mode, so it keeps the call
+        // that leaves `now` to its next `cycle`.
+        for (p, part) in self.parts.iter_mut().enumerate() {
+            if self.active_parts & mask::bit(p) != 0 {
+                part.settle(self.now);
+            } else {
+                part.advance_quiet(self.now);
+            }
         }
         report.detailed_cycles += self.now - start;
         Ok(())

@@ -17,7 +17,10 @@
 use dlp_core::PolicyKind;
 use gpu_mem::{FaultConfig, FaultKind, FaultSite};
 use gpu_sim::isa::TraceOp;
-use gpu_sim::{Gpu, GridDesc, Kernel, OpStream, RunStats, SimConfig, SimError, VecStream};
+use gpu_sim::{
+    Gpu, GridDesc, Kernel, OpStream, RunStats, SamplingConfig, SamplingReport, SimConfig,
+    SimError, VecStream,
+};
 use gpu_workloads::{build, Scale};
 
 /// FNV-1a fingerprint of a canonical stats rendering (same scheme as
@@ -132,6 +135,41 @@ fn leap_and_reference_statistics_are_byte_identical() {
         "cycle-leap drifted from the tick-every-cycle reference:\n{mismatches}\
          full leap-side digest table:\n{table}"
     );
+}
+
+#[test]
+fn sampled_leap_and_reference_statistics_are_byte_identical() {
+    // Interval sampling ends every detailed window at a fixed cycle. A
+    // window that ends inside a leap stops without stepping its last
+    // cycle, so the partitions' DRAM clocks must be settled through that
+    // cycle by hand; a lost tick shifts later DRAM timing and moves the
+    // statistics of the following windows.
+    let sc = SamplingConfig { detail: 512, skip: 768, warmup: 512, seed: 1 };
+    let run = |app: &str, kind: PolicyKind, reference: bool| -> (RunStats, SamplingReport) {
+        let mut cfg = SimConfig::tesla_m2090(kind).scaled_down(4).with_sampling(sc);
+        if reference {
+            cfg = cfg.with_reference_ticking();
+        }
+        let mut gpu = Gpu::new(cfg, build(app, Scale::Tiny));
+        let stats = gpu.run().unwrap();
+        assert!(stats.completed, "{app}/{kind:?} did not complete");
+        (stats, gpu.sampling_report().cloned().unwrap())
+    };
+    let mut mismatches = String::new();
+    for app in ["KM", "BFS", "STR", "SC", "MM", "GEMM"] {
+        for kind in [PolicyKind::Baseline, PolicyKind::Dlp] {
+            let (leap, leap_report) = run(app, kind, false);
+            let (refr, ref_report) = run(app, kind, true);
+            if leap != refr || leap_report != ref_report {
+                mismatches.push_str(&format!(
+                    "  {app}/{kind:?}: leap {:#018x} != reference {:#018x}\n",
+                    fnv1a(format!("{leap:?}{leap_report:?}").as_bytes()),
+                    fnv1a(format!("{refr:?}{ref_report:?}").as_bytes()),
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "sampled leap drifted from reference ticking:\n{mismatches}");
 }
 
 #[test]
