@@ -54,6 +54,16 @@ fn advance_cursor(cursor: &mut usize, slots: u128, now: u64) -> Result<(), SimEr
     Ok(())
 }
 
+/// How many component cycles a run actually executed
+/// ([`Gpu::component_cycles`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ComponentCycles {
+    /// Calls to [`Sm::cycle`], summed over SMs.
+    pub sms: u64,
+    /// Calls to [`MemoryPartition::cycle`], summed over partitions.
+    pub partitions: u64,
+}
+
 /// A configured GPU with a kernel to run.
 pub struct Gpu {
     // Declared first so they are dropped first: `Gpu::new` allocates
@@ -110,6 +120,10 @@ pub struct Gpu {
     /// on or off, and this counter is the one number that legitimately
     /// differs.
     ticked_cycles: u64,
+    /// Calls to [`Sm::cycle`] and [`MemoryPartition::cycle`] so far: the
+    /// work the event core actually did, per component kind. Like
+    /// `ticked_cycles`, kept out of [`RunStats`].
+    component_cycles: ComponentCycles,
     /// What the SMARTS sampling controller measured, when
     /// [`SimConfig::sampling`] was set for the last `run`.
     sampling_report: Option<SamplingReport>,
@@ -164,6 +178,7 @@ impl Gpu {
             active_parts: 0,
             total_warp_insns: 0,
             ticked_cycles: 0,
+            component_cycles: ComponentCycles::default(),
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
             sampling_report: None,
@@ -175,6 +190,13 @@ impl Gpu {
     /// harness reports `ticked_cycles / cycles` as leap efficiency.
     pub fn ticked_cycles(&self) -> u64 {
         self.ticked_cycles
+    }
+
+    /// SM and partition cycles actually run, summed over components.
+    /// Reference ticking runs every busy component every cycle; the
+    /// event core's sleeping components show up as a smaller count.
+    pub fn component_cycles(&self) -> ComponentCycles {
+        self.component_cycles
     }
 
     #[inline]
@@ -297,6 +319,7 @@ impl Gpu {
                 sm.leap_catchup(behind);
             }
             self.total_warp_insns += sm.cycle(now)?;
+            self.component_cycles.sms += 1;
             self.sm_last_cycled[s] = now;
             // CTA completions free slots; successors launch next cycle.
             sm.take_finished_ctas();
@@ -368,6 +391,7 @@ impl Gpu {
                 source,
                 cycle: now,
             })?;
+            self.component_cycles.partitions += 1;
             // Partition replies -> crossbar (return direction).
             while let Some(pkt) = part.pop_reply() {
                 let dst = pkt.req.sm as usize;

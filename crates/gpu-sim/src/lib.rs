@@ -70,7 +70,7 @@ pub mod warp;
 
 pub use config::SimConfig;
 pub use error::{HangReport, SimError};
-pub use gpu::Gpu;
+pub use gpu::{ComponentCycles, Gpu};
 pub use kernel::{GridDesc, Kernel};
 pub use sampling::{SamplingConfig, SamplingParseError, SamplingReport, WindowSample};
 pub use stats::RunStats;
