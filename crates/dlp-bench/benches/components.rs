@@ -195,7 +195,7 @@ fn bench_leap_catchup(c: &mut Criterion) {
     // executes instead of ticking a stalled L1D through dead cycles.
     c.bench_function("l1d_leap_catchup_64", |b| {
         let mut l1d = stalled_l1d();
-        b.iter(|| l1d.leap_catchup(black_box(64), false));
+        b.iter(|| l1d.leap_catchup(black_box(64), false, false));
     });
 }
 

@@ -58,6 +58,11 @@ impl Port {
     fn new() -> Self {
         Port { busy_until: 0, queue: VecDeque::new() }
     }
+
+    /// Ready cycle of the queue head, `u64::MAX` when empty.
+    fn head_ready(&self) -> u64 {
+        self.queue.front().map_or(u64::MAX, |&(ready, _)| ready)
+    }
 }
 
 /// The crossbar.
@@ -79,6 +84,13 @@ pub struct Interconnect {
     /// every push and removal below.
     fwd_nonempty: u64,
     ret_nonempty: u64,
+    /// Ready cycle of each port's queue head, `u64::MAX` for an empty
+    /// queue, one flat array per direction. Ejection and the event
+    /// core's bound read these instead of the queues ([`Self::fwd_due`],
+    /// [`Self::next_fwd_ready`]); kept exact wherever a queue's head
+    /// changes.
+    fwd_head: Vec<u64>,
+    ret_head: Vec<u64>,
     stats: IcntStats,
 }
 
@@ -100,6 +112,8 @@ impl Interconnect {
             in_flight_count: 0,
             fwd_nonempty: 0,
             ret_nonempty: 0,
+            fwd_head: vec![u64::MAX; cfg.num_partitions],
+            ret_head: vec![u64::MAX; cfg.num_sms],
             stats: IcntStats::default(),
             cfg,
         }
@@ -163,15 +177,16 @@ impl Interconnect {
         }
         let mut flits = 0;
         for _ in 0..copies {
-            let (port, nonempty) = if forward {
-                (&mut self.fwd[dst], &mut self.fwd_nonempty)
+            let (port, nonempty, head) = if forward {
+                (&mut self.fwd[dst], &mut self.fwd_nonempty, &mut self.fwd_head)
             } else {
-                (&mut self.ret[dst], &mut self.ret_nonempty)
+                (&mut self.ret[dst], &mut self.ret_nonempty, &mut self.ret_head)
             };
             if let Some(f) = Self::try_send(port, &self.cfg, pkt, now, extra) {
                 flits += f;
                 self.in_flight_count += 1;
                 *nonempty |= mask::bit(dst);
+                head[dst] = Port::head_ready(port);
             }
         }
         flits
@@ -203,6 +218,7 @@ impl Interconnect {
     /// sampled fast-forward, where in-flight packets arrive instantly.
     pub fn drain_fwd(&mut self, dst: usize) -> impl Iterator<Item = Packet> + '_ {
         self.fwd_nonempty &= !mask::bit(dst);
+        self.fwd_head[dst] = u64::MAX;
         Self::drain(&mut self.fwd[dst], &mut self.in_flight_count)
     }
 
@@ -210,6 +226,7 @@ impl Interconnect {
     /// [`Interconnect::drain_fwd`]).
     pub fn drain_ret(&mut self, dst: usize) -> impl Iterator<Item = Packet> + '_ {
         self.ret_nonempty &= !mask::bit(dst);
+        self.ret_head[dst] = u64::MAX;
         Self::drain(&mut self.ret[dst], &mut self.in_flight_count)
     }
 
@@ -219,23 +236,29 @@ impl Interconnect {
         port.queue.drain(..).map(|(_, pkt)| pkt)
     }
 
-    fn pop(port: &mut Port, nonempty: &mut u64, dst: usize, now: u64) -> Option<Packet> {
-        match port.queue.front() {
-            Some(&(ready, _)) if ready <= now => {
-                let pkt = port.queue.pop_front().map(|(_, p)| p);
-                if port.queue.is_empty() {
-                    *nonempty &= !mask::bit(dst);
-                }
-                pkt
-            }
-            _ => None,
+    fn pop(
+        port: &mut Port,
+        nonempty: &mut u64,
+        head: &mut u64,
+        dst: usize,
+        now: u64,
+    ) -> Option<Packet> {
+        if *head > now {
+            return None;
         }
+        let pkt = port.queue.pop_front().map(|(_, p)| p);
+        *head = port.head_ready();
+        if port.queue.is_empty() {
+            *nonempty &= !mask::bit(dst);
+        }
+        pkt
     }
 
     /// Eject the next delivered packet at partition `dst`, if one has
     /// arrived by `now`.
     pub fn pop_fwd(&mut self, dst: usize, now: u64) -> Option<Packet> {
-        let pkt = Self::pop(&mut self.fwd[dst], &mut self.fwd_nonempty, dst, now);
+        let head = &mut self.fwd_head[dst];
+        let pkt = Self::pop(&mut self.fwd[dst], &mut self.fwd_nonempty, head, dst, now);
         if pkt.is_some() {
             self.in_flight_count -= 1;
         }
@@ -244,11 +267,19 @@ impl Interconnect {
 
     /// Eject the next delivered packet at SM `dst`.
     pub fn pop_ret(&mut self, dst: usize, now: u64) -> Option<Packet> {
-        let pkt = Self::pop(&mut self.ret[dst], &mut self.ret_nonempty, dst, now);
+        let head = &mut self.ret_head[dst];
+        let pkt = Self::pop(&mut self.ret[dst], &mut self.ret_nonempty, head, dst, now);
         if pkt.is_some() {
             self.in_flight_count -= 1;
         }
         pkt
+    }
+
+    /// Count `skipped` refused sends that were never attempted: an SM
+    /// parked on a full forward port would have re-offered its head, and
+    /// been refused, once in each cycle it slept through.
+    pub fn replay_rejects(&mut self, skipped: u64) {
+        self.stats.rejects += skipped;
     }
 
     /// Packets still somewhere in the network (either direction). O(1).
@@ -258,7 +289,7 @@ impl Interconnect {
             self.fwd.iter().chain(self.ret.iter()).map(|p| p.queue.len()).sum::<usize>(),
             "incremental in-flight census out of sync"
         );
-        debug_assert!(self.masks_match_queues(), "non-empty port masks out of sync");
+        debug_assert!(self.masks_match_queues(), "port masks or head-ready stamps out of sync");
         self.in_flight_count
     }
 
@@ -273,8 +304,23 @@ impl Interconnect {
         self.ret_nonempty
     }
 
+    /// Partition ports whose forward head has arrived by `now`: the
+    /// ports the ejection phase must visit.
+    pub fn fwd_due(&self, now: u64) -> u64 {
+        Self::due(self.fwd_nonempty, &self.fwd_head, now)
+    }
+
+    /// SM ports whose return head has arrived by `now`.
+    pub fn ret_due(&self, now: u64) -> u64 {
+        Self::due(self.ret_nonempty, &self.ret_head, now)
+    }
+
+    fn due(nonempty: u64, head: &[u64], now: u64) -> u64 {
+        mask::ones(nonempty).filter(|&p| head[p] <= now).fold(0, |m, p| m | mask::bit(p))
+    }
+
     /// Does each direction's non-empty mask name exactly the ports with
-    /// a queued packet?
+    /// a queued packet, and each head-ready entry its queue's head?
     fn masks_match_queues(&self) -> bool {
         let of = |ports: &[Port]| {
             ports
@@ -283,7 +329,13 @@ impl Interconnect {
                 .filter(|(_, p)| !p.queue.is_empty())
                 .fold(0u64, |m, (i, _)| m | mask::bit(i))
         };
-        of(&self.fwd) == self.fwd_nonempty && of(&self.ret) == self.ret_nonempty
+        let heads = |ports: &[Port], head: &[u64]| {
+            ports.iter().zip(head).all(|(p, &h)| p.head_ready() == h)
+        };
+        of(&self.fwd) == self.fwd_nonempty
+            && of(&self.ret) == self.ret_nonempty
+            && heads(&self.fwd, &self.fwd_head)
+            && heads(&self.ret, &self.ret_head)
     }
 
     /// Ready cycle of the oldest undelivered forward packet for
@@ -293,13 +345,15 @@ impl Interconnect {
     /// when an injected delay gives the head a later ready cycle than
     /// its followers. Used by the cycle-leap event core.
     pub fn next_fwd_ready(&self, dst: usize) -> Option<u64> {
-        self.fwd[dst].queue.front().map(|&(ready, _)| ready)
+        let ready = self.fwd_head[dst];
+        (ready != u64::MAX).then_some(ready)
     }
 
     /// Ready cycle of the oldest undelivered return packet for SM
     /// `dst`, if any (see [`Interconnect::next_fwd_ready`]).
     pub fn next_ret_ready(&self, dst: usize) -> Option<u64> {
-        self.ret[dst].queue.front().map(|&(ready, _)| ready)
+        let ready = self.ret_head[dst];
+        (ready != u64::MAX).then_some(ready)
     }
 
     /// Per-partition forward-queue depths (hang diagnostics).
@@ -522,7 +576,7 @@ mod tests {
     /// The non-empty masks must name exactly the ports with a queued
     /// packet; returns `(fwd, ret)` for the caller's expectations.
     fn checked_masks(icnt: &Interconnect) -> (u64, u64) {
-        assert!(icnt.masks_match_queues(), "non-empty masks out of sync with the queues");
+        assert!(icnt.masks_match_queues(), "masks or head stamps out of sync with the queues");
         (icnt.fwd_nonempty(), icnt.ret_nonempty())
     }
 
@@ -629,6 +683,43 @@ mod tests {
         assert_eq!(checked_masks(&icnt), (0, 0b01), "the bit follows the packet, not the request");
         assert!(icnt.pop_ret(0, 100).is_some());
         assert_eq!(checked_masks(&icnt), (0, 0));
+    }
+
+    #[test]
+    fn due_masks_follow_the_queue_heads() {
+        let mut icnt = small();
+        let cfg = FaultConfig {
+            delay_cycles: 100,
+            ..FaultConfig::single(FaultKind::Delay, FaultSite::IcntForward, 1)
+        };
+        icnt.set_fault_injector(FaultInjector::new(cfg));
+        // The delayed head (ready at 105) gates its port even though the
+        // packet behind it (ready at 6) arrived long before.
+        assert!(icnt.try_send_fwd(1, pkt(PacketKind::ReadReq, 0), 0));
+        assert!(icnt.try_send_fwd(1, pkt(PacketKind::ReadReq, 128), 0));
+        assert!(icnt.try_send_ret(0, pkt(PacketKind::ReadReply, 0), 0)); // ready at 9
+        checked_masks(&icnt);
+        assert_eq!((icnt.next_fwd_ready(1), icnt.next_ret_ready(0)), (Some(105), Some(9)));
+        assert_eq!((icnt.fwd_due(104), icnt.ret_due(8)), (0, 0));
+        assert_eq!((icnt.fwd_due(105), icnt.ret_due(9)), (0b10, 0b01));
+        assert!(icnt.pop_fwd(1, 104).is_none());
+        assert!(icnt.pop_fwd(1, 105).is_some());
+        // The follower is now the head, and long due.
+        assert_eq!(icnt.next_fwd_ready(1), Some(6));
+        assert_eq!(icnt.fwd_due(105), 0b10);
+        assert!(icnt.pop_fwd(1, 105).is_some());
+        assert_eq!((icnt.next_fwd_ready(1), icnt.fwd_due(u64::MAX - 1)), (None, 0));
+        checked_masks(&icnt);
+    }
+
+    #[test]
+    fn replayed_rejects_add_to_the_refusal_count() {
+        let mut icnt = small();
+        icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0);
+        icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 128), 0);
+        assert!(!icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 256), 0));
+        icnt.replay_rejects(4);
+        assert_eq!(icnt.stats().rejects, 5);
     }
 
     #[test]

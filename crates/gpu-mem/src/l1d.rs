@@ -390,10 +390,17 @@ impl L1dCache {
     /// counters: each skipped cycle would have replayed the parked
     /// access's stall memo and — when the LD/ST queue had a transaction
     /// waiting behind it (`submits_pending`) — refused one submit.
-    pub fn leap_catchup(&mut self, skipped: u64, submits_pending: bool) {
+    ///
+    /// Packets may wait in the outgoing queue only if the interconnect
+    /// refused its head for the whole span (`head_refused`: the SM is
+    /// parked on a full port). The head then never left, so the stall
+    /// memo, which only [`Self::pop_outgoing`] could have dropped, held
+    /// throughout. The refused sends themselves are the interconnect's
+    /// to count.
+    pub fn leap_catchup(&mut self, skipped: u64, submits_pending: bool, head_refused: bool) {
         debug_assert!(
-            self.outgoing.is_empty(),
-            "leapt while packets waited for the interconnect"
+            self.outgoing.is_empty() || head_refused,
+            "leapt while packets waited for a port with room"
         );
         let Some(memo) = self.stall_memo else {
             debug_assert!(self.pipeline_reg.is_none(), "leapt across a retry that had to run");
@@ -1243,7 +1250,7 @@ mod tests {
         for cyc in 11..11 + 37 {
             ticked.cycle(cyc).unwrap();
         }
-        leaped.leap_catchup(37, false);
+        leaped.leap_catchup(37, false, false);
         assert_eq!(leaped.stats().stall_cycles, ticked.stats().stall_cycles);
         assert_eq!(leaped.stats().stall_all_reserved, ticked.stats().stall_all_reserved);
         assert_eq!(leaped.stats().rejected_submits, ticked.stats().rejected_submits);
@@ -1254,9 +1261,30 @@ mod tests {
             assert!(!ticked.submit(load(200, 0x4_0000, 4), cyc).unwrap());
             ticked.cycle(cyc).unwrap();
         }
-        leaped.leap_catchup(21, true);
+        leaped.leap_catchup(21, true, false);
         assert_eq!(leaped.stats().rejected_submits, ticked.stats().rejected_submits);
         assert_eq!(leaped.stats().stall_cycles, ticked.stats().stall_cycles);
+        // An access parked behind a full miss queue whose head the
+        // interconnect keeps refusing: nothing pops, so the memo holds.
+        let mk = || {
+            let mut c = L1dCache::new(
+                L1dConfig { miss_queue: 2, ..L1dConfig::fermi_baseline() },
+                build_policy(PolicyKind::Baseline, CacheGeometry::fermi_l1d_16k()),
+            );
+            for (i, a) in [0, 128 * 1000, 128 * 2000].into_iter().enumerate() {
+                assert!(c.submit(load(i as u64, a, 4), i as u64).unwrap());
+            }
+            assert!(c.input_blocked() && !c.retry_must_run());
+            c
+        };
+        let (mut ticked, mut leaped) = (mk(), mk());
+        for cyc in 3..3 + 15 {
+            assert!(!ticked.submit(load(200, 0x4_0000, 4), cyc).unwrap());
+            ticked.cycle(cyc).unwrap();
+        }
+        leaped.leap_catchup(15, true, true);
+        assert_eq!(leaped.stats(), ticked.stats());
+        assert_eq!(leaped.stats().stall_miss_queue, 1 + 15);
     }
 
     #[test]

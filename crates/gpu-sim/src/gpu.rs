@@ -72,21 +72,31 @@ pub struct Gpu {
     // instead of merging them into the top chunk. Dropped last, they
     // let glibc trim and re-fault ~400 KB per machine in construct/drop
     // loops (measured: 2x set-up time on the sampled benchmark).
-    /// Per-SM sleep: `sm_next_ev[s]` is a conservative bound below which
-    /// SM `s` has no internal event (same bound [`Sm::next_event`] feeds
-    /// the global leap), so its `cycle` call is skipped even on cycles
-    /// the machine as a whole must tick — a memory storm keeps the
-    /// partitions busy every cycle, but the 15 SMs parked on full MSHRs
-    /// would each re-probe their stalled access per tick for nothing.
-    /// 0 means "must cycle" (external input arrived), `u64::MAX` means
-    /// "wake only on an interconnect reply".
+    /// The wake calendar (DESIGN.md §10). `sm_next_ev[s]` is a
+    /// conservative bound below which SM `s` has no event of its own
+    /// ([`Sm::next_event`], or [`Sm::parked_event`] while a full port
+    /// refuses its outgoing head), so its `cycle` call is skipped even on
+    /// cycles the machine as a whole must tick. 0 means "must cycle"
+    /// (external input arrived), `u64::MAX` "wake only on an external
+    /// event": a reply, a CTA launch, or its port draining.
     sm_next_ev: Vec<u64>,
-    /// The last cycle SM `s` actually ran `cycle`, i.e. has aged its
-    /// stall counters through. A waking SM first replays the gap with
-    /// [`Sm::leap_catchup`]; [`Gpu::settle_sms`] does the same before
-    /// any state is reported (stats, hang reports). This single
-    /// deferred-aging account also covers whole-machine leaps.
+    /// The last cycle through which SM `s` has aged its stall counters
+    /// (and, while parked, its refused sends). A waking SM first replays
+    /// the gap with [`Gpu::catch_up_sm`]; [`Gpu::settle_sms`] does the
+    /// same before any state is reported (stats, hang reports). This
+    /// single deferred-aging account also covers whole-machine leaps.
     sm_last_cycled: Vec<u64>,
+    /// SMs parked on a full forward port: the port refused the outgoing
+    /// head when the SM last ran, so every cycle it sleeps through would
+    /// have been one more refused send.
+    sm_parked: u64,
+    /// Per forward port, the SMs parked on it. The port's next ejection
+    /// wakes them all (an SM that moved on meanwhile just cycles once).
+    fwd_waiters: Vec<u64>,
+    /// `part_next_ev[p]`: the busy partition's [`MemoryPartition::next_event`],
+    /// cached right after it cycled; the partition is not cycled before
+    /// it unless a forward packet lands first. 0 means "must cycle".
+    part_next_ev: Vec<u64>,
     cfg: SimConfig,
     sms: Vec<Sm>,
     icnt: Interconnect,
@@ -181,6 +191,9 @@ impl Gpu {
             component_cycles: ComponentCycles::default(),
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
+            sm_parked: 0,
+            fwd_waiters: vec![0; cfg.icnt.num_partitions],
+            part_next_ev: vec![0; cfg.icnt.num_partitions],
             sampling_report: None,
             cfg,
         }
@@ -208,8 +221,9 @@ impl Gpu {
     }
 
     /// Re-derive the busy set from the SMs themselves and clear every
-    /// sleep bound — after a functional drain or fast-forward, which
-    /// bypass the per-cycle promotion/demotion points.
+    /// sleep bound and parking — after a functional drain or
+    /// fast-forward, which bypass the per-cycle promotion/demotion
+    /// points.
     fn rederive_active_sms(&mut self) {
         self.active_sms = 0;
         for (s, sm) in self.sms.iter().enumerate() {
@@ -218,14 +232,32 @@ impl Gpu {
             }
         }
         self.sm_next_ev.fill(0);
+        self.sm_parked = 0;
+        self.fwd_waiters.fill(0);
     }
 
-    /// Per-SM sleeping is only sound on the leap path, and the audited /
-    /// periodically-audited builds deliberately tick every busy SM so
-    /// the tick-through no-op verification exercises real cycles.
+    /// Sleeping (the wake calendar) is only sound on the leap path, and
+    /// the audited / periodically-audited builds deliberately tick every
+    /// busy component so the tick-through no-op verification exercises
+    /// real cycles.
     #[inline]
-    fn sm_sleep_enabled(&self) -> bool {
+    fn sleep_enabled(&self) -> bool {
         self.cfg.leap && self.cfg.audit_interval == 0 && !cfg!(feature = "audit")
+    }
+
+    /// Age SM `s` through cycle `through`, inclusive: replay the cycles
+    /// it slept through since it last ran — stall memo and rejected
+    /// submits in the L1D, and one refused send per cycle while parked.
+    fn catch_up_sm(&mut self, s: usize, through: u64) {
+        let behind = through - self.sm_last_cycled[s];
+        if behind > 0 {
+            let parked = self.sm_parked & mask::bit(s) != 0;
+            self.sms[s].leap_catchup(behind, parked);
+            if parked {
+                self.icnt.replay_rejects(behind);
+            }
+            self.sm_last_cycled[s] = through;
+        }
     }
 
     /// Bring every busy SM's deferred aging up to date (through the
@@ -233,13 +265,8 @@ impl Gpu {
     /// statistics, hang reports, post-run introspection — is identical
     /// to what the tick-every-cycle reference produces.
     fn settle_sms(&mut self) {
-        let now = self.now;
         for s in mask::ones(self.active_sms) {
-            let behind = now - self.sm_last_cycled[s];
-            if behind > 0 {
-                self.sms[s].leap_catchup(behind);
-                self.sm_last_cycled[s] = now;
-            }
+            self.catch_up_sm(s, self.now);
         }
     }
 
@@ -302,39 +329,35 @@ impl Gpu {
         // SM first replays the gap arithmetically. `leap_catchup` is
         // state-identical to the skipped retries because nothing mutates
         // the SM inside the gap — every external input (reply, CTA
-        // launch) resets `sm_next_ev` to 0 and ends the sleep.
-        let sleep = self.sm_sleep_enabled();
-        // The SMs that ran this cycle, latched here because the phase
-        // refreshes `sm_next_ev` to a future cycle and the forward drain
-        // must see the decision, not the refreshed bound.
+        // launch, room on the port it is parked on) resets `sm_next_ev`
+        // to 0 and ends the sleep.
+        let sleep = self.sleep_enabled();
+        // The SMs that ran this cycle: only they can have new traffic,
+        // and a parked SM's refused head waits for its port to drain.
         let mut cycled = 0u64;
         for s in mask::ones(self.active_sms) {
-            if sleep && self.sm_next_ev[s] > now {
+            if self.sm_next_ev[s] > now {
                 continue;
             }
             cycled |= mask::bit(s);
+            self.catch_up_sm(s, now - 1);
             let sm = &mut self.sms[s];
-            let behind = now - 1 - self.sm_last_cycled[s];
-            if behind > 0 {
-                sm.leap_catchup(behind);
-            }
             self.total_warp_insns += sm.cycle(now)?;
             self.component_cycles.sms += 1;
             self.sm_last_cycled[s] = now;
             // CTA completions free slots; successors launch next cycle.
             sm.take_finished_ctas();
-            if sleep {
-                self.sm_next_ev[s] = sm.next_event(now).unwrap_or(u64::MAX);
-            }
         }
+        self.sm_parked &= !cycled;
 
         // L1D miss queues -> crossbar (forward direction). Idle SMs have
-        // empty miss queues by definition, and a sleeping SM's outgoing
-        // queue is empty too (a non-empty queue forbids sleep) — nor can
-        // it become idle while its state is frozen, so only the SMs that
-        // cycled are drained.
+        // empty miss queues by definition. A cycled SM's next wake-up is
+        // set here, once its traffic has left: its own next event, or —
+        // when a full port refused its head — its own next event without
+        // the outgoing queue, registered on that port.
         for s in mask::ones(cycled) {
             let sm = &mut self.sms[s];
+            let mut refused = None;
             while let Some(pkt) = sm.l1d.peek_outgoing() {
                 let dst = self.icnt.partition_of(pkt.addr);
                 let expects_reply = pkt.kind.expects_reply();
@@ -344,6 +367,7 @@ impl Gpu {
                         self.counters.fetches_sent += 1;
                     }
                 } else {
+                    refused = Some(dst);
                     break;
                 }
             }
@@ -351,17 +375,34 @@ impl Gpu {
             // nothing left anywhere (warps, queues, cache machinery).
             if sm.idle() {
                 self.active_sms &= !mask::bit(s);
+            } else if sleep {
+                let wake = match refused {
+                    Some(dst) => {
+                        self.sm_parked |= mask::bit(s);
+                        self.fwd_waiters[dst] |= mask::bit(s);
+                        sm.parked_event(now)
+                    }
+                    None => sm.next_event(now),
+                };
+                self.sm_next_ev[s] = wake.unwrap_or(u64::MAX);
             }
         }
 
-        // Crossbar -> partitions, then partition internals. Ejection is
-        // polled wherever a forward queue holds a packet (packets arrive
-        // regardless of the partition's own state); the partition
-        // machinery itself is only cycled while busy, with its DRAM
-        // clock caught up on wake. No forward send happens in this
-        // phase, so the visit set is fixed at its start.
-        for p in mask::ones(self.active_parts | self.icnt.fwd_nonempty()) {
+        // Crossbar -> partitions, then partition internals. Only due
+        // work is visited: ports whose head has arrived (packets land
+        // regardless of the partition's own state) and busy partitions
+        // whose cached next event has come. A sleeping partition's DRAM
+        // clock is caught up by its next `cycle` call. No forward send
+        // happens in this phase, so the visit set is fixed at its start.
+        let mut due = self.icnt.fwd_due(now);
+        for p in mask::ones(self.active_parts) {
+            if self.part_next_ev[p] <= now {
+                due |= mask::bit(p);
+            }
+        }
+        for p in mask::ones(due) {
             let part = &mut self.parts[p];
+            let mut ejected = false;
             while part.can_accept() {
                 match self.icnt.pop_fwd(p, now) {
                     Some(pkt) => {
@@ -378,12 +419,23 @@ impl Gpu {
                         }
                         self.counters.fwd_flits_delivered += pkt.flits();
                         part.enqueue(pkt);
-                        self.active_parts |= mask::bit(p);
+                        ejected = true;
                     }
                     None => break,
                 }
             }
-            if self.active_parts & mask::bit(p) == 0 {
+            if ejected {
+                // The packet wakes the partition, and the room it left
+                // wakes the SMs parked on this port: their refused heads
+                // are re-offered next cycle.
+                self.active_parts |= mask::bit(p);
+                self.part_next_ev[p] = 0;
+                for s in mask::ones(self.fwd_waiters[p] & self.sm_parked) {
+                    self.sm_next_ev[s] = 0;
+                }
+                self.fwd_waiters[p] = 0;
+            }
+            if self.active_parts & mask::bit(p) == 0 || self.part_next_ev[p] > now {
                 continue;
             }
             part.cycle(now).map_err(|source| SimError::PartitionFault {
@@ -402,11 +454,13 @@ impl Gpu {
             }
             if part.idle() {
                 self.active_parts &= !mask::bit(p);
+            } else if sleep {
+                self.part_next_ev[p] = part.next_event(now).unwrap_or(u64::MAX);
             }
         }
 
-        // Crossbar -> L1Ds, wherever a return queue holds a packet.
-        for s in mask::ones(self.icnt.ret_nonempty()) {
+        // Crossbar -> L1Ds, wherever a return head has arrived.
+        for s in mask::ones(self.icnt.ret_due(now)) {
             while let Some(pkt) = self.icnt.pop_ret(s, now) {
                 self.counters.ret_flits_delivered += pkt.flits();
                 self.counters.replies_delivered += 1;
@@ -415,13 +469,9 @@ impl Gpu {
                 // SM must replay its gap with the pre-reply state first.
                 // The gap includes this cycle: the reference SM's own
                 // phase — one more no-op retry — ran before delivery.
-                let sm = &mut self.sms[s];
-                let behind = now - self.sm_last_cycled[s];
-                if behind > 0 {
-                    sm.leap_catchup(behind);
-                    self.sm_last_cycled[s] = now;
-                }
-                sm.l1d
+                self.catch_up_sm(s, now);
+                self.sms[s]
+                    .l1d
                     .on_reply(pkt, now)
                     .map_err(|source| SimError::MshrViolation { sm: s, source, cycle: now })?;
                 // The reply gives the SM work (a response to ripen); an
@@ -472,8 +522,9 @@ impl Gpu {
             }
         }
         let mut t = u64::MAX;
-        if self.sm_sleep_enabled() {
-            // The per-SM sleep cache holds exactly the bound this scan
+        let sleep = self.sleep_enabled();
+        if sleep {
+            // The wake calendar holds exactly the bounds this scan
             // needs — maintained by step(), so no SM is re-probed here.
             for s in mask::ones(self.active_sms) {
                 let ev = self.sm_next_ev[s];
@@ -504,9 +555,8 @@ impl Gpu {
                 t = t.min(ready);
             }
         }
-        for p in mask::ones(self.active_parts | self.icnt.fwd_nonempty()) {
-            let part = &mut self.parts[p];
-            if part.can_accept() {
+        for p in mask::ones(self.icnt.fwd_nonempty()) {
+            if self.parts[p].can_accept() {
                 if let Some(ready) = self.icnt.next_fwd_ready(p) {
                     if ready <= fallthrough {
                         return fallthrough;
@@ -514,12 +564,16 @@ impl Gpu {
                     t = t.min(ready);
                 }
             }
-            if self.active_parts & mask::bit(p) != 0 {
-                match part.next_event(now) {
-                    Some(ev) if ev <= fallthrough => return fallthrough,
-                    Some(ev) => t = t.min(ev),
-                    None => {}
-                }
+        }
+        for p in mask::ones(self.active_parts) {
+            // A sleeping partition's cached bound was computed right
+            // after its last cycle, against its then-current DRAM clock;
+            // without sleep every busy partition cycled this step.
+            let ev = if sleep { Some(self.part_next_ev[p]) } else { self.parts[p].next_event(now) };
+            match ev {
+                Some(ev) if ev <= fallthrough => return fallthrough,
+                Some(ev) => t = t.min(ev),
+                None => {}
             }
         }
         // The watchdog must fire at the identical cycle a ticked run
@@ -543,10 +597,11 @@ impl Gpu {
     /// - a pending-CTA backlog would have burned one fully denied
     ///   round-robin scan per cycle (cursor advances once per SM);
     /// - SMs need nothing here: deferred aging (`sm_last_cycled`)
-    ///   replays the gap via [`Sm::leap_catchup`] when each SM next
+    ///   replays the gap via [`Gpu::catch_up_sm`] when each SM next
     ///   cycles or when [`Gpu::settle_sms`] runs;
     /// - partitions need nothing either: their fractional DRAM clock
-    ///   catches up lazily on the next [`MemoryPartition::cycle`] call.
+    ///   catches up lazily on the next [`MemoryPartition::cycle`] call
+    ///   (or [`MemoryPartition::settle`] at a sampled window's edge).
     ///
     /// Under the `audit` feature the window is instead re-simulated
     /// tick-by-tick, asserting after every step that the activity
@@ -984,6 +1039,7 @@ impl Gpu {
             "partition not idle after drain"
         );
         self.active_parts = 0;
+        self.part_next_ev.fill(0);
         debug_assert_eq!(self.icnt.in_flight(), 0, "crossbar not empty after drain");
         self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
         self.last_progress_cycle = now;

@@ -8,10 +8,14 @@
 //! partitions' refused-head memo replay most retries. The digest pins
 //! every statistic the runs report; it was recorded from the simulator
 //! that re-ran every retry.
+//!
+//! It is also the regime where the event core's wake calendar parks SMs
+//! on full crossbar ports and lets busy partitions sleep to their next
+//! event, so the same trace is replayed with reference ticking too.
 
 use dlp_core::PolicyKind;
 use gpu_sim::isa::TraceOp;
-use gpu_sim::{Gpu, GridDesc, Kernel, OpStream, RunStats, SimConfig, VecStream};
+use gpu_sim::{ComponentCycles, Gpu, GridDesc, Kernel, OpStream, RunStats, SimConfig, VecStream};
 use gpu_workloads::trace::write_binary_trace;
 use gpu_workloads::TraceKernel;
 
@@ -88,20 +92,37 @@ impl Kernel for Congested {
     }
 }
 
+/// Replay the [`Congested`] trace under every scheme, leaping or with
+/// reference ticking; returns each run's statistics and component cycles.
+fn replay_all(tag: &str, reference: bool) -> Vec<(RunStats, ComponentCycles)> {
+    let path =
+        std::env::temp_dir().join(format!("dlp-congested-{tag}-{}.dlpt", std::process::id()));
+    write_binary_trace(&path, &Congested).unwrap();
+    let runs = PolicyKind::ALL
+        .iter()
+        .map(|&kind| {
+            let mut cfg = SimConfig::tesla_m2090(kind);
+            if reference {
+                cfg = cfg.with_reference_ticking();
+            }
+            let mut gpu = Gpu::new(cfg, Box::new(TraceKernel::open(&path).unwrap()));
+            let stats = gpu.run().unwrap();
+            (stats, gpu.component_cycles())
+        })
+        .collect();
+    std::fs::remove_file(&path).ok();
+    runs
+}
+
 #[test]
 fn congested_binary_trace_statistics_are_golden() {
     const GOLDEN: u64 = 0xe63e_763b_fea5_8240;
-    let path = std::env::temp_dir().join(format!("dlp-congested-{}.dlpt", std::process::id()));
-    write_binary_trace(&path, &Congested).unwrap();
     let mut canon = String::new();
     let mut runs: Vec<RunStats> = Vec::new();
-    for kind in PolicyKind::ALL {
-        let kernel = TraceKernel::open(&path).unwrap();
-        let stats = Gpu::new(SimConfig::tesla_m2090(kind), Box::new(kernel)).run().unwrap();
+    for (kind, (stats, _)) in PolicyKind::ALL.iter().zip(replay_all("golden", false)) {
         canon.push_str(&format!("{}: {stats:?}\n", kind.label()));
         runs.push(stats);
     }
-    std::fs::remove_file(&path).ok();
     // The regime the memos target: long miss-queue stalls, behind
     // protected bypasses under the two protection schemes.
     for (kind, s) in PolicyKind::ALL.iter().zip(&runs) {
@@ -113,4 +134,34 @@ fn congested_binary_trace_statistics_are_golden() {
     }
     let digest = fnv1a(canon.as_bytes());
     assert_eq!(digest, GOLDEN, "congested-trace statistics moved ({digest:#018x}):\n{canon}");
+}
+
+/// Is gpu-sim built with the `audit` cargo feature? Its default audit
+/// interval is non-zero, and audited runs tick every busy component.
+fn audit_build() -> bool {
+    SimConfig::tesla_m2090(PolicyKind::Baseline).audit_interval != 0
+}
+
+#[test]
+fn congested_leap_parks_sms_and_sleeps_partitions_without_moving_a_statistic() {
+    // Reference ticking cycles every busy SM and partition every cycle:
+    // SMs re-offer refused heads and partitions wait on DRAM. Parked SMs
+    // replay those refused sends (`icnt.rejects`) and sleeping
+    // partitions their DRAM clocks, so every statistic must match while
+    // both kinds of component run well under half the reference's
+    // cycles. A wake bound that degenerated to "next cycle" would leave
+    // them near 1.
+    let leap = replay_all("leap", false);
+    let refr = replay_all("reference", true);
+    for (kind, ((ls, lc), (rs, rc))) in PolicyKind::ALL.iter().zip(leap.iter().zip(&refr)) {
+        assert_eq!(ls, rs, "{kind:?}: leap drifted from reference ticking");
+        assert!(ls.icnt.rejects > ls.l1d.accesses, "{kind:?}: ports were not congested");
+        if !audit_build() {
+            assert!(2 * lc.sms < rc.sms, "{kind:?}: SMs did not park ({lc:?} vs {rc:?})");
+            assert!(
+                2 * lc.partitions < rc.partitions,
+                "{kind:?}: partitions did not sleep ({lc:?} vs {rc:?})"
+            );
+        }
+    }
 }
