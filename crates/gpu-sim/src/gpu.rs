@@ -92,11 +92,13 @@ pub struct Gpu {
     sm_parked: u64,
     /// Per forward port, the SMs parked on it. The port's next ejection
     /// wakes them all (an SM that moved on meanwhile just cycles once).
-    fwd_waiters: Vec<u64>,
+    /// This and `part_next_ev` are sized to the active-set limit, not
+    /// heap-allocated, for the reason the crossbar's head arrays are.
+    fwd_waiters: [u64; mask::MAX],
     /// `part_next_ev[p]`: the busy partition's [`MemoryPartition::next_event`],
     /// cached right after it cycled; the partition is not cycled before
     /// it unless a forward packet lands first. 0 means "must cycle".
-    part_next_ev: Vec<u64>,
+    part_next_ev: [u64; mask::MAX],
     cfg: SimConfig,
     sms: Vec<Sm>,
     icnt: Interconnect,
@@ -192,8 +194,8 @@ impl Gpu {
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
             sm_parked: 0,
-            fwd_waiters: vec![0; cfg.icnt.num_partitions],
-            part_next_ev: vec![0; cfg.icnt.num_partitions],
+            fwd_waiters: [0; mask::MAX],
+            part_next_ev: [0; mask::MAX],
             sampling_report: None,
             cfg,
         }

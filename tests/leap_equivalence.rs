@@ -18,8 +18,8 @@ use dlp_core::PolicyKind;
 use gpu_mem::{FaultConfig, FaultKind, FaultSite};
 use gpu_sim::isa::TraceOp;
 use gpu_sim::{
-    Gpu, GridDesc, Kernel, OpStream, RunStats, SamplingConfig, SamplingReport, SimConfig,
-    SimError, VecStream,
+    Gpu, GridDesc, Kernel, OpStream, RunStats, SamplingConfig, SamplingReport, SimConfig, SimError,
+    VecStream,
 };
 use gpu_workloads::{build, Scale};
 
