@@ -101,6 +101,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // And for the store's fault campaign. A store directory that cannot
+    // be opened is not fatal: the sweep runs without persistence, and
+    // says so before its first job rather than after its last.
+    if let Err(e) = dlp_bench::persist::store_fault_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    if let Some(e) = dlp_bench::persist::store_poisoned() {
+        eprintln!("store: disabled for this run: {e}");
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = if args.iter().any(|a| a == "--tiny") {
         Scale::Tiny
@@ -127,9 +137,6 @@ fn main() {
         );
     }
 
-    if let Some(e) = dlp_bench::persist::store_poisoned() {
-        eprintln!("store: disabled for this run: {e}");
-    }
     if let Some(c) = dlp_bench::persist::store_counters() {
         dlp_bench::telemetry::record_store(dlp_bench::telemetry::StoreRecord {
             hits: c.hits,

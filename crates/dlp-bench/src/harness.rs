@@ -209,13 +209,12 @@ fn worker_override() -> Option<usize> {
 pub const JOB_DEADLINE_ENV: &str = "DLP_JOB_DEADLINE_MS";
 
 /// The `DLP_JOB_DEADLINE_MS` value, read from the environment on
-/// *every* call — deliberately not memoized. The deadline is per-job
-/// policy, not process identity: the sweep daemon serves many requests
-/// from one process, each carrying its own deadline in the request
-/// frame, and a `OnceLock` here silently pinned every later job to
-/// whatever the first request established (the bug this replaced).
-/// The env read is nowhere near hot — a job simulates for milliseconds
-/// to minutes.
+/// *every* job — deliberately not memoized. The deadline is per-job
+/// policy, not process identity: a caller (a test, an embedding
+/// program) may change it between jobs of one process, and a
+/// `OnceLock` here would pin every later job to whatever the first one
+/// saw. The env read is nowhere near hot — a job simulates for
+/// milliseconds to minutes.
 fn env_deadline() -> Option<Duration> {
     std::env::var(JOB_DEADLINE_ENV)
         .ok()
@@ -333,23 +332,11 @@ pub fn run_cache_len() -> usize {
 /// Simulate one application under one configuration.
 ///
 /// Results are memoized per process and — when `DLP_STORE_DIR` is set
-/// or [`persist::init_store`] was called — persisted through the
-/// crash-safe `dlp-store` layer, so a killed sweep resumes serving
-/// every job it had completed from disk.
+/// — persisted through the crash-safe `dlp-store` layer, so a killed
+/// sweep resumes serving every job it had completed from disk. A job
+/// that simulates is bounded by `DLP_JOB_DEADLINE_MS`, read per job;
+/// unset = unlimited, the exact code path the determinism suite pins.
 pub fn run_app(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
-    run_app_with_deadline(abbr, cfg, env_deadline())
-}
-
-/// [`run_app`] with the job deadline as an explicit argument instead
-/// of the `DLP_JOB_DEADLINE_MS` fallback — the entry point for callers
-/// that carry a deadline per request (the sweep daemon decodes one out
-/// of every job frame). `None` = unlimited, the exact code path the
-/// determinism suite pins.
-pub fn run_app_with_deadline(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-) -> Result<AppRun, RunFailure> {
     note_retired_shards_env();
     if force_fail_target() == Some(abbr) {
         panic!("{abbr}: forced failure ({FORCE_FAIL_ENV} is set)");
@@ -388,7 +375,7 @@ pub fn run_app_with_deadline(
         run_cache().lock().insert(key, run.clone());
         return Ok(run);
     }
-    match run_app_uncached(abbr, cfg, deadline, None) {
+    match run_app_uncached(abbr, cfg, env_deadline(), None) {
         Ok(run) => {
             record(false, false, Some(&run));
             run_cache().lock().insert(key, run.clone());
@@ -506,12 +493,8 @@ fn run_app_uncached(
 
 /// `run_app` behind `catch_unwind`, so a panicking job becomes a
 /// `RunFailure` instead of poisoning the whole sweep.
-fn run_app_caught(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-) -> Result<AppRun, RunFailure> {
-    match catch_unwind(AssertUnwindSafe(|| run_app_with_deadline(abbr, cfg, deadline))) {
+fn run_app_caught(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
+    match catch_unwind(AssertUnwindSafe(|| run_app(abbr, cfg))) {
         Ok(res) => res,
         Err(payload) => {
             let msg = payload
@@ -557,23 +540,11 @@ fn backoff(attempt: u32) -> Duration {
 /// count, so the sweep's failure digest shows the decision.
 ///
 /// This is the hardened single-job entry point (panic-catching,
-/// retrying); `run_many` applies it per job, and the sweep daemon uses
-/// it directly so a panicking job becomes a typed wire error.
-pub fn run_app_with_retry(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
-    run_app_with_retry_deadline(abbr, cfg, env_deadline())
-}
-
-/// [`run_app_with_retry`] with the deadline as an explicit argument
-/// (see [`run_app_with_deadline`]); the sweep daemon passes each
-/// request frame's own deadline here.
-pub fn run_app_with_retry_deadline(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-) -> Result<AppRun, RunFailure> {
+/// retrying); `run_many` applies it per job.
+fn run_app_with_retry(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
     let mut attempt = 1;
     loop {
-        match run_app_caught(abbr, cfg, deadline) {
+        match run_app_caught(abbr, cfg) {
             Ok(run) => return Ok(run),
             Err(mut f) => {
                 f.attempts = attempt;

@@ -28,11 +28,8 @@
 
 use crate::estimate::{Estimate, SamplingSummary};
 use crate::harness::{AppRun, ExperimentConfig};
-use dlp_core::geometry::IndexFunction;
-use dlp_core::{CacheGeometry, PolicyKind, ProtectionConfig};
 use dlp_store::{fnv1a, Store, StoreCounters, StoreFaultConfig, StoreKey};
-use gpu_sim::{RunStats, SamplingConfig};
-use gpu_workloads::Scale;
+use gpu_sim::RunStats;
 use parking_lot::Mutex;
 use rd_tools::{RdProfiler, RddHistogram};
 use std::path::Path;
@@ -79,67 +76,43 @@ enum StoreState {
     Off,
     On(Mutex<Store>),
     /// The store directory was configured but could not be opened (or a
-    /// fault spec failed to parse). Remembered so the daemon can answer
-    /// "store poisoned" instead of limping along without persistence.
+    /// fault spec failed to parse). Remembered so `figures` can say why
+    /// the sweep runs without persistence.
     Poisoned(String),
 }
 
-fn store_cell() -> &'static OnceLock<StoreState> {
-    static STORE: OnceLock<StoreState> = OnceLock::new();
-    &STORE
-}
-
-fn open_store(dir: &Path, fault_spec: Option<&str>) -> StoreState {
-    let fault = match fault_spec {
-        None => None,
-        Some(spec) => match StoreFaultConfig::parse(spec) {
-            Ok(cfg) => Some(cfg),
-            Err(e) => return StoreState::Poisoned(format!("{STORE_FAULT_ENV}: {e}")),
-        },
-    };
-    match Store::open_with_faults(dir, fault) {
-        Ok(s) => StoreState::On(Mutex::new(s)),
-        Err(e) => StoreState::Poisoned(e.to_string()),
+/// Parse the `DLP_STORE_FAULT` environment variable, surfacing a
+/// malformed spec as an error string — the `figures` front door calls
+/// this once at startup so a typo exits before any job runs instead of
+/// silently sweeping without the requested fault campaign.
+pub fn store_fault_env() -> Result<Option<StoreFaultConfig>, String> {
+    match std::env::var(STORE_FAULT_ENV) {
+        Ok(spec) => StoreFaultConfig::parse(&spec)
+            .map(Some)
+            .map_err(|e| format!("{STORE_FAULT_ENV}: {e}")),
+        Err(_) => Ok(None),
     }
 }
 
-/// Explicitly initialize the store (the daemon does this at startup so
-/// an unopenable store is a startup-visible condition, not a silent
-/// fallback). Returns an error if persistence was already initialized
-/// — the store binding is process-wide and permanent.
-pub fn init_store(dir: &Path, fault_spec: Option<&str>) -> Result<(), String> {
-    let mut called = false;
-    let state = store_cell().get_or_init(|| {
-        called = true;
-        open_store(dir, fault_spec)
-    });
-    if !called {
-        return Err("persistence already initialized for this process".to_string());
-    }
-    match state {
-        StoreState::Poisoned(e) => Err(e.clone()),
-        _ => Ok(()),
-    }
-}
-
-/// The lazily-initialized store state: explicit [`init_store`] wins,
-/// otherwise `DLP_STORE_DIR` / `DLP_STORE_FAULT` are read once.
+/// The lazily-initialized store state: `DLP_STORE_DIR` /
+/// `DLP_STORE_FAULT` are read once.
 fn store_state() -> &'static StoreState {
-    store_cell().get_or_init(|| match std::env::var(STORE_DIR_ENV) {
-        Ok(dir) if !dir.is_empty() => {
-            let fault = std::env::var(STORE_FAULT_ENV).ok();
-            open_store(Path::new(&dir), fault.as_deref())
-        }
+    static STORE: OnceLock<StoreState> = OnceLock::new();
+    STORE.get_or_init(|| match std::env::var(STORE_DIR_ENV) {
+        Ok(dir) if !dir.is_empty() => match store_fault_env() {
+            Ok(fault) => match Store::open_with_faults(Path::new(&dir), fault) {
+                Ok(s) => StoreState::On(Mutex::new(s)),
+                Err(e) => StoreState::Poisoned(e.to_string()),
+            },
+            Err(e) => StoreState::Poisoned(e),
+        },
         _ => StoreState::Off,
     })
 }
 
-/// Is a store active for this process?
-pub fn store_active() -> bool {
-    matches!(store_state(), StoreState::On(_))
-}
-
-/// The poison message, if the configured store failed to open.
+/// The poison message, if the configured store failed to open. The
+/// first call opens the store, so a front door that asks before its
+/// sweep reports an unusable store before the first job.
 pub fn store_poisoned() -> Option<String> {
     match store_state() {
         StoreState::Poisoned(e) => Some(e.clone()),
@@ -233,138 +206,6 @@ impl<'a> Cursor<'a> {
     fn done(&self) -> bool {
         self.at == self.bytes.len()
     }
-}
-
-fn encode_geometry(out: &mut Vec<u8>, g: &CacheGeometry) {
-    push_u64(out, g.line_bytes);
-    push_u64(out, g.num_sets as u64);
-    push_u64(out, g.assoc as u64);
-    push_u64(out, match g.index_fn {
-        IndexFunction::Linear => 0,
-        IndexFunction::Hash => 1,
-    });
-}
-
-fn decode_geometry(c: &mut Cursor) -> Option<CacheGeometry> {
-    Some(CacheGeometry {
-        line_bytes: c.u64()?,
-        num_sets: c.usize()?,
-        assoc: c.usize()?,
-        index_fn: match c.u64()? {
-            0 => IndexFunction::Linear,
-            1 => IndexFunction::Hash,
-            _ => return None,
-        },
-    })
-}
-
-fn policy_tag(p: PolicyKind) -> u64 {
-    match p {
-        PolicyKind::Baseline => 0,
-        PolicyKind::StallBypass => 1,
-        PolicyKind::GlobalProtection => 2,
-        PolicyKind::Dlp => 3,
-    }
-}
-
-fn policy_from_tag(t: u64) -> Option<PolicyKind> {
-    Some(match t {
-        0 => PolicyKind::Baseline,
-        1 => PolicyKind::StallBypass,
-        2 => PolicyKind::GlobalProtection,
-        3 => PolicyKind::Dlp,
-        _ => return None,
-    })
-}
-
-/// Encode a full experiment configuration (the `dlp-sweepd` wire form;
-/// the store key uses [`config_digest`] instead).
-pub fn encode_config(cfg: &ExperimentConfig) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 * 8);
-    push_u64(&mut out, policy_tag(cfg.policy));
-    encode_geometry(&mut out, &cfg.geom);
-    match cfg.scale {
-        Scale::Tiny => push_u64(&mut out, 0),
-        Scale::Full => push_u64(&mut out, 1),
-        Scale::Scaled(f) => {
-            push_u64(&mut out, 2);
-            push_u64(&mut out, f as u64);
-        }
-    }
-    push_u64(&mut out, cfg.profile_rd as u64);
-    match &cfg.protection {
-        None => push_u64(&mut out, 0),
-        Some(p) => {
-            push_u64(&mut out, 1);
-            encode_geometry(&mut out, &p.geom);
-            push_u64(&mut out, p.vta_assoc as u64);
-            push_u64(&mut out, p.sample_period as u64);
-            push_u64(&mut out, p.max_pd as u64);
-            push_u64(&mut out, p.step_comparison as u64);
-            push_u64(&mut out, p.decrease_step as u64);
-        }
-    }
-    match cfg.warp_limit {
-        None => push_u64(&mut out, 0),
-        Some(w) => {
-            push_u64(&mut out, 1);
-            push_u64(&mut out, w as u64);
-        }
-    }
-    match cfg.sampling {
-        None => push_u64(&mut out, 0),
-        Some(sc) => {
-            push_u64(&mut out, 1);
-            push_u64(&mut out, sc.detail);
-            push_u64(&mut out, sc.skip);
-            push_u64(&mut out, sc.warmup);
-            push_u64(&mut out, sc.seed);
-        }
-    }
-    out
-}
-
-/// Decode [`encode_config`]'s output (`None` on any malformation).
-pub fn decode_config(bytes: &[u8]) -> Option<ExperimentConfig> {
-    let mut c = Cursor { bytes, at: 0 };
-    let cfg = decode_config_at(&mut c)?;
-    c.done().then_some(cfg)
-}
-
-fn decode_config_at(c: &mut Cursor) -> Option<ExperimentConfig> {
-    let policy = policy_from_tag(c.u64()?)?;
-    let geom = decode_geometry(c)?;
-    let scale = match c.u64()? {
-        0 => Scale::Tiny,
-        1 => Scale::Full,
-        2 => Scale::Scaled(u32::try_from(c.u64()?).ok()?),
-        _ => return None,
-    };
-    let profile_rd = c.flag()?;
-    let protection = if c.flag()? {
-        Some(ProtectionConfig {
-            geom: decode_geometry(c)?,
-            vta_assoc: c.usize()?,
-            sample_period: u32::try_from(c.u64()?).ok()?,
-            max_pd: u8::try_from(c.u64()?).ok()?,
-            step_comparison: c.flag()?,
-            decrease_step: u8::try_from(c.u64()?).ok()?,
-        })
-    } else {
-        None
-    };
-    let warp_limit = if c.flag()? { Some(c.usize()?) } else { None };
-    let sampling = if c.flag()? {
-        Some(SamplingConfig {
-            detail: c.u64()?,
-            skip: c.u64()?,
-            warmup: c.u64()?,
-            seed: c.u64()?,
-        })
-    } else {
-        None
-    };
-    Some(ExperimentConfig { policy, geom, scale, profile_rd, protection, warp_limit, sampling })
 }
 
 fn encode_stats(out: &mut Vec<u8>, s: &RunStats) {
@@ -557,12 +398,6 @@ pub fn encode_run(abbr: &str, run: &AppRun) -> Vec<u8> {
     out
 }
 
-/// True if `abbr` names a registered workload — the gate callers use
-/// before harness entry points whose registry lookup panics.
-pub fn known_app(abbr: &str) -> bool {
-    gpu_workloads::registry().into_iter().any(|s| s.abbr == abbr)
-}
-
 /// Decode [`encode_run`]'s output, re-deriving the benchmark spec from
 /// the registry. `None` on malformation or if the payload's app does
 /// not match `abbr` (a misfiled entry must read as a miss).
@@ -597,6 +432,9 @@ pub fn decode_run(abbr: &str, bytes: &[u8]) -> Option<AppRun> {
 mod tests {
     use super::*;
     use crate::harness::run_app;
+    use dlp_core::PolicyKind;
+    use gpu_sim::SamplingConfig;
+    use gpu_workloads::Scale;
 
     fn sample_cfg() -> ExperimentConfig {
         ExperimentConfig {
@@ -604,33 +442,6 @@ mod tests {
             profile_rd: true,
             ..ExperimentConfig::baseline().with_policy(PolicyKind::Dlp)
         }
-    }
-
-    #[test]
-    fn config_roundtrips_through_codec() {
-        let cfgs = [
-            ExperimentConfig::baseline(),
-            sample_cfg(),
-            ExperimentConfig {
-                protection: Some(ProtectionConfig::paper_default(CacheGeometry::fermi_l1d_16k())),
-                warp_limit: Some(12),
-                ..ExperimentConfig::baseline()
-            },
-            ExperimentConfig {
-                sampling: Some(SamplingConfig {
-                    detail: 2000,
-                    skip: 18_000,
-                    warmup: 1000,
-                    seed: 42,
-                }),
-                ..ExperimentConfig::baseline()
-            },
-        ];
-        for cfg in cfgs {
-            let enc = encode_config(&cfg);
-            assert_eq!(decode_config(&enc), Some(cfg));
-        }
-        assert_eq!(decode_config(&[1, 2, 3]), None, "truncated input is rejected");
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   still matches the clean reference.
 //! * A leftover `DLP_SHARDS` (the retired sharded engine's switch)
 //!   changes no output byte and is named once on stderr.
+//! * The store is checked before the sweep: a malformed
+//!   `DLP_STORE_FAULT` exits 2 before any job runs, and a store
+//!   directory that cannot be opened is named before the first job,
+//!   after which the sweep runs exactly as it would with no store.
 //!
 //! Each scenario runs the real binary in a child process so the store
 //! is exercised across process boundaries, exactly like an operator's
@@ -235,5 +239,56 @@ fn leftover_shards_variable_is_noted_once_and_changes_nothing() {
     let notes = |err: &str| err.lines().filter(|l| l.contains("DLP_SHARDS")).count();
     assert_eq!(notes(&String::from_utf8_lossy(&plain.stderr)), 0);
     assert_eq!(notes(&stderr), 1, "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn malformed_store_fault_exits_2_before_any_job() {
+    let root = test_root("badfault");
+    let store = root.join("store");
+    let telemetry = root.join("t_bad.json");
+    let out = figures_cmd(Some(&store), &telemetry, Some("banana")).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("DLP_STORE_FAULT") && stderr.contains("banana"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "a job ran: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(!store.exists(), "the store was opened before the spec was checked");
+    assert!(!telemetry.exists(), "a sweep ran and wrote telemetry");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn unopenable_store_dir_is_noted_before_the_sweep_and_changes_nothing() {
+    let root = test_root("unopenable");
+    let reference = run_to_completion(None, &root.join("t_ref.json"), None);
+    // A regular file where the store directory should be: `open`
+    // cannot create `entries/` under it.
+    let blocker = root.join("not-a-dir");
+    std::fs::write(&blocker, b"").unwrap();
+    let note = "store: disabled for this run:";
+
+    let out = run_to_completion(Some(&blocker), &root.join("t_off.json"), None);
+    assert_eq!(out.stdout, reference.stdout, "an unusable store changed the figures output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().filter(|l| l.starts_with(note)).count(), 1, "stderr: {stderr}");
+    let counters = store_counters(&root.join("t_off.json"));
+    assert!(counters.len() >= 6, "{counters:?}");
+    assert!(counters.iter().all(|(_, v)| *v == 0), "store counters moved: {counters:?}");
+
+    // With stderr merged into stdout (both line-buffered), the note
+    // comes first: the store was checked before any figure rendered.
+    let inner = figures_cmd(Some(&blocker), &root.join("t_merged.json"), None);
+    let mut sh = Command::new("sh");
+    sh.arg("-c").arg("exec \"$0\" fig10 --tiny 2>&1").arg(inner.get_program());
+    for (k, v) in inner.get_envs() {
+        match v {
+            Some(v) => sh.env(k, v),
+            None => sh.env_remove(k),
+        };
+    }
+    let merged = sh.output().unwrap();
+    assert!(merged.status.success());
+    let text = String::from_utf8_lossy(&merged.stdout);
+    assert!(text.starts_with(note), "the note did not precede the sweep:\n{text}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -30,10 +30,10 @@ use crate::symbols::Symbols;
 const SIM_CRATES: &[&str] = &["dlp-core", "gpu-mem", "gpu-sim"];
 
 /// Crates whose `src/` trees carry the store-tier rule set (R401):
-/// everything that persists or serves sweep results. The sim rules do
+/// everything that persists sweep results. The sim rules do
 /// NOT apply here — the store legitimately does I/O, reads env-shimmed
 /// config, and reports typed `StoreError`s of its own.
-const STORE_CRATES: &[&str] = &["dlp-store", "dlp-sweepd"];
+const STORE_CRATES: &[&str] = &["dlp-store"];
 
 /// The one store-tier file allowed to touch the filesystem raw: it
 /// *implements* the atomic write/fsync/rename discipline R401 steers

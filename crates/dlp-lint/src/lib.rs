@@ -17,7 +17,7 @@
 //!   code (steers to the typed `MemError`/`SimError` paths from the
 //!   PR 1 integrity layer).
 //! * **R rules** — no raw filesystem mutation in the store tier
-//!   (`dlp-store`/`dlp-sweepd`); every write goes through the atomic
+//!   (`dlp-store`); every write goes through the atomic
 //!   temp+fsync+rename helpers so a crash never tears an entry.
 //! * **S rules** — no concurrency in the sim tier: no locks, atomics,
 //!   channels or host threads in `dlp-core`/`gpu-mem`/`gpu-sim`.

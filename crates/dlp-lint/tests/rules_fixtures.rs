@@ -330,7 +330,6 @@ fn store_tier_covers_store_and_daemon_but_not_the_atomic_impl() {
     use dlp_lint::is_store_tier;
     assert!(is_store_tier("crates/dlp-store/src/store.rs"));
     assert!(is_store_tier("crates/dlp-store/src/fault.rs"));
-    assert!(is_store_tier("crates/dlp-sweepd/src/server.rs"));
     // The atomic helpers implement the discipline; they are exempt.
     assert!(!is_store_tier("crates/dlp-store/src/atomic.rs"));
     // Tests, the harness, and the simulator crates are out of scope.

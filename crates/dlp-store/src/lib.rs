@@ -2,8 +2,7 @@
 //!
 //! A content-addressed store for completed sweep results, keyed by
 //! `(config digest, code digest)`. It is the persistence layer behind
-//! the `dlp-bench` run cache and the `dlp-sweepd` daemon: a sweep that
-//! dies — panic, OOM kill, `kill -9` — resumes serving every job it
+//! the `dlp-bench` run cache: a sweep that dies — panic, OOM kill, `kill -9` — resumes serving every job it
 //! had completed from disk, and a corrupted entry is *detected,
 //! quarantined and recomputed*, never silently served.
 //!

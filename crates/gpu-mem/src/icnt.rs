@@ -278,13 +278,6 @@ impl Interconnect {
         pkt
     }
 
-    /// Count `skipped` refused sends that were never attempted: an SM
-    /// parked on a full forward port would have re-offered its head, and
-    /// been refused, once in each cycle it slept through.
-    pub fn replay_rejects(&mut self, skipped: u64) {
-        self.stats.rejects += skipped;
-    }
-
     /// Packets still somewhere in the network (either direction). O(1).
     pub fn in_flight(&self) -> usize {
         debug_assert_eq!(

@@ -74,30 +74,22 @@ pub struct Gpu {
     // loops (measured: 2x set-up time on the sampled benchmark).
     /// The wake calendar (DESIGN.md §10). `sm_next_ev[s]` is a
     /// conservative bound below which SM `s` has no event of its own
-    /// ([`Sm::next_event`], or [`Sm::parked_event`] while a full port
-    /// refuses its outgoing head), so its `cycle` call is skipped even on
+    /// ([`Sm::next_event`]), so its `cycle` call is skipped even on
     /// cycles the machine as a whole must tick. 0 means "must cycle"
     /// (external input arrived), `u64::MAX` "wake only on an external
-    /// event": a reply, a CTA launch, or its port draining.
+    /// event": a reply or a CTA launch.
     sm_next_ev: Vec<u64>,
-    /// The last cycle through which SM `s` has aged its stall counters
-    /// (and, while parked, its refused sends). A waking SM first replays
-    /// the gap with [`Gpu::catch_up_sm`]; [`Gpu::settle_sms`] does the
-    /// same before any state is reported (stats, hang reports). This
-    /// single deferred-aging account also covers whole-machine leaps.
+    /// The last cycle through which SM `s` has aged its stall counters.
+    /// A waking SM first replays the gap with [`Gpu::catch_up_sm`];
+    /// [`Gpu::settle_sms`] does the same before any state is reported
+    /// (stats, hang reports). This single deferred-aging account also
+    /// covers whole-machine leaps.
     sm_last_cycled: Vec<u64>,
-    /// SMs parked on a full forward port: the port refused the outgoing
-    /// head when the SM last ran, so every cycle it sleeps through would
-    /// have been one more refused send.
-    sm_parked: u64,
-    /// Per forward port, the SMs parked on it. The port's next ejection
-    /// wakes them all (an SM that moved on meanwhile just cycles once).
-    /// This and `part_next_ev` are sized to the active-set limit, not
-    /// heap-allocated, for the reason the crossbar's head arrays are.
-    fwd_waiters: [u64; mask::MAX],
     /// `part_next_ev[p]`: the busy partition's [`MemoryPartition::next_event`],
     /// cached right after it cycled; the partition is not cycled before
     /// it unless a forward packet lands first. 0 means "must cycle".
+    /// Sized to the active-set limit, not heap-allocated, for the reason
+    /// the crossbar's head arrays are.
     part_next_ev: [u64; mask::MAX],
     cfg: SimConfig,
     sms: Vec<Sm>,
@@ -193,8 +185,6 @@ impl Gpu {
             component_cycles: ComponentCycles::default(),
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
-            sm_parked: 0,
-            fwd_waiters: [0; mask::MAX],
             part_next_ev: [0; mask::MAX],
             sampling_report: None,
             cfg,
@@ -223,9 +213,8 @@ impl Gpu {
     }
 
     /// Re-derive the busy set from the SMs themselves and clear every
-    /// sleep bound and parking — after a functional drain or
-    /// fast-forward, which bypass the per-cycle promotion/demotion
-    /// points.
+    /// sleep bound — after a functional drain or fast-forward, which
+    /// bypass the per-cycle promotion/demotion points.
     fn rederive_active_sms(&mut self) {
         self.active_sms = 0;
         for (s, sm) in self.sms.iter().enumerate() {
@@ -234,8 +223,6 @@ impl Gpu {
             }
         }
         self.sm_next_ev.fill(0);
-        self.sm_parked = 0;
-        self.fwd_waiters.fill(0);
     }
 
     /// Sleeping (the wake calendar) is only sound on the leap path, and
@@ -249,15 +236,11 @@ impl Gpu {
 
     /// Age SM `s` through cycle `through`, inclusive: replay the cycles
     /// it slept through since it last ran — stall memo and rejected
-    /// submits in the L1D, and one refused send per cycle while parked.
+    /// submits in the L1D.
     fn catch_up_sm(&mut self, s: usize, through: u64) {
         let behind = through - self.sm_last_cycled[s];
         if behind > 0 {
-            let parked = self.sm_parked & mask::bit(s) != 0;
-            self.sms[s].leap_catchup(behind, parked);
-            if parked {
-                self.icnt.replay_rejects(behind);
-            }
+            self.sms[s].leap_catchup(behind);
             self.sm_last_cycled[s] = through;
         }
     }
@@ -331,11 +314,11 @@ impl Gpu {
         // SM first replays the gap arithmetically. `leap_catchup` is
         // state-identical to the skipped retries because nothing mutates
         // the SM inside the gap — every external input (reply, CTA
-        // launch, room on the port it is parked on) resets `sm_next_ev`
-        // to 0 and ends the sleep.
+        // launch) resets `sm_next_ev` to 0 and ends the sleep.
         let sleep = self.sleep_enabled();
-        // The SMs that ran this cycle: only they can have new traffic,
-        // and a parked SM's refused head waits for its port to drain.
+        // The SMs that ran this cycle: only they can have new traffic
+        // (a sleeping SM's outgoing queue is empty, because a non-empty
+        // one forbids sleep).
         let mut cycled = 0u64;
         for s in mask::ones(self.active_sms) {
             if self.sm_next_ev[s] > now {
@@ -350,16 +333,13 @@ impl Gpu {
             // CTA completions free slots; successors launch next cycle.
             sm.take_finished_ctas();
         }
-        self.sm_parked &= !cycled;
 
         // L1D miss queues -> crossbar (forward direction). Idle SMs have
         // empty miss queues by definition. A cycled SM's next wake-up is
-        // set here, once its traffic has left: its own next event, or —
-        // when a full port refused its head — its own next event without
-        // the outgoing queue, registered on that port.
+        // set here, once its traffic has left: a head that a full port
+        // refused keeps the SM cycling, so it is re-offered next cycle.
         for s in mask::ones(cycled) {
             let sm = &mut self.sms[s];
-            let mut refused = None;
             while let Some(pkt) = sm.l1d.peek_outgoing() {
                 let dst = self.icnt.partition_of(pkt.addr);
                 let expects_reply = pkt.kind.expects_reply();
@@ -369,7 +349,6 @@ impl Gpu {
                         self.counters.fetches_sent += 1;
                     }
                 } else {
-                    refused = Some(dst);
                     break;
                 }
             }
@@ -378,15 +357,7 @@ impl Gpu {
             if sm.idle() {
                 self.active_sms &= !mask::bit(s);
             } else if sleep {
-                let wake = match refused {
-                    Some(dst) => {
-                        self.sm_parked |= mask::bit(s);
-                        self.fwd_waiters[dst] |= mask::bit(s);
-                        sm.parked_event(now)
-                    }
-                    None => sm.next_event(now),
-                };
-                self.sm_next_ev[s] = wake.unwrap_or(u64::MAX);
+                self.sm_next_ev[s] = sm.next_event(now).unwrap_or(u64::MAX);
             }
         }
 
@@ -404,7 +375,6 @@ impl Gpu {
         }
         for p in mask::ones(due) {
             let part = &mut self.parts[p];
-            let mut ejected = false;
             while part.can_accept() {
                 match self.icnt.pop_fwd(p, now) {
                     Some(pkt) => {
@@ -421,21 +391,12 @@ impl Gpu {
                         }
                         self.counters.fwd_flits_delivered += pkt.flits();
                         part.enqueue(pkt);
-                        ejected = true;
+                        // The packet wakes the partition.
+                        self.active_parts |= mask::bit(p);
+                        self.part_next_ev[p] = 0;
                     }
                     None => break,
                 }
-            }
-            if ejected {
-                // The packet wakes the partition, and the room it left
-                // wakes the SMs parked on this port: their refused heads
-                // are re-offered next cycle.
-                self.active_parts |= mask::bit(p);
-                self.part_next_ev[p] = 0;
-                for s in mask::ones(self.fwd_waiters[p] & self.sm_parked) {
-                    self.sm_next_ev[s] = 0;
-                }
-                self.fwd_waiters[p] = 0;
             }
             if self.active_parts & mask::bit(p) == 0 || self.part_next_ev[p] > now {
                 continue;

@@ -364,20 +364,6 @@ impl Sm {
     /// response, ALU writeback, store retirement) is itself one of the
     /// events above, so the bound is conservative.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        if self.l1d.outgoing_len() > 0 {
-            return Some(now + 1);
-        }
-        self.parked_event(now)
-    }
-
-    /// [`Sm::next_event`] without the outgoing-queue term: the bound of
-    /// an SM whose outgoing head a full crossbar port refused. Until that
-    /// port drains, each cycle of such an SM only re-offers the head, is
-    /// refused, and ages what [`Sm::leap_catchup`] replays, so the SM
-    /// may sleep to its own next event or to the port's next ejection,
-    /// whichever comes first. Nothing can join the outgoing queue
-    /// meanwhile: every path that pushes to it runs inside an event.
-    pub fn parked_event(&self, now: u64) -> Option<u64> {
         #[cfg(debug_assertions)]
         for (slot, w) in self.warps.iter().enumerate() {
             debug_assert_eq!(
@@ -394,6 +380,7 @@ impl Sm {
         let eligible =
             self.sb_ready_mask & if ldst_room { u64::MAX } else { !self.mem_next_mask };
         if eligible != 0
+            || self.l1d.outgoing_len() > 0
             || self.l1d.has_ready_responses()
             || (!self.ldst_queue.is_empty() && !self.l1d.input_blocked())
             || self.l1d.retry_must_run()
@@ -416,11 +403,9 @@ impl Sm {
     /// parked access's stall counters and — when a coalesced transaction
     /// waits behind it — the rejected-submit count. Scheduler state is
     /// untouched because a no-issue [`GtoScheduler::pick`] never runs
-    /// (the eligible mask was zero for the whole window). `parked` says
-    /// a full crossbar port refused the outgoing head throughout (see
-    /// [`Sm::parked_event`]); the caller replays those refused sends.
-    pub fn leap_catchup(&mut self, skipped: u64, parked: bool) {
-        self.l1d.leap_catchup(skipped, !self.ldst_queue.is_empty(), parked);
+    /// (the eligible mask was zero for the whole window).
+    pub fn leap_catchup(&mut self, skipped: u64) {
+        self.l1d.leap_catchup(skipped, !self.ldst_queue.is_empty());
     }
 
     /// Window-edge drain for sampling mode: resolve everything the

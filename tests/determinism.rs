@@ -150,9 +150,9 @@ fn deadline_chunked_driving_is_byte_identical_to_unlimited() {
     // With `DLP_JOB_DEADLINE_MS` set, the harness drives a job with
     // chunked `run_for` calls instead of one `run()`; nothing about the
     // statistics may depend on which path ran. Compared at the byte
-    // level through the persist codec (the daemon's wire form), via the
-    // uncached test hook — through `run_app` the second arm would be a
-    // cache hit and the comparison vacuous.
+    // level through the store's payload codec, via the uncached test
+    // hook — through `run_app` the second arm would be a cache hit and
+    // the comparison vacuous.
     use dlp_bench::harness::{run_app_uncached_for_tests, ExperimentConfig};
     use std::time::Duration;
     let cfg = ExperimentConfig { scale: Scale::Tiny, ..ExperimentConfig::baseline() };
