@@ -429,9 +429,11 @@ fn tab2(scale: Scale) {
 fn fig3(scale: Scale) {
     println!("== Figure 3: Reuse Distance Distribution per application ==");
     let mut t = Table::new(vec!["App", "RD 1~4", "RD 5~8", "RD 9~64", "RD >64", "Compulsory%"]);
-    for spec in registry() {
-        let cfg = ExperimentConfig { scale, profile_rd: true, ..ExperimentConfig::baseline() };
-        let run = match run_app(spec.abbr, cfg) {
+    let cfg = ExperimentConfig { scale, profile_rd: true, ..ExperimentConfig::baseline() };
+    let specs = registry();
+    let jobs: Vec<_> = specs.iter().map(|spec| (spec.abbr.to_string(), cfg)).collect();
+    for (spec, res) in specs.iter().zip(run_many(&jobs)) {
+        let run = match res {
             Ok(r) => r,
             Err(f) => {
                 eprintln!("row failed: {f}");

@@ -37,7 +37,7 @@ use crate::stats::CacheStats;
 use crate::tag_array::{Lookup, TagArray};
 use dlp_core::{hash_pc, pc_wraps, AccessCtx, CacheGeometry, MissDecision, ReplacementPolicy, PDPT_ENTRIES};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Static configuration of one L1D instance.
 #[derive(Clone, Copy, Debug)]
@@ -139,7 +139,7 @@ pub struct L1dCache {
     /// retry's outcome (see the module docs).
     stall_memo: Option<StallMemo>,
     /// Lines ever touched, for compulsory-miss accounting.
-    seen_lines: HashSet<u64, LineHash>,
+    seen_lines: LineSet,
     observer: Option<Box<dyn AccessObserver>>,
     stats: CacheStats,
     /// Accesses whose PC exceeded the 7-bit instruction-id space (the
@@ -169,7 +169,7 @@ impl L1dCache {
             responses: VecDeque::new(),
             pipeline_reg: None,
             stall_memo: None,
-            seen_lines: HashSet::default(),
+            seen_lines: LineSet::default(),
             observer: None,
             stats: CacheStats::default(),
             insn_id_wraps: 0,
@@ -725,10 +725,65 @@ impl L1dCache {
     }
 }
 
+/// Lines per page of a [`LineSet`]: one 64-byte bitmap each.
+const PAGE_LINES: u64 = 512;
+
+/// A set of line addresses, as presence bitmaps of aligned
+/// [`PAGE_LINES`]-line pages found through a map, with a memo of the
+/// bitmap used last. Consecutive accesses mostly fall in one page, so
+/// most inserts set a bit without hashing.
+#[derive(Default)]
+struct LineSet {
+    /// Page number → index of its bitmap in `bitmaps`.
+    pages: HashMap<u64, usize, LineHash>,
+    /// Each page's number and bitmap.
+    bitmaps: Vec<(u64, [u64; 8])>,
+    /// Index of the bitmap used last.
+    last: usize,
+}
+
+impl LineSet {
+    /// Add `line`; true if it was not in the set.
+    fn insert(&mut self, line: u64) -> bool {
+        let page = line / PAGE_LINES;
+        if self.bitmaps.get(self.last).is_none_or(|(p, _)| *p != page) {
+            let next = self.bitmaps.len();
+            self.last = *self.pages.entry(page).or_insert(next);
+            if self.last == next {
+                self.bitmaps.push((page, [0; 8]));
+            }
+        }
+        let word = &mut self.bitmaps[self.last].1[((line % PAGE_LINES) / 64) as usize];
+        let bit = 1 << (line % 64);
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dlp_core::{build_policy, PolicyKind};
+
+    #[test]
+    fn line_set_matches_a_hash_set() {
+        let mut x: u64 = 0x5eed;
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 20
+        };
+        let mut lines: Vec<u64> = (0..20_000).map(|_| next() % 50_000).collect();
+        lines.extend((0..20_000).map(|_| next()));
+        for stride in [1, 7, 64, 511, 512, 513, 4096] {
+            lines.extend((0..3_000u64).map(|i| 1_000_000 + i * stride));
+        }
+        lines.extend([0, u64::MAX, u64::MAX - 1, 511, 512, u64::MAX, 0]);
+        let (mut set, mut reference) = (LineSet::default(), std::collections::HashSet::new());
+        for &line in &lines {
+            assert_eq!(set.insert(line), reference.insert(line), "line {line}");
+        }
+    }
 
     fn cache(kind: PolicyKind) -> L1dCache {
         let cfg = L1dConfig::fermi_baseline();

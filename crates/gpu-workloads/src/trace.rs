@@ -13,11 +13,16 @@
 //! decoded op, not the warp's trace, so a gigabyte trace file costs the
 //! same memory as a kilobyte one — the ingestion half of the scale axis.
 //!
-//! A text trace is validated as K byte ranges on K threads, where K is
-//! the machine's available parallelism, capped so every range is at
-//! least 1 MiB (`MIN_PART`): a file under 2 MiB is scanned on the
-//! calling thread. Each range scans the lines that start inside it, so a
-//! line crossing a boundary belongs to the range it starts in. A range
+//! A trace is validated as K byte ranges on K threads, where K is the
+//! machine's available parallelism, capped so every range is at least
+//! the format's minimum part (`Format::min_part`: 256 KiB of text, 4 MiB
+//! of binary, where two ranges start to beat one): a smaller file is
+//! scanned on the calling thread by the same code with K = 1. Once a
+//! range has failed, every later range stops at its next chunk, since
+//! the error reported lies at or before that failure.
+//!
+//! In a text trace each range scans the lines that start inside it, so
+//! a line crossing a boundary belongs to the range it starts in. A range
 //! records its `grid` and `warp` lines, its first op line and the first
 //! problem it meets; a merge then replays those records in file order
 //! through the section rules (one `grid`, before every `warp`; no
@@ -28,12 +33,23 @@
 //! allows, so a file made of section lines costs bounded memory; the
 //! merge then reports the earlier duplicate or out-of-grid `warp`.
 //!
+//! A binary trace's warp-block headers are walked first, seeking over
+//! the payloads, which checks every header and indexes the sections.
+//! Each range then validates the payloads that start inside it, whole
+//! sections at a time. A payload error is reported before any header
+//! problem after it, as a single pass reports it.
+//!
 //! Two formats are supported, sniffed from the first bytes:
 //!
 //! **Text** (`dlp-trace-v1`): a header line, a `grid <ctas> <warps>`
 //! line, then `warp <cta> <warp>` sections of op lines; blank and `#`
 //! comment lines may appear anywhere after the header. Op lines are
-//! ASCII, decoded in one left-to-right scan of their bytes:
+//! ASCII, decoded in one left-to-right scan of their bytes where they
+//! lie in the read buffer; the scan stops at the line's `\n`, so a line
+//! is delimited first only when it is no op line, is malformed or may
+//! continue in the next chunk. The keyword's first bytes pick its path,
+//! and the scan's position never waits on a data-dependent test, only
+//! on predicted branches:
 //!
 //! ```text
 //! alu <pc> <latency> <active> <dst> <s0> <s1>   alu 64 4 32 2 1 -
@@ -54,7 +70,6 @@
 //! length-prefixed warp blocks — `u32 cta, u32 warp, u64 payload_len`
 //! followed by `payload_len` bytes of op records (all integers
 //! little-endian). Each length is checked against the file's length.
-//! Binary traces are validated in one sequential pass.
 //!
 //! Malformed input is a typed [`TraceError`], never a panic: the
 //! `figures trace` front-end maps it to exit code 2.
@@ -65,8 +80,9 @@ use gpu_sim::{GridDesc, Kernel};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Header line of the text trace format.
 pub const TEXT_MAGIC: &str = "dlp-trace-v1";
@@ -81,9 +97,6 @@ pub const BIN_VERSION: u8 = 1;
 /// also the longest text line accepted.
 const CHUNK: usize = 64 << 10;
 
-/// Shortest byte range `open` gives a thread of its own when it
-/// validates a text trace.
-const MIN_PART: u64 = 1 << 20;
 
 /// Sanity cap on `ctas * warps` (a million-warp grid is already far
 /// beyond anything the 16-SM machine schedules).
@@ -100,6 +113,20 @@ const MAX_MARKS: usize = MAX_WARPS as usize + 2;
 enum Format {
     Text,
     Binary,
+}
+
+impl Format {
+    /// Shortest byte range `open` gives a thread of its own: half the
+    /// file length from which two ranges open faster than one on a
+    /// 2-core host (EXPERIMENTS.md, "Trace ingestion"). Decoding text
+    /// costs far more per byte than checking binary records, most of
+    /// whose cost is reading them.
+    fn min_part(self) -> u64 {
+        match self {
+            Format::Text => 256 << 10,
+            Format::Binary => 4 << 20,
+        }
+    }
 }
 
 /// Why a trace file was rejected.
@@ -168,9 +195,10 @@ impl TraceKernel {
         rd.more()?;
         let format =
             if rd.pending().starts_with(&BIN_MAGIC) { Format::Binary } else { Format::Text };
+        let cuts = cuts(rd.f.metadata()?.len(), format.min_part());
         let (grid, spans) = match format {
-            Format::Text => scan_text(path, &text_cuts(rd.f.metadata()?.len()))?,
-            Format::Binary => scan_binary(rd)?,
+            Format::Text => scan_text(path, &cuts)?,
+            Format::Binary => scan_binary(path, &cuts)?,
         };
         let name = path
             .file_stem()
@@ -271,12 +299,18 @@ impl FileStream {
             let rest = &self.carry[self.at..];
             match self.format {
                 Format::Text => {
-                    let Some((end, next)) = line_at(rest, at_end)? else { return Ok(false) };
-                    let holds_op = decode_op_line(&rest[..end], Some(&mut self.next))?;
-                    self.at += next;
-                    if holds_op {
-                        return Ok(true);
+                    let Some((line, next)) = next_line(rest, at_end, Some(&mut self.next))? else {
+                        return Ok(false);
+                    };
+                    match line {
+                        Line::Op => {
+                            self.at += next;
+                            return Ok(true);
+                        }
+                        Line::Other(line) => not_op(line).map_err(|bad| bad.error(line))?,
+                        Line::Bad(e) => return Err(e),
                     }
+                    self.at += next;
                 }
                 Format::Binary => {
                     let Some((op, size)) = bin_op(rest, true)? else { return Ok(false) };
@@ -355,6 +389,20 @@ impl Reader {
         self.off += n as u64;
     }
 
+    /// Move the pass forward to file offset `off`, within the pending
+    /// bytes or by a seek.
+    fn skip_to(&mut self, off: u64) -> io::Result<()> {
+        match usize::try_from(off - self.off) {
+            Ok(n) if n <= self.pending().len() => self.consume(n),
+            _ => {
+                self.f.seek(SeekFrom::Start(off))?;
+                self.buf.clear();
+                (self.at, self.off) = (0, off);
+            }
+        }
+        Ok(())
+    }
+
     /// Read until one more chunk is pending or the file ends; false if
     /// nothing was left to read.
     fn more(&mut self) -> Result<bool, TraceError> {
@@ -375,6 +423,66 @@ fn check_grid(ctas: usize, warps: usize) -> Result<GridDesc, String> {
         return Err(format!("grid exceeds {MAX_WARPS} warps"));
     }
     Ok(GridDesc { num_ctas: ctas, warps_per_cta: warps })
+}
+
+// -------------------------------------------------------------- ranges
+
+/// Where `open` splits a trace of `len` bytes: one range per available
+/// core, each at least `min_part` long; the last range runs to the end
+/// of the file.
+fn cuts(len: u64, min_part: u64) -> Vec<u64> {
+    // Asking for the core count reads cgroup files, so a small file
+    // does not ask.
+    let k = match len / min_part {
+        0 | 1 => 1,
+        most => most.min(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
+    };
+    (0..k).map(|i| i * (len / k)).chain([u64::MAX]).collect()
+}
+
+/// The start of the earliest range of one scan that has failed, shared
+/// by the scan's ranges. A later range stops at its next chunk: the
+/// merge reports an error at or before that failure and never reads
+/// what the later range found. It only saves work, so no ordering
+/// beyond `Relaxed` is needed.
+struct FirstFailure(AtomicU64);
+
+impl Default for FirstFailure {
+    fn default() -> Self {
+        FirstFailure(AtomicU64::new(u64::MAX))
+    }
+}
+
+impl FirstFailure {
+    /// Record that the range starting at `start` failed.
+    fn fail(&self, start: u64) {
+        self.0.fetch_min(start, Ordering::Relaxed);
+    }
+
+    /// Has a range that starts before `start` failed?
+    fn before(&self, start: u64) -> bool {
+        self.0.load(Ordering::Relaxed) < start
+    }
+}
+
+/// Run `scan` over each range between consecutive `cuts` (`0` first,
+/// `u64::MAX` last): on one thread each, or on the calling thread when
+/// there is only one. The results come back in file order.
+fn in_ranges<T: Send>(cuts: &[u64], scan: impl Fn(u64, u64, &FirstFailure) -> T + Sync) -> Vec<T> {
+    let failed = FirstFailure::default();
+    let ranges = cuts.windows(2).map(|w| (w[0], w[1]));
+    if cuts.len() <= 2 {
+        return ranges.map(|(start, end)| scan(start, end, &failed)).collect();
+    }
+    std::thread::scope(|s| {
+        let (scan, failed) = (&scan, &failed);
+        let threads: Vec<_> =
+            ranges.map(|(start, end)| s.spawn(move || scan(start, end, failed))).collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 // ---------------------------------------------------------------- text
@@ -422,35 +530,67 @@ fn line_at(bytes: &[u8], at_end: bool) -> Result<Option<(usize, usize)>, TraceEr
     Ok(Some((end, next)))
 }
 
-/// Hand each complete line of `bytes` that starts before `stop` to `f`
-/// as `(line, start, next)`: its bytes without the `\n`, its offset and
-/// the next line's offset (see [`line_at`]). Returns the bytes consumed.
-fn for_each_line<E: From<TraceError>>(
-    bytes: &[u8],
+/// The line at the start of nonempty `rest`, and where the next line
+/// starts; `None` while it may be incomplete (see [`line_at`]). An op
+/// line is decoded where it lies, its end found by the decode itself;
+/// only a line that is no op, is malformed or may be cut short is
+/// delimited first. With `out` the op is stored there; without, the
+/// line is only validated and nothing is built. Inlined, so each caller
+/// gets the decoder of its own mode.
+#[inline(always)]
+fn next_line<'a>(
+    rest: &'a [u8],
     at_end: bool,
-    stop: usize,
-    mut f: impl FnMut(&[u8], usize, usize) -> Result<(), E>,
-) -> Result<usize, E> {
-    let mut i = 0;
-    while i < stop {
-        let Some((end, next)) = line_at(&bytes[i..], at_end)? else { break };
-        f(&bytes[i..i + end], i, i + next)?;
-        i += next;
+    out: Option<&mut Option<TraceOp>>,
+) -> Result<Option<(Line<'a>, usize)>, TraceError> {
+    if let Ok(Some((op, end))) = decode(rest, out.is_some()) {
+        // The decode stopped at the line's `\n` or at the end of `rest`.
+        let next = match rest.get(end) {
+            Some(_) => Some(end + 1),
+            None => Some(end).filter(|_| at_end),
+        };
+        if let Some(next) = next.filter(|_| end <= CHUNK) {
+            if let Some(out) = out {
+                *out = Some(op);
+            }
+            return Ok(Some((Line::Op, next)));
+        }
     }
-    Ok(i)
+    delimited_line(rest, at_end, out)
 }
 
-/// Where `open` splits a text trace of `len` bytes: one range per
-/// available core, each at least [`MIN_PART`] long; the last range runs
-/// to the end of the file.
-fn text_cuts(len: u64) -> Vec<u64> {
-    // Asking for the core count reads cgroup files, so a small file
-    // does not ask.
-    let k = match len / MIN_PART {
-        0 | 1 => 1,
-        most => most.min(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
+/// [`next_line`] for a line that is no op, is malformed or may be cut
+/// short: found first, then decoded.
+#[inline(never)]
+fn delimited_line<'a>(
+    rest: &'a [u8],
+    at_end: bool,
+    out: Option<&mut Option<TraceOp>>,
+) -> Result<Option<(Line<'a>, usize)>, TraceError> {
+    let Some((end, next)) = line_at(rest, at_end)? else { return Ok(None) };
+    let line = &rest[..end];
+    let kind = match decode(line, out.is_some()) {
+        Ok(Some((op, _))) => {
+            if let Some(out) = out {
+                *out = Some(op);
+            }
+            Line::Op
+        }
+        Ok(None) => Line::Other(line),
+        Err(bad) => Line::Bad(bad.error(line)),
     };
-    (0..k).map(|i| i * (len / k)).chain([u64::MAX]).collect()
+    Ok(Some((kind, next)))
+}
+
+/// What [`next_line`] found.
+enum Line<'a> {
+    /// A valid op line.
+    Op,
+    /// A line whose first field is no op keyword: its bytes without the
+    /// `\n`.
+    Other(&'a [u8]),
+    /// A malformed op line.
+    Bad(TraceError),
 }
 
 /// Index a text trace and validate every line. The ranges between
@@ -458,24 +598,14 @@ fn text_cuts(len: u64) -> Vec<u64> {
 /// thread each, or on the calling thread when there is only one; their
 /// findings are merged in file order.
 fn scan_text(path: &Path, cuts: &[u64]) -> Result<(GridDesc, Spans), TraceError> {
-    let scan = |(start, end): (u64, u64)| {
+    merge(in_ranges(cuts, |start, end, failed| {
         let mut part = Part::default();
-        part.err = scan_part(path, start, end, MAX_MARKS, &mut part).err();
+        part.err = scan_part(path, start, end, MAX_MARKS, failed, &mut part).err();
+        if part.err.is_some() {
+            failed.fail(start);
+        }
         part
-    };
-    let ranges = cuts.windows(2).map(|w| (w[0], w[1]));
-    let parts: Vec<Part> = if cuts.len() <= 2 {
-        ranges.map(scan).collect()
-    } else {
-        std::thread::scope(|s| {
-            let threads: Vec<_> = ranges.map(|r| s.spawn(move || scan(r))).collect();
-            threads
-                .into_iter()
-                .map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        })
-    };
-    merge(parts)
+    }))
 }
 
 /// What one range of a text trace holds.
@@ -529,12 +659,13 @@ impl From<TraceError> for Fault {
 /// byte 0 reads from the byte before `start` and skips through the
 /// first `\n`, so it begins at the first line that starts at or past
 /// `start`. The range stops once it has recorded more than `max_marks`
-/// lines.
+/// lines, or at its next chunk once an earlier range has failed.
 fn scan_part(
     path: &Path,
     start: u64,
     end: u64,
     max_marks: usize,
+    failed: &FirstFailure,
     part: &mut Part,
 ) -> Result<(), Fault> {
     let mut skip = start > 0;
@@ -542,69 +673,84 @@ fn scan_part(
     (part.first, part.next) = (rd.off, rd.off);
     let mut seen_op = false;
     let mut at_end = false;
-    while !at_end && rd.off < end {
+    while !at_end && rd.off < end && !failed.before(start) {
         at_end = !rd.more()?;
-        let base = rd.off;
-        let stop = usize::try_from(end - base).unwrap_or(usize::MAX);
-        let n = for_each_line(rd.pending(), at_end, stop, |line, at, next| {
-            let (start, next) = (base + at as u64, base + next as u64);
-            if skip {
-                skip = false;
-                part.first = next;
-                return Ok(());
+        let (base, bytes) = (rd.off, rd.pending());
+        let stop = usize::try_from(end - base).unwrap_or(usize::MAX).min(bytes.len());
+        let mut i = 0;
+        while i < stop {
+            let (rest, off) = (&bytes[i..], base + i as u64);
+            if skip || off == 0 {
+                let Some((line_end, next)) = line_at(rest, at_end)? else { break };
+                if skip {
+                    skip = false;
+                    part.first = off + next as u64;
+                } else {
+                    part.lines += 1;
+                    match std::str::from_utf8(&rest[..line_end]) {
+                        Ok(s) if s.trim() == TEXT_MAGIC => {}
+                        _ => return Err(Fault::Line(format!("expected `{TEXT_MAGIC}` header"))),
+                    }
+                }
+                i += next;
+                continue;
             }
+            let Some((line, next)) = next_line(rest, at_end, None)? else { break };
+            i += next;
             part.lines += 1;
-            if start == 0 {
-                return match std::str::from_utf8(line) {
-                    Ok(s) if s.trim() == TEXT_MAGIC => Ok(()),
-                    _ => Err(Fault::Line(format!("expected `{TEXT_MAGIC}` header"))),
-                };
-            }
-            let line_no = part.lines;
-            let mark = |kind| Mark { line: line_no, start, next, kind };
-            // `grid` and `warp` lines are rare: they, and any line that
-            // opens with a non-ASCII byte, keep `&str` handling.
-            if let Some(b'g' | b'w' | 0x80..) = line.trim_ascii_start().first() {
-                let s =
-                    std::str::from_utf8(line).map_err(|_| Fault::Line("non-UTF-8 bytes".into()))?;
-                // A valid line past `max_marks` makes more `grid` and
-                // `warp` lines than any grid allows, so the merge meets an
-                // error at or before it and this text is never shown.
-                let bounded = |marks: &[Mark]| {
-                    if marks.len() > max_marks {
-                        let msg = "more `grid` and `warp` lines than any grid allows";
-                        return Err(Fault::Line(msg.into()));
+            let mark = |kind| Mark { line: part.lines, start: off, next: base + i as u64, kind };
+            let err = match line {
+                Line::Op => None,
+                Line::Bad(e) => Some(e),
+                // `grid` and `warp` lines are rare: they, and any line that
+                // opens with a non-ASCII byte, keep `&str` handling.
+                Line::Other(line) => {
+                    if let Some(b'g' | b'w' | 0x80..) = line.trim_ascii_start().first() {
+                        let s = std::str::from_utf8(line)
+                            .map_err(|_| Fault::Line("non-UTF-8 bytes".into()))?;
+                        // A valid line past `max_marks` makes more `grid` and
+                        // `warp` lines than any grid allows, so the merge meets
+                        // an error at or before it and this text is never shown.
+                        let bounded = |marks: &[Mark]| {
+                            if marks.len() > max_marks {
+                                let msg = "more `grid` and `warp` lines than any grid allows";
+                                return Err(Fault::Line(msg.into()));
+                            }
+                            Ok(())
+                        };
+                        let mut it = s.split_whitespace();
+                        match it.next() {
+                            Some("grid") => {
+                                let grid = dims(it, "grid", ["cta count", "warp count"])
+                                    .and_then(|(ctas, warps)| check_grid(ctas, warps));
+                                part.marks.push(mark(MarkKind::Grid(grid.as_ref().ok().copied())));
+                                grid.map_err(Fault::Line).and_then(|_| bounded(&part.marks))?;
+                                continue;
+                            }
+                            Some("warp") => {
+                                let key = dims(it, "warp", ["cta index", "warp index"]);
+                                part.marks.push(mark(MarkKind::Warp(key.as_ref().ok().copied())));
+                                key.map_err(Fault::Line).and_then(|_| bounded(&part.marks))?;
+                                continue;
+                            }
+                            _ => {}
+                        }
                     }
-                    Ok(())
-                };
-                let mut it = s.split_whitespace();
-                match it.next() {
-                    Some("grid") => {
-                        let grid = dims(it, "grid", ["cta count", "warp count"])
-                            .and_then(|(ctas, warps)| check_grid(ctas, warps));
-                        part.marks.push(mark(MarkKind::Grid(grid.as_ref().ok().copied())));
-                        return grid.map_err(Fault::Line).and_then(|_| bounded(&part.marks));
+                    match not_op(line) {
+                        Ok(()) => continue,
+                        Err(bad) => Some(bad.error(line)),
                     }
-                    Some("warp") => {
-                        let key = dims(it, "warp", ["cta index", "warp index"]);
-                        part.marks.push(mark(MarkKind::Warp(key.as_ref().ok().copied())));
-                        return key.map_err(Fault::Line).and_then(|_| bounded(&part.marks));
-                    }
-                    _ => {}
                 }
+            };
+            if !seen_op {
+                seen_op = true;
+                part.marks.push(mark(MarkKind::Op));
             }
-            match decode_op_line(line, None) {
-                Ok(false) => Ok(()),
-                r => {
-                    if !seen_op {
-                        seen_op = true;
-                        part.marks.push(mark(MarkKind::Op));
-                    }
-                    r.map(drop).map_err(Fault::Other)
-                }
+            if let Some(e) = err {
+                return Err(Fault::Other(e));
             }
-        })?;
-        rd.consume(n);
+        }
+        rd.consume(i);
         part.next = rd.off;
     }
     Ok(())
@@ -695,8 +841,8 @@ enum Bad {
     Keyword,
     /// The keyword's arity message: too few or too many fields.
     Usage(&'static str),
-    /// The field starting at byte `at` is not a valid `what`; it ends at
-    /// `stop` or whitespace.
+    /// The field starting at byte `at` of the line is not a valid `what`;
+    /// it ends at `stop` or whitespace.
     Field {
         what: &'static str,
         at: usize,
@@ -709,9 +855,10 @@ enum Bad {
 }
 
 impl Bad {
-    /// The error for trimmed op line `t`.
+    /// The error for op line `line` (its `\n` stripped).
     #[cold]
-    fn error(self, t: &[u8]) -> TraceError {
+    fn error(self, line: &[u8]) -> TraceError {
+        let t = line.trim_ascii();
         let msg = match self {
             Bad::NonUtf8 => "non-UTF-8 bytes".into(),
             Bad::Keyword => {
@@ -721,7 +868,7 @@ impl Bad {
             Bad::Usage(usage) => usage.into(),
             Bad::Field { what, at, stop } => {
                 let ends = |c: &u8| *c == stop || c.is_ascii_whitespace();
-                let tok = t[at..].split(ends).next().unwrap_or_default();
+                let tok = line[at..].split(ends).next().unwrap_or_default();
                 format!("invalid {what} `{}`", tok.escape_ascii())
             }
             Bad::Active => "active lanes must be 1..=32".into(),
@@ -733,56 +880,70 @@ impl Bad {
     }
 }
 
-/// Decode one op line (its `\n` stripped) in a single left-to-right
-/// scan over its bytes, and say whether it holds an op (blank and `#`
-/// lines do not). With `out` the op is stored there; without, the line
-/// is only validated and nothing is built.
-fn decode_op_line(line: &[u8], out: Option<&mut Option<TraceOp>>) -> Result<bool, TraceError> {
-    let t = line.trim_ascii();
-    decode_trimmed(line, t, out).map_err(|bad| bad.error(t))
-}
-
-fn decode_trimmed(line: &[u8], t: &[u8], out: Option<&mut Option<TraceOp>>) -> Result<bool, Bad> {
-    let kw = &t[..t.iter().position(u8::is_ascii_whitespace).unwrap_or(t.len())];
-    let usage = match kw {
-        b"alu" => "expected `alu pc latency active dst s0 s1`",
-        b"ld" => "expected `ld pc dst s0 s1 addr,addr,...`",
-        b"st" => "expected `st pc s0 s1 addr,addr,...`",
-        _ => {
-            // Blank, a comment, or blank but for Unicode whitespace.
-            let s = std::str::from_utf8(line).map_err(|_| Bad::NonUtf8)?.trim();
-            return if s.is_empty() || s.starts_with('#') { Ok(false) } else { Err(Bad::Keyword) };
+/// Decode the op line at the start of `b`, which ends at the first `\n`
+/// or at the end of `b`: the op (without lane addresses unless `build`)
+/// and where the line's last field ends, past any trailing whitespace.
+/// `None` when the line's first field is no op keyword. Each keyword
+/// has its own path, told apart by the keyword's first bytes, and the
+/// decode never reads past the line's `\n`.
+#[inline(always)]
+fn decode(b: &[u8], build: bool) -> Result<Option<(TraceOp, usize)>, Bad> {
+    let mut c = Cursor { line: b, i: 0, usage: "" };
+    c.blanks();
+    let op = match &b[c.i..] {
+        [b'a', b'l', b'u', ..] if c.keyword(3, "expected `alu pc latency active dst s0 s1`") => {
+            let pc = c.num("number")?;
+            let latency = c.num("number")?;
+            let active = c.num("active-lane count")?;
+            if !(1..=32).contains(&active) {
+                return Err(Bad::Active);
+            }
+            let dst = c.reg()?;
+            let srcs = [c.reg()?, c.reg()?];
+            TraceOp { pc, dst, srcs, kind: OpKind::Alu { latency, active } }
         }
+        [b'l', b'd', ..] if c.keyword(2, "expected `ld pc dst s0 s1 addr,addr,...`") => {
+            let pc = c.num("number")?;
+            let dst = c.reg()?;
+            if dst == NO_REG {
+                return Err(Bad::LoadDst);
+            }
+            let srcs = [c.reg()?, c.reg()?];
+            let addrs = c.lanes(build)?;
+            TraceOp { pc, dst, srcs, kind: OpKind::Mem { is_write: false, addrs } }
+        }
+        [b's', b't', ..] if c.keyword(2, "expected `st pc s0 s1 addr,addr,...`") => {
+            let pc = c.num("number")?;
+            let srcs = [c.reg()?, c.reg()?];
+            let addrs = c.lanes(build)?;
+            TraceOp { pc, dst: NO_REG, srcs, kind: OpKind::Mem { is_write: true, addrs } }
+        }
+        _ => return Ok(None),
     };
-    let mut c = Cursor { line: t, i: kw.len(), usage };
-    let pc = c.num("number")?;
-    let alu = match kw {
-        b"alu" => Some((c.num("number")?, c.num("active-lane count")?)),
-        _ => None,
-    };
-    if alu.is_some_and(|(_, active)| !(1..=32).contains(&active)) {
-        return Err(Bad::Active);
+    c.blanks();
+    if !c.at_eol() {
+        return Err(Bad::Usage(c.usage));
     }
-    let dst = if kw == b"st" { NO_REG } else { c.reg()? };
-    if kw == b"ld" && dst == NO_REG {
-        return Err(Bad::LoadDst);
-    }
-    let srcs = [c.reg()?, c.reg()?];
-    let addrs = if alu.is_none() { c.lanes(out.is_some())? } else { Vec::new() };
-    if c.i < t.len() {
-        return Err(Bad::Usage(usage));
-    }
-    if let Some(out) = out {
-        let kind = match alu {
-            Some((latency, active)) => OpKind::Alu { latency, active },
-            None => OpKind::Mem { is_write: kw == b"st", addrs },
-        };
-        *out = Some(TraceOp { pc, dst, srcs, kind });
-    }
-    Ok(true)
+    Ok(Some((op, c.i)))
 }
 
-/// Cursor over one trimmed op line.
+/// Check a line whose first field is no op keyword: it must be blank
+/// (Unicode whitespace included) or a comment.
+fn not_op(line: &[u8]) -> Result<(), Bad> {
+    let s = std::str::from_utf8(line).map_err(|_| Bad::NonUtf8)?.trim();
+    if s.is_empty() || s.starts_with('#') {
+        Ok(())
+    } else {
+        Err(Bad::Keyword)
+    }
+}
+
+/// Whitespace inside a line: ASCII whitespace but the `\n` ending it.
+fn is_blank(c: &u8) -> bool {
+    c.is_ascii_whitespace() && *c != b'\n'
+}
+
+/// Cursor over the bytes of one op line and whatever follows its `\n`.
 struct Cursor<'a> {
     line: &'a [u8],
     i: usize,
@@ -790,48 +951,99 @@ struct Cursor<'a> {
     usage: &'static str,
 }
 
-impl<'a> Cursor<'a> {
-    /// Step to the next whitespace-separated field, which must exist.
-    fn field(&mut self) -> Result<&'a [u8], Bad> {
-        while self.line.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+impl Cursor<'_> {
+    /// Is the cursor at the line's `\n` or the end of the bytes?
+    #[inline(always)]
+    fn at_eol(&self) -> bool {
+        self.line.get(self.i).is_none_or(|&c| c == b'\n')
+    }
+
+    #[inline(always)]
+    fn blanks(&mut self) {
+        while self.line.get(self.i).is_some_and(is_blank) {
             self.i += 1;
         }
-        match &self.line[self.i..] {
-            [] => Err(Bad::Usage(self.usage)),
-            rest => Ok(rest),
+    }
+
+    /// Step past a keyword `len` bytes long, if whitespace or the end of
+    /// the bytes follows it.
+    #[inline(always)]
+    fn keyword(&mut self, len: usize, usage: &'static str) -> bool {
+        (self.i, self.usage) = (self.i + len, usage);
+        self.line.get(self.i).is_none_or(u8::is_ascii_whitespace)
+    }
+
+    /// Step over the whitespace before the next field, which must exist.
+    #[inline(always)]
+    fn field(&mut self) -> Result<(), Bad> {
+        // Most often one space, as the writers put it.
+        let b = self.line;
+        if b.get(self.i) == Some(&b' ') && b.get(self.i + 1).is_some_and(|c| !c.is_ascii_whitespace()) {
+            self.i += 1;
+            return Ok(());
         }
+        self.blanks();
+        if self.at_eol() {
+            return Err(Bad::Usage(self.usage));
+        }
+        Ok(())
     }
 
     /// Digits at the cursor, read as `str::parse` reads an unsigned `T`:
     /// an optional `+`, then one or more digits, rejecting overflow. The
     /// number must end at a `stop` byte, whitespace or the end of line.
+    #[inline(always)]
     fn dec<T: TryFrom<u64>>(&mut self, what: &'static str, stop: u8) -> Result<T, Bad> {
         let (b, start) = (self.line, self.i);
-        let first = start + usize::from(b.get(start) == Some(&b'+'));
-        let (mut i, mut v) = (first, Some(0u64));
-        while i < b.len() && b[i].is_ascii_digit() {
-            v = v.and_then(|v| v.checked_mul(10)?.checked_add((b[i] - b'0').into()));
+        if b.get(start) == Some(&b'+') {
+            return self.signed_dec(what, stop);
+        }
+        let (mut i, mut v) = (start, 0u64);
+        // Nineteen digits stay below `u64::MAX` whatever they are, so
+        // only a longer run needs the checked reading.
+        while let Some(d) = b.get(i).map(|c| c.wrapping_sub(b'0')).filter(|&d| d < 10) {
+            v = v.wrapping_mul(10).wrapping_add(d.into());
             i += 1;
         }
         self.i = i;
-        let ends = |c: &u8| *c == stop || c.is_ascii_whitespace();
-        match v.map(T::try_from) {
-            Some(Ok(v)) if i > first && b.get(i).is_none_or(ends) => Ok(v),
+        let ends = b.get(i).is_none_or(|c| *c == stop || c.is_ascii_whitespace());
+        if (i - start).wrapping_sub(1) < 19 && ends {
+            if let Ok(v) = T::try_from(v) {
+                return Ok(v);
+            }
+        }
+        odd_dec(&b[start..i], v, ends).ok_or(Bad::Field { what, at: start, stop })
+    }
+
+    /// [`Cursor::dec`] of a number written with a `+`. Kept off the usual
+    /// path, whose position then never waits on a test of its first
+    /// byte.
+    #[cold]
+    #[inline(never)]
+    fn signed_dec<T: TryFrom<u64>>(&mut self, what: &'static str, stop: u8) -> Result<T, Bad> {
+        let start = self.i;
+        self.i += 1;
+        match self.line.get(self.i) {
+            Some(c) if c.is_ascii_digit() => {
+                self.dec(what, stop).map_err(|_| Bad::Field { what, at: start, stop })
+            }
             _ => Err(Bad::Field { what, at: start, stop }),
         }
     }
 
+    #[inline(always)]
     fn num<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, Bad> {
         self.field()?;
         self.dec(what, b' ')
     }
 
+    #[inline(always)]
     fn reg(&mut self) -> Result<Reg, Bad> {
-        if let [b'-', rest @ ..] = self.field()? {
-            if rest.first().is_none_or(u8::is_ascii_whitespace) {
-                self.i += 1;
-                return Ok(NO_REG);
-            }
+        self.field()?;
+        let b = self.line;
+        if b[self.i] == b'-' && b.get(self.i + 1).is_none_or(u8::is_ascii_whitespace) {
+            self.i += 1;
+            return Ok(NO_REG);
         }
         let r: u8 = self.dec("register", b' ')?;
         if (r as usize) >= MAX_REGS {
@@ -843,6 +1055,7 @@ impl<'a> Cursor<'a> {
     /// Comma-separated lane addresses, kept only when `build`. Pushing one
     /// at a time into `Vec::new()` gives the lane vector the capacity that
     /// replay's resident-byte accounting has always seen.
+    #[inline(always)]
     fn lanes(&mut self, build: bool) -> Result<Vec<u64>, Bad> {
         self.field()?;
         let (mut addrs, mut n) = (Vec::new(), 0);
@@ -864,64 +1077,147 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A number [`Cursor::dec`] did not take at once: `digits`, which
+/// were read as `v` if there are at most nineteen, and whether a valid
+/// byte `ends` them.
+#[cold]
+#[inline(never)]
+fn odd_dec<T: TryFrom<u64>>(digits: &[u8], v: u64, ends: bool) -> Option<T> {
+    let v = match digits.len() {
+        0 => None,
+        1..=19 => Some(v),
+        _ => digits.iter().try_fold(0u64, |v, &c| v.checked_mul(10)?.checked_add((c - b'0').into())),
+    };
+    v.filter(|_| ends)?.try_into().ok()
+}
+
 // -------------------------------------------------------------- binary
 
-/// Index a binary trace and validate every record, in one pass: each
-/// warp block's payload is decoded where the read finds it.
-fn scan_binary(mut rd: Reader) -> Result<(GridDesc, Spans), TraceError> {
-    let file_len = rd.f.metadata()?.len();
-    if rd.pending().len() < 13 {
+/// Index a binary trace and validate every record. The warp-block
+/// headers are walked first, seeking over the payloads; then the ranges
+/// between consecutive `cuts` validate the payloads that start in them,
+/// one thread each (see [`in_ranges`]). The first problem in file order
+/// wins: a payload error beats a header problem after it.
+fn scan_binary(path: &Path, cuts: &[u64]) -> Result<(GridDesc, Spans), TraceError> {
+    let walk = walk_blocks(path)?;
+    let blocks = &walk.blocks;
+    in_ranges(cuts, |start, end, failed| {
+        let first = blocks.partition_point(|b| b.off < start);
+        let last = blocks.partition_point(|b| b.off < end);
+        let checked = check_payloads(path, &blocks[first..last], || failed.before(start));
+        if checked.is_err() {
+            failed.fail(start);
+        }
+        checked
+    })
+    .into_iter()
+    .collect::<Result<(), _>>()?;
+    walk.bad.map_or(Ok((walk.grid, walk.spans)), Err)
+}
+
+/// What the header walk of a binary trace found.
+struct Walk {
+    grid: GridDesc,
+    /// Every block before `bad`, in file order.
+    blocks: Vec<Block>,
+    spans: Spans,
+    /// The first warp-block header problem, which ended the walk.
+    bad: Option<TraceError>,
+}
+
+/// One warp block of a binary trace: its payload's offset and length.
+struct Block {
+    off: u64,
+    len: u64,
+    cta: usize,
+    warp: usize,
+}
+
+/// Bytes each read of the header walk asks for: it holds the next
+/// header when the payloads are short, and costs little when they are
+/// long and the walk seeks over them.
+const WALK_READ: usize = 4 << 10;
+
+/// Walk the header and warp-block headers of a binary trace, seeking
+/// over the payloads. A problem with the file header is the error
+/// itself.
+fn walk_blocks(path: &Path) -> Result<Walk, TraceError> {
+    let mut f = BufReader::with_capacity(WALK_READ, File::open(path)?);
+    let file_len = f.get_ref().metadata()?.len();
+    if file_len < 13 {
         return Err(malformed("header", "truncated binary header"));
     }
-    let hdr = &rd.pending()[..13];
+    let mut hdr = [0; 13];
+    f.read_exact(&mut hdr)?;
     if hdr[4] != BIN_VERSION {
         return Err(malformed("header", format!("unsupported version {}", hdr[4])));
     }
     let ctas = u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]) as usize;
     let warps = u32::from_le_bytes([hdr[9], hdr[10], hdr[11], hdr[12]]) as usize;
     let grid = check_grid(ctas, warps).map_err(|msg| malformed("header", msg))?;
-    rd.consume(13);
-    let mut spans: Spans = HashMap::new();
-    loop {
-        let pos = rd.off;
+    let (mut blocks, mut spans) = (Vec::new(), Spans::new());
+    let mut pos: u64 = 13;
+    let bad = loop {
         let at = || format!("byte {pos}");
-        if rd.pending().len() < 16 {
-            rd.more()?;
-        }
-        match rd.pending().len() {
-            0 => break,
-            1..16 => return Err(malformed(at(), "truncated warp-block header")),
+        match file_len - pos {
+            0 => break None,
+            1..16 => break Some(malformed(at(), "truncated warp-block header")),
             _ => {}
         }
-        let wh = &rd.pending()[..16];
+        let mut wh = [0; 16];
+        f.read_exact(&mut wh)?;
         let cta = u32::from_le_bytes([wh[0], wh[1], wh[2], wh[3]]) as usize;
         let warp = u32::from_le_bytes([wh[4], wh[5], wh[6], wh[7]]) as usize;
         let len =
             u64::from_le_bytes([wh[8], wh[9], wh[10], wh[11], wh[12], wh[13], wh[14], wh[15]]);
-        rd.consume(16);
         if cta >= ctas || warp >= warps {
-            return Err(malformed(at(), format!("warp {cta}/{warp} outside the grid")));
+            break Some(malformed(at(), format!("warp {cta}/{warp} outside the grid")));
         }
         if spans.contains_key(&(cta, warp)) {
-            return Err(malformed(at(), format!("duplicate block for warp {cta}/{warp}")));
+            break Some(malformed(at(), format!("duplicate block for warp {cta}/{warp}")));
         }
-        let Some(end) = rd.off.checked_add(len).filter(|&end| end <= file_len) else {
-            return Err(malformed(at(), "warp-block payload runs past end of file"));
+        let off = pos + 16;
+        let Some(end) = off.checked_add(len).filter(|&end| end <= file_len) else {
+            break Some(malformed(at(), "warp-block payload runs past end of file"));
         };
-        spans.insert((cta, warp), (rd.off, len));
+        spans.insert((cta, warp), (off, len));
+        blocks.push(Block { off, len, cta, warp });
+        // In range: `end` is within the file, whose length fits an `i64`.
+        f.seek_relative(i64::try_from(len).expect("payload within the file"))?;
+        pos = end;
+    };
+    Ok(Walk { grid, blocks, spans, bad })
+}
+
+/// Validate the payloads of consecutive `blocks` in one pass over their
+/// bytes, stepping over the headers between them; stop early, reporting
+/// nothing, once `stop` says an earlier range has failed.
+fn check_payloads(
+    path: &Path,
+    blocks: &[Block],
+    stop: impl Fn() -> bool,
+) -> Result<(), TraceError> {
+    let Some(first) = blocks.first() else { return Ok(()) };
+    let mut rd = Reader::new(path, first.off)?;
+    for b in blocks {
+        rd.skip_to(b.off)?;
+        let end = b.off + b.len;
         while rd.off < end {
+            if stop() {
+                return Ok(());
+            }
             let avail = rd.pending();
             let take = usize::try_from(end - rd.off).map_or(avail.len(), |l| l.min(avail.len()));
             let whole = rd.off + take as u64 == end;
             let n = bin_records(&avail[..take])?;
             rd.consume(n);
             if rd.off < end && (whole || !rd.more()?) {
-                let section = format!("warp {cta}/{warp}");
+                let section = format!("warp {}/{}", b.cta, b.warp);
                 return Err(malformed(section, "truncated record at end of section"));
             }
         }
     }
-    Ok((grid, spans))
+    Ok(())
 }
 
 /// Validate the complete binary op records in `bytes` without storing
@@ -1158,7 +1454,11 @@ mod tests {
     /// `#` line.
     fn decode(line: &[u8]) -> Result<Option<TraceOp>, TraceError> {
         let mut op = None;
-        decode_op_line(line, Some(&mut op))?;
+        match next_line(line, true, Some(&mut op))? {
+            Some((Line::Other(line), _)) => not_op(line).map_err(|bad| bad.error(line))?,
+            Some((Line::Bad(e), _)) => return Err(e),
+            _ => {}
+        }
         Ok(op)
     }
 
@@ -1258,7 +1558,7 @@ mod tests {
     fn validation_builds_no_lane_vectors() {
         // Validation only reports that the line holds an op, and its
         // lane scan stores nothing.
-        assert!(decode_op_line(b"ld 0 1 - - 0,128,256", None).unwrap());
+        assert!(matches!(next_line(b"ld 0 1 - - 0,128,256", true, None), Ok(Some((Line::Op, _)))));
         let lanes = Cursor { line: b"0,128,256", i: 0, usage: "" }.lanes(false).unwrap();
         assert_eq!(lanes.capacity(), 0);
         let built = decode(b"ld 0 1 - - 0,128,256").unwrap().unwrap();
@@ -1481,7 +1781,7 @@ mod tests {
         let path = tmp("flood.trace");
         std::fs::write(&path, text).unwrap();
         let mut part = Part::default();
-        part.err = scan_part(&path, 0, u64::MAX, 8, &mut part).err();
+        part.err = scan_part(&path, 0, u64::MAX, 8, &FirstFailure::default(), &mut part).err();
         // The ninth recorded line (the header is not recorded) stops it.
         assert_eq!((part.marks.len(), part.lines), (9, 10));
         assert!(matches!(part.err, Some(Fault::Line(_))));
@@ -1511,5 +1811,293 @@ mod tests {
             }
             assert_splits_agree(&bad, 4);
         }
+    }
+
+    /// A later range stops once an earlier one has failed, in both formats.
+    #[test]
+    fn ranges_stop_after_an_earlier_failure() {
+        let path = tmp("stop.trace");
+        write_text_trace(&path, &Toy { reps: 50 }).unwrap();
+        let failed = FirstFailure::default();
+        failed.fail(0);
+        let mut part = Part::default();
+        scan_part(&path, 1, u64::MAX, MAX_MARKS, &failed, &mut part).unwrap_or_else(|_| panic!());
+        assert_eq!((part.lines, part.marks.len()), (0, 0));
+        // A range that starts at the failed one is not stopped by it.
+        scan_part(&path, 0, u64::MAX, MAX_MARKS, &failed, &mut part).unwrap_or_else(|_| panic!());
+        assert!(part.lines > 0);
+        let blocks = [Block { off: 13, len: 9, cta: 0, warp: 0 }];
+        std::fs::write(&path, [0xff; 40]).unwrap();
+        assert!(check_payloads(&path, &blocks, || true).is_ok());
+        assert!(check_payloads(&path, &blocks, || false).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Index binary `bytes` as one range, then split it into two ranges
+    /// at every `every`-th byte offset and into three with the second
+    /// cut 0, 1, 9 and 40 bytes further on: every split must give the
+    /// same grid, spans and error text as one range.
+    fn assert_bin_splits_agree(bytes: &[u8], every: usize) {
+        let path = tmp("bin-split.trace");
+        std::fs::write(&path, bytes).unwrap();
+        let scan = |cuts: &[u64]| scan_binary(&path, cuts).map_err(|e| e.to_string());
+        let one = scan(&[0, u64::MAX]);
+        let len = bytes.len() as u64;
+        for a in (0..=len).step_by(every) {
+            assert_eq!(scan(&[0, a, u64::MAX]), one, "cut at {a}");
+            for b in [a, a + 1, a + 9, a + 40].into_iter().filter(|&b| b <= len) {
+                assert_eq!(scan(&[0, a, b, u64::MAX]), one, "cuts at {a} and {b}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The Toy kernel in the binary format, and its blocks' header offsets.
+    fn toy_binary(reps: usize) -> (Vec<u8>, Vec<usize>) {
+        let path = tmp("toy.bin");
+        write_binary_trace(&path, &Toy { reps }).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut heads = vec![13];
+        while let Some(&h) = heads.last().filter(|&&h| h + 16 <= bytes.len()) {
+            let len = u64::from_le_bytes(bytes[h + 8..h + 16].try_into().unwrap()) as usize;
+            heads.push(h + 16 + len);
+        }
+        heads.pop();
+        (bytes, heads)
+    }
+
+    #[test]
+    fn binary_range_splits_match_one_range() {
+        let (good, heads) = toy_binary(2);
+        assert_eq!(heads.len(), 4);
+        assert_bin_splits_agree(&good, 5);
+        // A payload length that lies, in the first and in the last block.
+        for &h in [heads[0], heads[3]].iter() {
+            for lie in [1, 9, u64::MAX - 8] {
+                let mut bad = good.clone();
+                let len = u64::from_le_bytes(bad[h + 8..h + 16].try_into().unwrap());
+                bad[h + 8..h + 16].copy_from_slice(&len.wrapping_add(lie).to_le_bytes());
+                assert_bin_splits_agree(&bad, 17);
+            }
+        }
+        // Duplicate and out-of-grid blocks, with a bad record before them.
+        for (h, cta, warp) in [(heads[2], 0, 0), (heads[3], 1, 0), (heads[1], 2, 0), (heads[3], 0, 7)] {
+            let mut bad = good.clone();
+            bad[h..h + 4].copy_from_slice(&(cta as u32).to_le_bytes());
+            bad[h + 4..h + 8].copy_from_slice(&(warp as u32).to_le_bytes());
+            assert_bin_splits_agree(&bad, 17);
+            bad[heads[0] + 16] = 9; // unknown op tag in the first block
+            assert_bin_splits_agree(&bad, 17);
+        }
+    }
+
+    #[test]
+    fn binary_range_splits_match_one_range_on_cut_and_flipped_files() {
+        // A 2×2 grid of short blocks, one of them empty.
+        let mut good = BIN_MAGIC.to_vec();
+        good.push(BIN_VERSION);
+        good.extend([2u32, 2].iter().flat_map(|d| d.to_le_bytes()));
+        let blocks = [
+            (0u32, 0u32, vec![TraceOp::alu(7, 3), TraceOp::store(1, vec![64]).with_srcs([2])]),
+            (1, 1, vec![TraceOp::load(4, 5, vec![128, 256])]),
+            (1, 0, vec![]),
+            (0, 1, vec![TraceOp::alu(9, 1).with_dst(3)]),
+        ];
+        for (cta, warp, ops) in blocks {
+            let mut payload = Vec::new();
+            ops.iter().for_each(|op| encode_bin_op(op, &mut payload));
+            good.extend(cta.to_le_bytes().into_iter().chain(warp.to_le_bytes()));
+            good.extend((payload.len() as u64).to_le_bytes());
+            good.extend(payload);
+        }
+        assert!(scan_binary_ok(&good));
+        for cut in 0..good.len() {
+            assert_bin_splits_agree(&good[..cut], 7);
+        }
+        let mut x: u64 = 0xb1a5;
+        let mut next = |n: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        for _ in 0..150 {
+            let mut bad = good.clone();
+            for _ in 0..1 + next(3) {
+                bad[next(good.len())] = [0, 1, 2, 3, 33, 64, 0xff][next(7)];
+            }
+            assert_bin_splits_agree(&bad, 4);
+        }
+    }
+
+    fn scan_binary_ok(bytes: &[u8]) -> bool {
+        let path = tmp("bin-ok.trace");
+        std::fs::write(&path, bytes).unwrap();
+        let ok = scan_binary(&path, &[0, u64::MAX]).is_ok();
+        std::fs::remove_file(&path).ok();
+        ok
+    }
+
+    /// The op-line grammar of the module docs, written the slow way:
+    /// split at ASCII whitespace, fields read with `str::parse`. Returns
+    /// the op, `None` for a blank or `#` line, or the error text.
+    fn reference(line: &[u8]) -> Result<Option<TraceOp>, String> {
+        let t = line.trim_ascii();
+        let fail = |msg: String| {
+            Err(format!("malformed trace (op line `{}`): {msg}", String::from_utf8_lossy(t)))
+        };
+        let mut toks = t.split(u8::is_ascii_whitespace).filter(|tok| !tok.is_empty());
+        let kw = toks.next().unwrap_or_default();
+        let usage = match kw {
+            b"alu" => "expected `alu pc latency active dst s0 s1`",
+            b"ld" => "expected `ld pc dst s0 s1 addr,addr,...`",
+            b"st" => "expected `st pc s0 s1 addr,addr,...`",
+            _ => {
+                return match std::str::from_utf8(line).map(str::trim) {
+                    Err(_) => fail("non-UTF-8 bytes".into()),
+                    Ok(s) if s.is_empty() || s.starts_with('#') => Ok(None),
+                    Ok(_) => fail(format!("unknown keyword `{}`", String::from_utf8_lossy(kw))),
+                }
+            }
+        };
+        fn parse<T: std::str::FromStr>(tok: &[u8], what: &str) -> Result<T, String> {
+            let v = std::str::from_utf8(tok).ok().and_then(|s| s.parse().ok());
+            v.ok_or_else(|| format!("invalid {what} `{}`", tok.escape_ascii()))
+        }
+        let mut field = || toks.next().ok_or_else(|| usage.to_string());
+        let op = (|| {
+            let pc = parse(field()?, "number")?;
+            let alu = if kw == b"alu" {
+                let (latency, active) = (parse(field()?, "number")?, field()?);
+                let active: u8 = parse(active, "active-lane count")?;
+                if !(1..=32).contains(&active) {
+                    return Err("active lanes must be 1..=32".to_string());
+                }
+                Some((latency, active))
+            } else {
+                None
+            };
+            let mut reg = || -> Result<Reg, String> {
+                match field()? {
+                    b"-" => Ok(NO_REG),
+                    tok => match parse::<u8>(tok, "register")? {
+                        r if (r as usize) < MAX_REGS => Ok(r),
+                        r => Err(format!("register {r} out of range (< {MAX_REGS})")),
+                    },
+                }
+            };
+            let dst = if kw == b"st" { NO_REG } else { reg()? };
+            if kw == b"ld" && dst == NO_REG {
+                return Err("loads must write a register".to_string());
+            }
+            let srcs = [reg()?, reg()?];
+            let kind = match alu {
+                Some((latency, active)) => OpKind::Alu { latency, active },
+                None => {
+                    let addrs: Vec<u64> = field()?
+                        .split(|&c| c == b',')
+                        .map(|a| parse(a, "address"))
+                        .collect::<Result<_, _>>()?;
+                    if addrs.len() > 32 {
+                        return Err("1..=32 lane addresses required".to_string());
+                    }
+                    OpKind::Mem { is_write: kw == b"st", addrs }
+                }
+            };
+            match field() {
+                Ok(_) => Err(usage.to_string()),
+                Err(_) => Ok(TraceOp { pc, dst, srcs, kind }),
+            }
+        })();
+        op.map(Some).or_else(fail)
+    }
+
+    /// The decoder's view of one line, in either mode, as `reference`
+    /// reports it; a validated op line reads as the reference's op.
+    fn decoded(rest: &[u8], at_end: bool, build: bool, want: &Option<TraceOp>) -> Result<Option<TraceOp>, String> {
+        let mut op = None;
+        let out = if build { Some(&mut op) } else { None };
+        match next_line(rest, at_end, out).map_err(|e| e.to_string())? {
+            Some((Line::Op, _)) => Ok(if build { op } else { want.clone() }),
+            Some((Line::Other(line), _)) => match not_op(line) {
+                Ok(()) => Ok(None),
+                Err(bad) => Err(bad.error(line).to_string()),
+            },
+            Some((Line::Bad(e), _)) => Err(e.to_string()),
+            None => Err("incomplete".into()),
+        }
+    }
+
+    #[test]
+    fn decoder_matches_the_reference_grammar() {
+        let mut x: u64 = 0xdec0de;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 24) % n
+        };
+        let seps: [&[u8]; 7] = [b" ", b" ", b" ", b"\t", b"  ", b" \r ", b"\x0c"];
+        let nums: [&[u8]; 12] = [
+            b"0", b"7", b"31", b"63", b"64", b"255", b"+5", b"0042", b"4294967295",
+            b"4294967296", b"18446744073709551615", b"000000000000000000000000000099",
+        ];
+        let junk = b"0123456789 ,-+#\t\r\x0b\x0claustdwrigp\x00\xff\x80\xe3";
+        let (mut ops, mut errs) = (0, 0);
+        for case in 0..20_000 {
+            let mut line: Vec<u8> = Vec::new();
+            if next(8) == 0 {
+                line.extend(seps[next(7) as usize]);
+            }
+            let kw = next(5) as usize;
+            line.extend([&b"alu"[..], b"ld", b"st", b"#", b"alux"][kw]);
+            // The fields the keyword takes: N number, A active count,
+            // R register, L lanes; now and then one too few or too many.
+            let mut shape: Vec<u8> = [&b"NNARRR"[..], b"NRRRL", b"NRRL", b"NN", b"NNARRR"][kw].to_vec();
+            match next(8) {
+                0 => _ = shape.pop(),
+                1 => shape.push(b'N'),
+                _ => {}
+            }
+            for kind in shape {
+                line.extend(seps[next(7) as usize]);
+                let reg: [&[u8]; 6] = [b"-", b"-", b"0", b"5", b"63", b"64"];
+                match kind {
+                    b'A' => line.extend([&b"1"[..], b"17", b"32", b"+32", b"0", b"33"][next(6) as usize]),
+                    b'R' => line.extend(reg[next(6) as usize]),
+                    b'L' => {
+                        for lane in 0..1 + next(36) {
+                            if lane > 0 {
+                                line.push(b',');
+                            }
+                            line.extend(nums[next(12) as usize]);
+                        }
+                    }
+                    _ => line.extend(nums[next(12) as usize]),
+                }
+            }
+            if next(6) == 0 {
+                line.extend(seps[next(7) as usize]);
+            }
+            if case % 2 == 1 {
+                for _ in 0..1 + next(2) {
+                    let at = next(line.len() as u64 + 1) as usize;
+                    line.insert(at, junk[next(junk.len() as u64) as usize]);
+                }
+            }
+            let want = reference(&line);
+            match &want {
+                Ok(Some(_)) => ops += 1,
+                Err(_) => errs += 1,
+                Ok(None) => {}
+            }
+            let shown = String::from_utf8_lossy(&line).into_owned();
+            let fallback = want.clone().ok().flatten();
+            // Alone, and followed by a `\n` and more bytes it must not read.
+            let mut more = line.clone();
+            more.extend(b"\n9 9,9 alu\n");
+            for build in [false, true] {
+                assert_eq!(decoded(&line, true, build, &fallback), want, "{shown:?} build={build}");
+                assert_eq!(decoded(&more, false, build, &fallback), want, "{shown:?} build={build}");
+            }
+        }
+        assert!(ops > 1_000 && errs > 5_000, "{ops} ops, {errs} errors");
     }
 }
