@@ -146,10 +146,10 @@ fn bench_next_event(c: &mut Criterion) {
     });
 
     // Partition event horizon: the idle fast path the leap scan hits on
-    // most partitions most steps, and the loaded path that must replay
-    // the L2 admission chain (`head_would_process`).
+    // most partitions most steps, and a loaded partition with queued
+    // input, pending replies and busy DRAM.
     c.bench_function("partition_next_event_idle", |b| {
-        let mut p = MemoryPartition::new(PartitionConfig::fermi());
+        let p = MemoryPartition::new(PartitionConfig::fermi());
         b.iter(|| black_box(p.next_event(black_box(1_000))));
     });
     c.bench_function("partition_next_event_loaded", |b| {

@@ -138,14 +138,7 @@ fn main() {
     }
 
     if let Some(c) = dlp_bench::persist::store_counters() {
-        dlp_bench::telemetry::record_store(dlp_bench::telemetry::StoreRecord {
-            hits: c.hits,
-            misses: c.misses,
-            puts: c.puts,
-            quarantined: c.quarantined,
-            adopted: c.adopted,
-            faults_injected: c.faults_injected,
-        });
+        dlp_bench::telemetry::record_store(c);
     }
 
     let path = telemetry_path();
@@ -735,103 +728,53 @@ fn pdpt_report(app: &str, scale: Scale) {
     );
 }
 
+/// Every counter of each scheme's run (and the 32 KB baseline's), by
+/// field name and block, each block followed by the rates read off it.
 fn inspect(app: &str, scale: Scale) {
-    // Optional protection overrides for quick experiments.
-    let decrease_step: Option<u8> =
-        std::env::var("DLP_DECREASE_STEP").ok().and_then(|v| v.parse().ok());
-    let sample_period: Option<u32> =
-        std::env::var("DLP_SAMPLE_PERIOD").ok().and_then(|v| v.parse().ok());
-    for kind in PolicyKind::ALL {
-        let mut pc = ProtectionConfig::paper_default(CacheGeometry::fermi_l1d_16k());
-        if let Some(d) = decrease_step {
-            pc.decrease_step = d;
-        }
-        if let Some(p) = sample_period {
-            pc.sample_period = p;
-        }
-        let protection =
-            (decrease_step.is_some() || sample_period.is_some()).then_some(pc);
-        let run = must_run(run_app(
-            app,
-            ExperimentConfig { scale, protection, ..ExperimentConfig::baseline().with_policy(kind) },
-        ));
-        let s = &run.stats;
-        println!("--- {app} {:?} ---", kind);
-        println!(
-            "cycles {} ipc {:.2} thread_insns {} txns {}",
-            s.cycles,
-            s.ipc(),
-            s.thread_insns,
-            s.mem_transactions
-        );
-        println!(
-            "L1D: acc {} hits {} ({:.1}%) alloc_miss {} merges {} byp_ld {} byp_st {} evic {} (dirty {}) compulsory {} stall_cyc {} rejects {}",
-            s.l1d.accesses,
-            s.l1d.hits,
-            s.l1d.hit_rate() * 100.0,
-            s.l1d.misses_allocated,
-            s.l1d.mshr_merges,
-            s.l1d.bypassed_loads,
-            s.l1d.bypassed_stores,
-            s.l1d.evictions,
-            s.l1d.dirty_evictions,
-            s.l1d.compulsory_misses,
-            s.l1d.stall_cycles,
-            s.l1d.rejected_submits,
-        );
-        println!(
-            "stall causes: merge_full {} mshr_full {} miss_q {} all_resv {} | avg load latency {:.0}",
-            s.l1d.stall_merge_full, s.l1d.stall_mshr_full, s.l1d.stall_miss_queue, s.l1d.stall_all_reserved,
-            s.l1d.avg_load_latency(),
-        );
-        println!(
-            "policy: queries {} prot_byp {} vta_hits {} vta_ins {} samples {} incr {} decr {} avg_pd {:.2}",
-            s.policy.queries,
-            s.policy.protected_bypasses,
-            s.policy.vta_hits,
-            s.policy.vta_insertions,
-            s.policy.samples,
-            s.policy.pd_increases,
-            s.policy.pd_decreases,
-            s.policy.avg_pd(),
-        );
-        println!(
-            "icnt: fwd {} ret {} rejects {} | L2: acc {} hits {} | DRAM: rd {} wr {} rowhit {:.0}%",
-            s.icnt.fwd_flits,
-            s.icnt.ret_flits,
-            s.icnt.rejects,
-            s.l2.accesses,
-            s.l2.hits,
-            s.dram.reads,
-            s.dram.writes,
-            100.0 * s.dram.row_hits as f64 / (s.dram.row_hits + s.dram.row_misses).max(1) as f64,
-        );
-    }
-    let run32 = must_run(run_app(
-        app,
-        ExperimentConfig { scale, ..ExperimentConfig::baseline().with_geom(CacheGeometry::fermi_l1d_32k()) },
+    let mut runs: Vec<(String, ExperimentConfig)> = PolicyKind::ALL
+        .iter()
+        .map(|&kind| (format!("{kind:?}"), ExperimentConfig::baseline().with_policy(kind)))
+        .collect();
+    runs.push((
+        "32KB".to_string(),
+        ExperimentConfig::baseline().with_geom(CacheGeometry::fermi_l1d_32k()),
     ));
-    let s = &run32.stats;
-    println!("--- {app} 32KB ---");
-    println!(
-        "cycles {} ipc {:.2} L1D hits {} ({:.1}%) alloc_miss {} merges {} stall_cyc {}",
-        s.cycles,
-        s.ipc(),
-        s.l1d.hits,
-        s.l1d.hit_rate() * 100.0,
-        s.l1d.misses_allocated,
-        s.l1d.mshr_merges,
-        s.l1d.stall_cycles
-    );
-    println!(
-        "stall causes: merge_full {} mshr_full {} miss_q {} all_resv {} | avg load latency {:.0} | icnt rejects {}",
-        s.l1d.stall_merge_full,
-        s.l1d.stall_mshr_full,
-        s.l1d.stall_miss_queue,
-        s.l1d.stall_all_reserved,
-        s.l1d.avg_load_latency(),
-        s.icnt.rejects,
-    );
+    for (label, cfg) in runs {
+        let s = must_run(run_app(app, ExperimentConfig { scale, ..cfg })).stats;
+        println!("--- {app} {label} ---");
+        println!(
+            "cycles {} thread_insns {} warp_insns {} mem_transactions {} completed {} | ipc {:.2}",
+            s.cycles,
+            s.thread_insns,
+            s.warp_insns,
+            s.mem_transactions,
+            s.completed,
+            s.ipc()
+        );
+        let l1d_rates = format!(
+            "hit_rate {:.1}% avg_load_latency {:.0}",
+            s.l1d.hit_rate() * 100.0,
+            s.l1d.avg_load_latency()
+        );
+        let row_hits = s.dram.row_hits as f64 / (s.dram.row_hits + s.dram.row_misses).max(1) as f64;
+        print_block("L1D", s.l1d.fields(), &l1d_rates);
+        print_block("policy", s.policy.fields(), &format!("avg_pd {:.2}", s.policy.avg_pd()));
+        print_block("icnt", s.icnt.fields(), "");
+        print_block("L2", s.l2.fields(), "");
+        print_block("DRAM", s.dram.fields(), &format!("row_hit_rate {:.0}%", row_hits * 100.0));
+    }
+}
+
+/// One `inspect` line: `label: name value ... [| rates]`.
+fn print_block(label: &str, fields: impl Iterator<Item = (&'static str, u64)>, rates: &str) {
+    let mut line = format!("{label}:");
+    for (name, v) in fields {
+        line += &format!(" {name} {v}");
+    }
+    if !rates.is_empty() {
+        line += &format!(" | {rates}");
+    }
+    println!("{line}");
 }
 
 /// Compact calibration table: every CI app under the four schemes plus

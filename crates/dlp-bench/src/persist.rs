@@ -13,7 +13,8 @@
 //!   stale entries simply stop matching and are recomputed.
 //!
 //! The payload codec is hand-rolled little-endian (the vendored serde
-//! stack has no real serialization): every field of [`AppRun`] worth
+//! stack has no real serialization): the statistics follow
+//! [`RunStats::fields_mut`]'s walk, everything else of [`AppRun`] worth
 //! keeping is written explicitly, and `decode_run` re-validates as it
 //! reads. A decode failure is treated as a miss, never an error — the
 //! simulator is always able to recompute.
@@ -29,6 +30,7 @@
 use crate::estimate::{Estimate, SamplingSummary};
 use crate::harness::{AppRun, ExperimentConfig};
 use dlp_store::{fnv1a, Store, StoreCounters, StoreFaultConfig, StoreKey};
+use gpu_sim::stats::Field;
 use gpu_sim::RunStats;
 use parking_lot::Mutex;
 use rd_tools::{RdProfiler, RddHistogram};
@@ -208,101 +210,21 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// `RunStats` travels as its field walk, one `u64` per field.
 fn encode_stats(out: &mut Vec<u8>, s: &RunStats) {
-    push_u64(out, s.cycles);
-    push_u64(out, s.thread_insns);
-    push_u64(out, s.warp_insns);
-    push_u64(out, s.mem_transactions);
-    push_u64(out, s.completed as u64);
-    for cache in [&s.l1d, &s.l2] {
-        push_u64(out, cache.accesses);
-        push_u64(out, cache.hits);
-        push_u64(out, cache.misses_allocated);
-        push_u64(out, cache.mshr_merges);
-        push_u64(out, cache.bypassed_loads);
-        push_u64(out, cache.bypass_fetches);
-        push_u64(out, cache.bypassed_stores);
-        push_u64(out, cache.evictions);
-        push_u64(out, cache.dirty_evictions);
-        push_u64(out, cache.compulsory_misses);
-        push_u64(out, cache.stall_cycles);
-        push_u64(out, cache.rejected_submits);
-        push_u64(out, cache.stall_merge_full);
-        push_u64(out, cache.stall_mshr_full);
-        push_u64(out, cache.stall_miss_queue);
-        push_u64(out, cache.stall_all_reserved);
-        push_u64(out, cache.load_latency_sum);
-        push_u64(out, cache.load_count);
+    for (_, _, field) in s.clone().fields_mut() {
+        push_u64(out, field.get());
     }
-    push_u64(out, s.policy.queries);
-    push_u64(out, s.policy.protected_bypasses);
-    push_u64(out, s.policy.vta_hits);
-    push_u64(out, s.policy.vta_insertions);
-    push_u64(out, s.policy.vta_reinserted);
-    push_u64(out, s.policy.samples);
-    push_u64(out, s.policy.pd_increases);
-    push_u64(out, s.policy.pd_decreases);
-    push_u64(out, s.policy.mean_pd_milli_sum);
-    push_u64(out, s.icnt.fwd_flits);
-    push_u64(out, s.icnt.ret_flits);
-    push_u64(out, s.icnt.rejects);
-    push_u64(out, s.dram.reads);
-    push_u64(out, s.dram.writes);
-    push_u64(out, s.dram.row_hits);
-    push_u64(out, s.dram.row_misses);
-    push_u64(out, s.insn_id_wraps);
-    push_u64(out, s.pdpt_evict_pressure);
-    push_u64(out, s.peak_warp_trace_bytes);
 }
 
 fn decode_stats(c: &mut Cursor) -> Option<RunStats> {
-    let mut s = RunStats {
-        cycles: c.u64()?,
-        thread_insns: c.u64()?,
-        warp_insns: c.u64()?,
-        mem_transactions: c.u64()?,
-        completed: c.flag()?,
-        ..Default::default()
-    };
-    for cache in [&mut s.l1d, &mut s.l2] {
-        cache.accesses = c.u64()?;
-        cache.hits = c.u64()?;
-        cache.misses_allocated = c.u64()?;
-        cache.mshr_merges = c.u64()?;
-        cache.bypassed_loads = c.u64()?;
-        cache.bypass_fetches = c.u64()?;
-        cache.bypassed_stores = c.u64()?;
-        cache.evictions = c.u64()?;
-        cache.dirty_evictions = c.u64()?;
-        cache.compulsory_misses = c.u64()?;
-        cache.stall_cycles = c.u64()?;
-        cache.rejected_submits = c.u64()?;
-        cache.stall_merge_full = c.u64()?;
-        cache.stall_mshr_full = c.u64()?;
-        cache.stall_miss_queue = c.u64()?;
-        cache.stall_all_reserved = c.u64()?;
-        cache.load_latency_sum = c.u64()?;
-        cache.load_count = c.u64()?;
+    let mut s = RunStats::default();
+    for (_, _, field) in s.fields_mut() {
+        match field {
+            Field::Count(v) => *v = c.u64()?,
+            Field::Flag(b) => *b = c.flag()?,
+        }
     }
-    s.policy.queries = c.u64()?;
-    s.policy.protected_bypasses = c.u64()?;
-    s.policy.vta_hits = c.u64()?;
-    s.policy.vta_insertions = c.u64()?;
-    s.policy.vta_reinserted = c.u64()?;
-    s.policy.samples = c.u64()?;
-    s.policy.pd_increases = c.u64()?;
-    s.policy.pd_decreases = c.u64()?;
-    s.policy.mean_pd_milli_sum = c.u64()?;
-    s.icnt.fwd_flits = c.u64()?;
-    s.icnt.ret_flits = c.u64()?;
-    s.icnt.rejects = c.u64()?;
-    s.dram.reads = c.u64()?;
-    s.dram.writes = c.u64()?;
-    s.dram.row_hits = c.u64()?;
-    s.dram.row_misses = c.u64()?;
-    s.insn_id_wraps = c.u64()?;
-    s.pdpt_evict_pressure = c.u64()?;
-    s.peak_warp_trace_bytes = c.u64()?;
     Some(s)
 }
 
@@ -487,6 +409,26 @@ mod tests {
         let mut extended = enc.clone();
         extended.push(0);
         assert!(decode_run("KM", &extended).is_none(), "trailing garbage");
+    }
+
+    #[test]
+    fn store_payload_layout_is_pinned() {
+        // Every field holds a value derived from its own name, so a
+        // reordered, dropped or added field moves the bytes. The digest
+        // was computed before the codec became a field walk; matching it
+        // keeps every stored entry readable under CODEC_VERSION 3.
+        let mut stats = RunStats::default();
+        for (block, name, field) in stats.fields_mut() {
+            match field {
+                Field::Count(v) => *v = fnv1a(format!("{block}.{name}").as_bytes()),
+                Field::Flag(b) => *b = true,
+            }
+        }
+        let spec = gpu_workloads::registry::spec("KM");
+        let run = AppRun { spec, stats, ticked_cycles: 7, rdd: None, sampling: None };
+        let bytes = encode_run("KM", &run);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (514, 0xb6e0_7304_4570_5f43));
+        assert_eq!(decode_run("KM", &bytes).map(|d| d.stats), Some(run.stats));
     }
 
     #[test]

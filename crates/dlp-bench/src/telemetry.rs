@@ -11,7 +11,9 @@
 //! `serde_json`, and the schema is flat enough that an escaper plus two
 //! array writers keep the format honest.
 
+use dlp_store::StoreCounters;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::time::Instant;
 
 /// One simulation job, timed.
@@ -104,34 +106,16 @@ pub struct SweepRecord {
     pub sim_cycles: u64,
     /// Total cycles actually stepped (see [`JobRecord::ticked_cycles`]).
     pub ticked_cycles: u64,
-}
-
-/// Snapshot of the persistent store's health counters, recorded once
-/// per process before rendering (a plain-u64 mirror of
-/// `dlp_store::StoreCounters`, kept local so telemetry stays
-/// decoupled from the store crate's types).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StoreRecord {
-    /// Entries served after verification.
-    pub hits: u64,
-    /// Lookups with no usable entry.
-    pub misses: u64,
-    /// Entries written.
-    pub puts: u64,
-    /// Corrupt entries detected, moved to quarantine and recomputed.
-    pub quarantined: u64,
-    /// Unjournaled entries adopted at open.
-    pub adopted: u64,
-    /// Write-path faults injected by an active `DLP_STORE_FAULT`
-    /// campaign.
-    pub faults_injected: u64,
+    /// The sweep ran inside another sweep on the same thread, so its
+    /// wall time is already part of the outer sweep's.
+    pub nested: bool,
 }
 
 #[derive(Default)]
 struct Collector {
     jobs: Vec<JobRecord>,
     sweeps: Vec<SweepRecord>,
-    store: Option<StoreRecord>,
+    store: Option<StoreCounters>,
 }
 
 fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> R {
@@ -151,15 +135,23 @@ pub fn record_sweep(sweep: SweepRecord) {
 }
 
 /// Record (or update) the store-health snapshot rendered in the JSON.
-pub fn record_store(store: StoreRecord) {
+pub fn record_store(store: StoreCounters) {
     with_collector(|c| c.store = Some(store));
+}
+
+thread_local! {
+    /// Sweeps open on this thread.
+    static SWEEP_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Time `f` as a named sweep, aggregating the job records it produces.
 pub fn sweep<R>(name: &str, f: impl FnOnce() -> R) -> R {
+    let depth = SWEEP_DEPTH.get();
     let before = with_collector(|c| c.jobs.len());
     let start = Instant::now();
+    SWEEP_DEPTH.set(depth + 1);
     let out = f();
+    SWEEP_DEPTH.set(depth);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let (jobs, cached, store_hits, failed, sim_cycles, ticked_cycles) = with_collector(|c| {
         let new = &c.jobs[before..];
@@ -181,8 +173,15 @@ pub fn sweep<R>(name: &str, f: impl FnOnce() -> R) -> R {
         failed,
         sim_cycles,
         ticked_cycles,
+        nested: depth > 0,
     });
     out
+}
+
+/// Wall time of the top-level sweeps: a nested sweep's time is already
+/// inside its parent's.
+fn total_wall_ms(sweeps: &[SweepRecord]) -> f64 {
+    sweeps.iter().filter(|s| !s.nested).map(|s| s.wall_ms).sum()
 }
 
 /// Number of job records collected so far (tests, progress reports).
@@ -225,8 +224,8 @@ fn num(v: f64) -> String {
 pub fn render_json() -> String {
     with_collector(|c| {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"dlp-bench/figures-telemetry/v7\",\n");
-        let total_ms: f64 = c.sweeps.iter().map(|s| s.wall_ms).sum();
+        out.push_str("{\n  \"schema\": \"dlp-bench/figures-telemetry/v8\",\n");
+        let total_ms = total_wall_ms(&c.sweeps);
         let total_cycles: u64 = c.jobs.iter().map(|j| j.sim_cycles).sum();
         let total_ticked: u64 = c.jobs.iter().map(|j| j.ticked_cycles).sum();
         let efficiency = if total_cycles == 0 {
@@ -355,7 +354,7 @@ mod tests {
         let out = sweep("test_sweep", render_json);
         assert!(out.contains("\\\"pp"), "{out}");
         assert!(out.contains("base\\\\line"), "{out}");
-        assert!(out.contains("\"schema\": \"dlp-bench/figures-telemetry/v7\""));
+        assert!(out.contains("\"schema\": \"dlp-bench/figures-telemetry/v8\""));
         assert!(out.contains("\"ticked_cycles\": 7"), "{out}");
         assert!(out.contains("\"store_hit\": true"), "{out}");
         assert!(out.contains("\"windows\": 5"), "{out}");
@@ -373,10 +372,25 @@ mod tests {
     }
 
     #[test]
+    fn nested_sweeps_add_nothing_to_the_total() {
+        sweep("nest_outer", || {
+            sweep("nest_inner", || std::thread::sleep(std::time::Duration::from_millis(2)))
+        });
+        let sweeps: Vec<SweepRecord> = with_collector(|c| {
+            c.sweeps.iter().filter(|s| s.name.starts_with("nest_")).cloned().collect()
+        });
+        let [inner, outer] = &sweeps[..] else { panic!("two sweeps: {sweeps:?}") };
+        assert_eq!((inner.name.as_str(), inner.nested), ("nest_inner", true));
+        assert_eq!((outer.name.as_str(), outer.nested), ("nest_outer", false));
+        assert!(inner.wall_ms > 0.0);
+        assert_eq!(total_wall_ms(&sweeps), outer.wall_ms);
+    }
+
+    #[test]
     fn store_record_renders_when_present() {
         // The collector is process-wide; without a record the store
         // section is a zeroed object, after one it carries the counts.
-        record_store(StoreRecord { hits: 3, puts: 2, quarantined: 1, ..Default::default() });
+        record_store(StoreCounters { hits: 3, puts: 2, quarantined: 1, ..Default::default() });
         let out = render_json();
         assert!(out.contains("\"store\": {\"hits\": 3"), "{out}");
         assert!(out.contains("\"quarantined\": 1"), "{out}");

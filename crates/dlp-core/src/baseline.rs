@@ -1,43 +1,38 @@
-//! The two non-protecting schemes: plain LRU and Stall-Bypass.
+//! The two non-protecting schemes: plain LRU and Stall-Bypass, one type.
 
 use crate::geometry::CacheGeometry;
 use crate::policy::{AccessCtx, MissDecision, PolicyKind, ReplacementPolicy, WayView};
 use crate::recency::RecencyArray;
 use crate::stats::PolicyStats;
 
-/// Plain LRU replacement — the paper's baseline 16 KB configuration.
+/// LRU replacement: the paper's baseline 16 KB configuration and, built
+/// with [`LruBaseline::stall_bypass`], the Stall-Bypass scheme (§5.3).
 ///
 /// A miss allocates into an invalid way if one exists, otherwise the
 /// least-recently-used non-reserved way. If every way is reserved by an
-/// in-flight fill the access stalls in the pipeline register (§2).
+/// in-flight fill the baseline stalls the access in the pipeline
+/// register (§2); Stall-Bypass bypasses it instead, and also asks the
+/// controller to bypass every other structural stall (no MSHR entry, a
+/// full miss queue).
 pub struct LruBaseline {
     recency: RecencyArray,
     stats: PolicyStats,
+    stall_bypass: bool,
 }
 
 impl LruBaseline {
-    /// Create for a cache of the given geometry.
+    /// Plain LRU for a cache of the given geometry.
     pub fn new(geom: CacheGeometry) -> Self {
-        LruBaseline { recency: RecencyArray::new(geom.num_sets, geom.assoc), stats: PolicyStats::default() }
+        LruBaseline {
+            recency: RecencyArray::new(geom.num_sets, geom.assoc),
+            stats: PolicyStats::default(),
+            stall_bypass: false,
+        }
     }
 
-    /// The replacement decision [`ReplacementPolicy::decide_replacement`]
-    /// will make for this set, computed without touching any state.
-    ///
-    /// Public because LRU victim selection is side-effect-free: the L2
-    /// partition's cycle-leap event mirror peeks the decision (including
-    /// the victim way, to replay the DRAM-admission check) to predict
-    /// whether the queued head access would progress.
-    pub fn peek_victim(&self, set: usize, ways: &[WayView]) -> MissDecision {
-        // Prefer an invalid (and unreserved) way, then LRU among valid
-        // unreserved ways.
-        if let Some(way) = ways.iter().position(|w| !w.valid && !w.reserved) {
-            return MissDecision::Allocate { way };
-        }
-        match self.recency.lru_among(set, |w| ways[w].valid && !ways[w].reserved) {
-            Some(way) => MissDecision::Allocate { way },
-            None => MissDecision::Stall,
-        }
+    /// LRU plus the Stall-Bypass path, for a cache of the given geometry.
+    pub fn stall_bypass(geom: CacheGeometry) -> Self {
+        LruBaseline { stall_bypass: true, ..Self::new(geom) }
     }
 }
 
@@ -53,7 +48,16 @@ impl ReplacementPolicy for LruBaseline {
     fn on_miss(&mut self, _set: usize, _tag: u64, _ctx: &AccessCtx) {}
 
     fn decide_replacement(&mut self, set: usize, ways: &[WayView], _ctx: &AccessCtx) -> MissDecision {
-        self.peek_victim(set, ways)
+        // Prefer an invalid (and unreserved) way, then LRU among valid
+        // unreserved ways.
+        if let Some(way) = ways.iter().position(|w| !w.valid && !w.reserved) {
+            return MissDecision::Allocate { way };
+        }
+        match self.recency.lru_among(set, |w| ways[w].valid && !ways[w].reserved) {
+            Some(way) => MissDecision::Allocate { way },
+            None if self.stall_bypass => MissDecision::Bypass,
+            None => MissDecision::Stall,
+        }
     }
 
     fn on_evict(&mut self, _set: usize, _way: usize, _tag: u64) {}
@@ -62,73 +66,20 @@ impl ReplacementPolicy for LruBaseline {
         self.recency.touch(set, way);
     }
 
+    fn bypass_on_stall(&self) -> bool {
+        self.stall_bypass
+    }
+
     fn kind(&self) -> PolicyKind {
-        PolicyKind::Baseline
+        if self.stall_bypass {
+            PolicyKind::StallBypass
+        } else {
+            PolicyKind::Baseline
+        }
     }
 
     fn stats(&self) -> PolicyStats {
         self.stats.clone()
-    }
-}
-
-/// LRU replacement plus the Stall-Bypass path (§5.3): whenever the L1D
-/// would stall for *any* structural reason — no MSHR entry, no reservable
-/// way in the set, or a full miss queue — the access is bypassed to the
-/// interconnect instead.
-///
-/// Replacement decisions are identical to [`LruBaseline`]; the only
-/// difference is `bypass_on_stall` returning `true` (the controller
-/// converts structural stalls into bypasses) and all-ways-reserved
-/// misses turning into `Bypass` instead of `Stall`.
-pub struct StallBypass {
-    inner: LruBaseline,
-}
-
-impl StallBypass {
-    /// Create for a cache of the given geometry.
-    pub fn new(geom: CacheGeometry) -> Self {
-        StallBypass { inner: LruBaseline::new(geom) }
-    }
-}
-
-impl ReplacementPolicy for StallBypass {
-    fn on_query(&mut self, set: usize) {
-        self.inner.on_query(set);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.inner.on_hit(set, way, ctx);
-    }
-
-    fn on_miss(&mut self, set: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_miss(set, tag, ctx);
-    }
-
-    fn decide_replacement(&mut self, set: usize, ways: &[WayView], ctx: &AccessCtx) -> MissDecision {
-        match self.inner.decide_replacement(set, ways, ctx) {
-            MissDecision::Stall => MissDecision::Bypass,
-            other => other,
-        }
-    }
-
-    fn on_evict(&mut self, set: usize, way: usize, tag: u64) {
-        self.inner.on_evict(set, way, tag);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_fill(set, way, tag, ctx);
-    }
-
-    fn bypass_on_stall(&self) -> bool {
-        true
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::StallBypass
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.inner.stats()
     }
 }
 
@@ -184,7 +135,7 @@ mod tests {
 
     #[test]
     fn stall_bypass_bypasses_when_everything_reserved() {
-        let mut p = StallBypass::new(small_geom());
+        let mut p = LruBaseline::stall_bypass(small_geom());
         let ways = vec![WayView::reserved(); 4];
         assert_eq!(p.decide_replacement(0, &ways, &ctx()), MissDecision::Bypass);
         assert!(p.bypass_on_stall());
@@ -192,7 +143,7 @@ mod tests {
 
     #[test]
     fn stall_bypass_otherwise_behaves_like_lru() {
-        let mut p = StallBypass::new(small_geom());
+        let mut p = LruBaseline::stall_bypass(small_geom());
         let ways = vec![WayView::invalid(); 4];
         assert_eq!(p.decide_replacement(0, &ways, &ctx()), MissDecision::Allocate { way: 0 });
         assert_eq!(p.kind(), PolicyKind::StallBypass);

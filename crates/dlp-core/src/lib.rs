@@ -5,10 +5,10 @@
 //! Protection"* (Zhu, Wernsman, Zambreno — ICPP 2018):
 //!
 //! * [`LruBaseline`] — the plain LRU replacement used by the baseline
-//!   16 KB / 32-set / 4-way Fermi-style L1D cache,
-//! * [`StallBypass`] — LRU plus a bypass path taken whenever the L1D
-//!   stalls structurally (full MSHR, full miss queue, or a set with no
-//!   reservable way),
+//!   16 KB / 32-set / 4-way Fermi-style L1D cache, and, built with
+//!   [`LruBaseline::stall_bypass`], Stall-Bypass: LRU plus a bypass path
+//!   taken whenever the L1D stalls structurally (full MSHR, full miss
+//!   queue, or a set with no reservable way),
 //! * [`GlobalProtection`] — a single-protection-distance adaptation of
 //!   PDP (Duong et al., MICRO 2012) driven by global victim-tag-array
 //!   feedback,
@@ -16,6 +16,8 @@
 //!   protection distances predicted at runtime from TDA/VTA hit
 //!   feedback collected in a 128-entry Protection Distance Prediction
 //!   Table ([`Pdpt`]).
+//!
+//! The last two are one [`ProtectionPolicy`] over two PD models.
 //!
 //! The crate is deliberately independent of any particular simulator:
 //! a policy is driven through the [`ReplacementPolicy`] trait by
@@ -62,30 +64,34 @@ pub mod recency;
 pub mod stats;
 pub mod vta;
 
-pub use baseline::{LruBaseline, StallBypass};
+pub use baseline::LruBaseline;
 pub use geometry::CacheGeometry;
 pub use insn::{hash_pc, pc_wraps, InsnId, INSN_ID_BITS, PDPT_ENTRIES};
 pub use overhead::{dlp_overhead, OverheadReport};
 pub use pd::{pd_adjustment, PdComputation};
 pub use pdpt::{Pdpt, PdptEntry};
 pub use policy::{AccessCtx, MissDecision, PolicyKind, ReplacementPolicy, WayView};
-pub use protection::{Dlp, GlobalProtection, ProtectionConfig};
+pub use protection::{Dlp, GlobalProtection, ProtectionConfig, ProtectionPolicy};
 pub use stats::PolicyStats;
 pub use vta::VictimTagArray;
 
 /// Build a boxed policy of the given [`PolicyKind`] for a cache with the
 /// given geometry, using the paper's default protection parameters.
 ///
-/// This is the convenience constructor used by the simulator and the
-/// experiment harness; tests that need non-default protection parameters
-/// construct [`Dlp`] / [`GlobalProtection`] directly.
+/// This is the convenience constructor used by the experiment harness;
+/// [`build_policy_with`] takes non-default protection parameters.
 pub fn build_policy(kind: PolicyKind, geom: CacheGeometry) -> Box<dyn ReplacementPolicy> {
+    build_policy_with(kind, ProtectionConfig::paper_default(geom))
+}
+
+/// Build a boxed policy of the given [`PolicyKind`] for the cache
+/// geometry `protection.geom`. The protecting schemes run with
+/// `protection`; the LRU schemes have no use for the rest of it.
+pub fn build_policy_with(kind: PolicyKind, protection: ProtectionConfig) -> Box<dyn ReplacementPolicy> {
     match kind {
-        PolicyKind::Baseline => Box::new(LruBaseline::new(geom)),
-        PolicyKind::StallBypass => Box::new(StallBypass::new(geom)),
-        PolicyKind::GlobalProtection => {
-            Box::new(GlobalProtection::new(ProtectionConfig::paper_default(geom)))
-        }
-        PolicyKind::Dlp => Box::new(Dlp::new(ProtectionConfig::paper_default(geom))),
+        PolicyKind::Baseline => Box::new(LruBaseline::new(protection.geom)),
+        PolicyKind::StallBypass => Box::new(LruBaseline::stall_bypass(protection.geom)),
+        PolicyKind::GlobalProtection => Box::new(GlobalProtection::new(protection)),
+        PolicyKind::Dlp => Box::new(Dlp::new(protection)),
     }
 }

@@ -71,24 +71,37 @@ impl ProtectionConfig {
 
 /// How protection distances are stored and updated — the only part that
 /// differs between DLP and Global-Protection.
-trait PdModel: Send {
+pub trait PdModel: Send {
+    /// The scheme this model makes of a [`ProtectionPolicy`].
     const KIND: PolicyKind;
 
+    /// PD granted to a line brought in or hit by `insn`.
     fn pd_for(&self, insn: InsnId) -> u8;
+    /// Credit a TDA hit to `insn`.
     fn credit_tda(&mut self, insn: InsnId);
+    /// Credit a VTA hit to `insn`.
     fn credit_vta(&mut self, insn: InsnId);
+    /// TDA hits this sample, over all instructions.
     fn global_tda(&self) -> u64;
+    /// VTA hits this sample, over all instructions.
     fn global_vta(&self) -> u64;
+    /// Figure 9's increase path.
     fn apply_increase(&mut self, cfg: &ProtectionConfig);
+    /// Figure 9's decrease path.
     fn apply_decrease(&mut self, cfg: &ProtectionConfig);
+    /// Start a new sample.
     fn reset_hits(&mut self);
+    /// Mean PD over the model's active entries.
     fn mean_pd(&self) -> f64;
     /// Largest PD currently stored anywhere in the model (auditing).
     fn max_stored_pd(&self) -> u8;
+    /// `(instruction id, current PD)` rows for
+    /// [`ReplacementPolicy::pd_snapshot`].
+    fn pd_snapshot(&self) -> Vec<(InsnId, u8)>;
 }
 
 /// DLP's per-instruction model: the 128-entry PDPT.
-struct PerInsnModel {
+pub struct PerInsnModel {
     pdpt: Pdpt,
 }
 
@@ -139,10 +152,22 @@ impl PdModel for PerInsnModel {
     fn max_stored_pd(&self) -> u8 {
         (0..self.pdpt.len()).map(|i| self.pdpt.pd(i as InsnId)).max().unwrap_or(0)
     }
+
+    fn pd_snapshot(&self) -> Vec<(InsnId, u8)> {
+        (0..self.pdpt.len() as u16)
+            .map(|i| i as InsnId)
+            .filter(|&i| {
+                let e = self.pdpt.entry(i);
+                e.pd > 0 || e.tda_hits > 0 || e.vta_hits > 0
+            })
+            .map(|i| (i, self.pdpt.pd(i)))
+            .collect()
+    }
 }
 
 /// Global-Protection's model: one PD and one pair of hit counters.
-struct GlobalModel {
+#[derive(Default)]
+pub struct GlobalModel {
     pd: u8,
     tda_hits: u64,
     vta_hits: u64,
@@ -194,10 +219,18 @@ impl PdModel for GlobalModel {
     fn max_stored_pd(&self) -> u8 {
         self.pd
     }
+
+    fn pd_snapshot(&self) -> Vec<(InsnId, u8)> {
+        // One global PD — reported as a single row under a synthetic
+        // instruction id so reports render the same shape as DLP's
+        // per-instruction table.
+        vec![(0, self.pd)]
+    }
 }
 
-/// Shared protection policy, generic over the PD model.
-struct ProtectionPolicy<M: PdModel> {
+/// The protection policy, generic over the PD model: [`Dlp`] and
+/// [`GlobalProtection`] are its two instances.
+pub struct ProtectionPolicy<M: PdModel> {
     cfg: ProtectionConfig,
     model: M,
     recency: RecencyArray,
@@ -236,6 +269,11 @@ impl<M: PdModel> ProtectionPolicy<M> {
     #[inline]
     fn idx(&self, set: usize, way: usize) -> usize {
         set * self.cfg.geom.assoc + way
+    }
+
+    /// Current protected life of a TDA entry (tests / diagnostics).
+    pub fn protected_life(&self, set: usize, way: usize) -> u8 {
+        self.pl[self.idx(set, way)]
     }
 
     fn run_sample(&mut self) {
@@ -354,6 +392,10 @@ impl<M: PdModel> ReplacementPolicy for ProtectionPolicy<M> {
         }
     }
 
+    fn pd_snapshot(&self) -> Option<Vec<(InsnId, u8)>> {
+        Some(self.model.pd_snapshot())
+    }
+
     fn kind(&self) -> PolicyKind {
         M::KIND
     }
@@ -391,145 +433,38 @@ impl<M: PdModel> ReplacementPolicy for ProtectionPolicy<M> {
 }
 
 /// The paper's Dynamic Line Protection scheme (§4).
-pub struct Dlp {
-    inner: ProtectionPolicy<PerInsnModel>,
-}
+pub type Dlp = ProtectionPolicy<PerInsnModel>;
 
 impl Dlp {
     /// Build DLP for the given protection configuration.
     pub fn new(cfg: ProtectionConfig) -> Self {
-        Dlp { inner: ProtectionPolicy::with_model(cfg, PerInsnModel { pdpt: Pdpt::new() }) }
+        ProtectionPolicy::with_model(cfg, PerInsnModel { pdpt: Pdpt::new() })
     }
 
     /// Current PD of one instruction (tests / diagnostics).
     pub fn pd_of(&self, insn: InsnId) -> u8 {
-        self.inner.model.pdpt.pd(insn)
-    }
-
-    /// Current protected life of a TDA entry (tests / diagnostics).
-    pub fn protected_life(&self, set: usize, way: usize) -> u8 {
-        self.inner.pl[self.inner.idx(set, way)]
+        self.model.pdpt.pd(insn)
     }
 
     /// Read-only access to the PDPT (reports).
     pub fn pdpt(&self) -> &Pdpt {
-        &self.inner.model.pdpt
-    }
-}
-
-impl ReplacementPolicy for Dlp {
-    fn on_query(&mut self, set: usize) {
-        self.inner.on_query(set);
-    }
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.inner.on_hit(set, way, ctx);
-    }
-    fn on_miss(&mut self, set: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_miss(set, tag, ctx);
-    }
-    fn decide_replacement(&mut self, set: usize, ways: &[WayView], ctx: &AccessCtx) -> MissDecision {
-        self.inner.decide_replacement(set, ways, ctx)
-    }
-    fn repeat_decision(&mut self, decision: MissDecision, times: u64) {
-        self.inner.repeat_decision(decision, times);
-    }
-    fn on_evict(&mut self, set: usize, way: usize, tag: u64) {
-        self.inner.on_evict(set, way, tag);
-    }
-    fn on_bypass(&mut self, set: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_bypass(set, tag, ctx);
-    }
-    fn on_fill(&mut self, set: usize, way: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_fill(set, way, tag, ctx);
-    }
-    fn force_sample(&mut self) {
-        self.inner.force_sample();
-    }
-    fn pd_snapshot(&self) -> Option<Vec<(InsnId, u8)>> {
-        let pdpt = &self.inner.model.pdpt;
-        let rows: Vec<(InsnId, u8)> = (0..pdpt.len() as u16)
-            .map(|i| i as InsnId)
-            .filter(|&i| {
-                let e = pdpt.entry(i);
-                e.pd > 0 || e.tda_hits > 0 || e.vta_hits > 0
-            })
-            .map(|i| (i, pdpt.pd(i)))
-            .collect();
-        Some(rows)
-    }
-    fn kind(&self) -> PolicyKind {
-        self.inner.kind()
-    }
-    fn stats(&self) -> PolicyStats {
-        self.inner.stats()
-    }
-    fn audit(&self) -> Result<(), String> {
-        self.inner.audit()
+        &self.model.pdpt
     }
 }
 
 /// The single-PD Global-Protection comparison scheme (§5.3), emulating
 /// PDP on the GPU L1D.
-pub struct GlobalProtection {
-    inner: ProtectionPolicy<GlobalModel>,
-}
+pub type GlobalProtection = ProtectionPolicy<GlobalModel>;
 
 impl GlobalProtection {
     /// Build Global-Protection for the given configuration.
     pub fn new(cfg: ProtectionConfig) -> Self {
-        GlobalProtection {
-            inner: ProtectionPolicy::with_model(cfg, GlobalModel { pd: 0, tda_hits: 0, vta_hits: 0 }),
-        }
+        ProtectionPolicy::with_model(cfg, GlobalModel::default())
     }
 
     /// The single global PD (tests / diagnostics).
     pub fn global_pd(&self) -> u8 {
-        self.inner.model.pd
-    }
-}
-
-impl ReplacementPolicy for GlobalProtection {
-    fn on_query(&mut self, set: usize) {
-        self.inner.on_query(set);
-    }
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        self.inner.on_hit(set, way, ctx);
-    }
-    fn on_miss(&mut self, set: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_miss(set, tag, ctx);
-    }
-    fn decide_replacement(&mut self, set: usize, ways: &[WayView], ctx: &AccessCtx) -> MissDecision {
-        self.inner.decide_replacement(set, ways, ctx)
-    }
-    fn repeat_decision(&mut self, decision: MissDecision, times: u64) {
-        self.inner.repeat_decision(decision, times);
-    }
-    fn on_evict(&mut self, set: usize, way: usize, tag: u64) {
-        self.inner.on_evict(set, way, tag);
-    }
-    fn on_bypass(&mut self, set: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_bypass(set, tag, ctx);
-    }
-    fn on_fill(&mut self, set: usize, way: usize, tag: u64, ctx: &AccessCtx) {
-        self.inner.on_fill(set, way, tag, ctx);
-    }
-    fn force_sample(&mut self) {
-        self.inner.force_sample();
-    }
-    fn pd_snapshot(&self) -> Option<Vec<(InsnId, u8)>> {
-        // One global PD — report it as a single row under a synthetic
-        // instruction id so figures/reports render the same shape as
-        // DLP's per-instruction table.
-        Some(vec![(0, self.inner.model.pd)])
-    }
-    fn kind(&self) -> PolicyKind {
-        self.inner.kind()
-    }
-    fn stats(&self) -> PolicyStats {
-        self.inner.stats()
-    }
-    fn audit(&self) -> Result<(), String> {
-        self.inner.audit()
+        self.model.pd
     }
 }
 
@@ -687,7 +622,7 @@ mod tests {
         if let MissDecision::Allocate { way } = p.decide_replacement(1, &ways, &ctx(99)) {
             p.on_fill(1, way, 60, &ctx(99));
         }
-        assert_eq!(p.inner.pl[p.inner.idx(1, 0)], pd);
+        assert_eq!(p.protected_life(1, 0), pd);
     }
 
     #[test]

@@ -73,17 +73,19 @@ struct Bank {
     queue: VecDeque<DramCmd>,
 }
 
-/// DRAM counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Read bursts completed.
-    pub reads: u64,
-    /// Write bursts completed.
-    pub writes: u64,
-    /// Accesses that found their row open.
-    pub row_hits: u64,
-    /// Accesses that needed precharge + activate.
-    pub row_misses: u64,
+dlp_core::counters! {
+    /// DRAM counters.
+    #[derive(Copy)]
+    pub struct DramStats {
+        /// Read bursts completed.
+        pub reads: u64,
+        /// Write bursts completed.
+        pub writes: u64,
+        /// Accesses that found their row open.
+        pub row_hits: u64,
+        /// Accesses that needed precharge + activate.
+        pub row_misses: u64,
+    }
 }
 
 /// One partition's DRAM channel. Advanced by [`Dram::tick`] at the

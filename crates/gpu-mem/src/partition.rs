@@ -396,8 +396,9 @@ impl MemoryPartition {
     /// The bound is *conservative*: every cycle in `now+1..bound` is a
     /// provable no-op. Three sources of activity exist:
     ///
-    /// - a reply waiting at the output port or an input head that would
-    ///   make progress → the very next cycle is an event;
+    /// - a reply waiting at the output port, or an input head with no
+    ///   refusal on record → the very next cycle is an event (if that
+    ///   cycle refuses the head, the record holds until DRAM moves);
     /// - a pending reply ripening → its heap-head `ready` cycle;
     /// - DRAM — [`Dram::next_activity`] is in *command-clock* cycles, so
     ///   it is translated through the fractional-accumulator domain
@@ -411,15 +412,13 @@ impl MemoryPartition {
     /// event — a completion freeing an MSHR entry / reserved way, or a
     /// command start draining a bank queue — so it needs no extra term.
     /// [`Self::cycle`] relies on the same fact to skip such retries.
-    /// Skipping is stat-neutral: `accesses` is incremented and then
+    /// A refused try is stat-neutral: `accesses` is incremented and then
     /// undone on every refusal path, leaving only the L2 policy's
     /// never-reported query count.
-    pub fn next_event(&mut self, now: u64) -> Option<u64> {
-        // Cheap terms first; `head_would_process` replays the whole
-        // admission chain (tag lookup, MSHR probes, victim peek, DRAM
-        // acceptance) and is only worth paying when nothing cheaper
-        // already forces a tick. The computed minimum is unchanged.
-        if !self.out_queue.is_empty() {
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        if !self.out_queue.is_empty()
+            || (!self.in_queue.is_empty() && !self.head_refused())
+        {
             return Some(now + 1);
         }
         let mut t = u64::MAX;
@@ -441,57 +440,7 @@ impl MemoryPartition {
             }
             t = t.min(now + k);
         }
-        if !self.head_refused() && self.head_would_process() {
-            return Some(now + 1);
-        }
         (t != u64::MAX).then_some(t)
-    }
-
-    /// Read-only mirror of [`Self::process`] for the input-queue head:
-    /// would it be fully handled next cycle, or retry behind a
-    /// structural hazard? Mirrors the decision chain exactly — tag hit,
-    /// MSHR merge (refused when the merge list is full), MSHR entry
-    /// exhaustion, victim selection via [`LruBaseline::peek_victim`]
-    /// (side-effect-free), and the atomic DRAM-admission check for the
-    /// fetch + victim writeback.
-    fn head_would_process(&mut self) -> bool {
-        let Some(&pkt) = self.in_queue.front() else { return false };
-        let geom = self.cfg.l2_geom;
-        let line = geom.line_addr(pkt.addr);
-        let (set, tag) = (geom.set_of_line(line), geom.tag_of_line(line));
-        if matches!(self.tags.lookup(set, tag), Lookup::Hit { .. }) {
-            return true;
-        }
-        if let Some(entry) = self.mshr.get(&line) {
-            return entry.pkts.len() < self.cfg.l2_mshr_merge;
-        }
-        if self.mshr.len() >= self.cfg.l2_mshr_entries {
-            return false;
-        }
-        let views = self.tags.view_set(set);
-        let way = match self.policy.peek_victim(set, views) {
-            MissDecision::Allocate { way } => way,
-            // `process` would surface these at the event cycle (a stall
-            // retries, a bypass is a typed error) — either way the head
-            // is "handled" enough that the next cycle is an event only
-            // for Bypass; a Stall blocks until a fill frees a way.
-            MissDecision::Stall => return false,
-            MissDecision::Bypass => return true,
-        };
-        let victim = self.tags.line(set, way);
-        let victim_dirty = victim.valid && victim.dirty;
-        let is_write = matches!(pkt.kind, PacketKind::WriteThrough | PacketKind::Writeback);
-        let fetch_needed = !is_write;
-        let wb_addr = victim.tag * geom.line_bytes;
-        match (fetch_needed, victim_dirty) {
-            (true, true) if self.dram.same_bank(pkt.addr, wb_addr) => {
-                self.dram.can_accept_n(pkt.addr, 2)
-            }
-            (true, true) => self.dram.can_accept(pkt.addr) && self.dram.can_accept(wb_addr),
-            (true, false) => self.dram.can_accept(pkt.addr),
-            (false, true) => self.dram.can_accept(wb_addr),
-            (false, false) => true,
-        }
     }
 
     /// State-only L2 access for sampling-mode fast-forward: the same

@@ -1,53 +1,52 @@
 //! Counters collected by the memory hierarchy, shaped after the metrics
 //! the paper's figures report.
 
-use serde::{Deserialize, Serialize};
-
-/// Per-cache counters (one per L1D; merged across SMs for reports).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Transactions presented to the cache (excluding retries of stalled
-    /// accesses).
-    pub accesses: u64,
-    /// Tag-array hits.
-    pub hits: u64,
-    /// Misses that allocated a line (i.e. became L1D fills).
-    pub misses_allocated: u64,
-    /// Misses merged into an existing MSHR entry.
-    pub mshr_merges: u64,
-    /// Load misses sent around the cache (no allocation). Includes
-    /// loads merged into an outstanding bypassed fetch.
-    pub bypassed_loads: u64,
-    /// Fetch packets actually emitted for bypassed loads (each may
-    /// serve several merged `bypassed_loads`).
-    pub bypass_fetches: u64,
-    /// Stores sent around the cache (write-through path).
-    pub bypassed_stores: u64,
-    /// Valid lines evicted to make room for a fill.
-    pub evictions: u64,
-    /// Subset of `evictions` that were dirty (generated writebacks).
-    pub dirty_evictions: u64,
-    /// Accesses to lines never seen before by this cache (compulsory
-    /// misses by definition; Figure 4 excludes them).
-    pub compulsory_misses: u64,
-    /// Cycles the input pipeline register held a stalled access, gating
-    /// all younger accesses (§2).
-    pub stall_cycles: u64,
-    /// Accesses that found the input blocked and were rejected.
-    pub rejected_submits: u64,
-    /// Stalls (first attempt) caused by a full MSHR merge list.
-    pub stall_merge_full: u64,
-    /// Stalls caused by a full MSHR (no free entry).
-    pub stall_mshr_full: u64,
-    /// Stalls caused by a full miss queue.
-    pub stall_miss_queue: u64,
-    /// Stalls caused by every way in the set being reserved.
-    pub stall_all_reserved: u64,
-    /// Sum of load completion latencies (cycles from L1D acceptance to
-    /// response readiness).
-    pub load_latency_sum: u64,
-    /// Loads contributing to `load_latency_sum`.
-    pub load_count: u64,
+dlp_core::counters! {
+    /// Per-cache counters (one per L1D; merged across SMs for reports).
+    pub struct CacheStats {
+        /// Transactions presented to the cache (excluding retries of stalled
+        /// accesses).
+        pub accesses: u64,
+        /// Tag-array hits.
+        pub hits: u64,
+        /// Misses that allocated a line (i.e. became L1D fills).
+        pub misses_allocated: u64,
+        /// Misses merged into an existing MSHR entry.
+        pub mshr_merges: u64,
+        /// Load misses sent around the cache (no allocation). Includes
+        /// loads merged into an outstanding bypassed fetch.
+        pub bypassed_loads: u64,
+        /// Fetch packets actually emitted for bypassed loads (each may
+        /// serve several merged `bypassed_loads`).
+        pub bypass_fetches: u64,
+        /// Stores sent around the cache (write-through path).
+        pub bypassed_stores: u64,
+        /// Valid lines evicted to make room for a fill.
+        pub evictions: u64,
+        /// Subset of `evictions` that were dirty (generated writebacks).
+        pub dirty_evictions: u64,
+        /// Accesses to lines never seen before by this cache (compulsory
+        /// misses by definition; Figure 4 excludes them).
+        pub compulsory_misses: u64,
+        /// Cycles the input pipeline register held a stalled access, gating
+        /// all younger accesses (§2).
+        pub stall_cycles: u64,
+        /// Accesses that found the input blocked and were rejected.
+        pub rejected_submits: u64,
+        /// Stalls (first attempt) caused by a full MSHR merge list.
+        pub stall_merge_full: u64,
+        /// Stalls caused by a full MSHR (no free entry).
+        pub stall_mshr_full: u64,
+        /// Stalls caused by a full miss queue.
+        pub stall_miss_queue: u64,
+        /// Stalls caused by every way in the set being reserved.
+        pub stall_all_reserved: u64,
+        /// Sum of load completion latencies (cycles from L1D acceptance to
+        /// response readiness).
+        pub load_latency_sum: u64,
+        /// Loads contributing to `load_latency_sum`.
+        pub load_count: u64,
+    }
 }
 
 impl CacheStats {
@@ -96,40 +95,19 @@ impl CacheStats {
         }
         reuse_misses as f64 / reuse_accesses as f64
     }
-
-    /// Merge counters from another cache (aggregating SMs).
-    pub fn merge(&mut self, o: &CacheStats) {
-        self.accesses += o.accesses;
-        self.hits += o.hits;
-        self.misses_allocated += o.misses_allocated;
-        self.mshr_merges += o.mshr_merges;
-        self.bypassed_loads += o.bypassed_loads;
-        self.bypass_fetches += o.bypass_fetches;
-        self.bypassed_stores += o.bypassed_stores;
-        self.evictions += o.evictions;
-        self.dirty_evictions += o.dirty_evictions;
-        self.compulsory_misses += o.compulsory_misses;
-        self.stall_cycles += o.stall_cycles;
-        self.rejected_submits += o.rejected_submits;
-        self.stall_merge_full += o.stall_merge_full;
-        self.stall_mshr_full += o.stall_mshr_full;
-        self.stall_miss_queue += o.stall_miss_queue;
-        self.stall_all_reserved += o.stall_all_reserved;
-        self.load_latency_sum += o.load_latency_sum;
-        self.load_count += o.load_count;
-    }
 }
 
-/// Interconnect counters (Figure 13's metric).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IcntStats {
-    /// Flits injected SM → partition.
-    pub fwd_flits: u64,
-    /// Flits injected partition → SM.
-    pub ret_flits: u64,
-    /// Packets that could not be accepted because the destination queue
-    /// was full (backpressure events).
-    pub rejects: u64,
+dlp_core::counters! {
+    /// Interconnect counters (Figure 13's metric).
+    pub struct IcntStats {
+        /// Flits injected SM → partition.
+        pub fwd_flits: u64,
+        /// Flits injected partition → SM.
+        pub ret_flits: u64,
+        /// Packets that could not be accepted because the destination queue
+        /// was full (backpressure events).
+        pub rejects: u64,
+    }
 }
 
 impl IcntStats {

@@ -25,7 +25,8 @@ pub struct SimConfig {
     /// Which L1D management scheme to run.
     pub policy: PolicyKind,
     /// Non-default protection parameters for the DLP/Global-Protection
-    /// schemes (ablation studies). `None` uses the paper's values.
+    /// schemes (ablation studies). `None` uses the paper's values. The
+    /// geometry must be `l1d.geom` (`Sm::new` asserts it).
     pub protection_override: Option<ProtectionConfig>,
     /// L1D shape and miss-handling resources.
     pub l1d: L1dConfig,

@@ -1093,7 +1093,7 @@ impl Gpu {
         // length — a delivered-basis delta would systematically starve
         // the window. Injection shares its basis with the exact-mode
         // figure ([`IcntStats::total_flits`]).
-        snap.flits = sm_icnt_stats(&self.icnt).total_flits();
+        snap.flits = self.icnt.stats().total_flits();
         snap
     }
 
@@ -1116,17 +1116,13 @@ impl Gpu {
             out.pdpt_evict_pressure += sm.l1d.pdpt_evict_pressure();
         }
         out.peak_warp_trace_bytes = self.peak_warp_trace_bytes();
-        out.icnt = sm_icnt_stats(&self.icnt);
+        out.icnt = self.icnt.stats().clone();
         for p in &self.parts {
             out.l2.merge(p.l2_stats());
-            out.dram.merge(p.dram_stats());
+            out.dram.merge(&p.dram_stats());
         }
         out
     }
-}
-
-fn sm_icnt_stats(icnt: &Interconnect) -> gpu_mem::stats::IcntStats {
-    icnt.stats().clone()
 }
 
 #[cfg(test)]

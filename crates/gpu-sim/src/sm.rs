@@ -8,7 +8,7 @@ use crate::isa::{OpKind, Reg, NO_REG};
 use crate::scheduler::GtoScheduler;
 use crate::stream::OpStream;
 use crate::warp::Warp;
-use dlp_core::{build_policy, Dlp, GlobalProtection, PolicyKind, ReplacementPolicy};
+use dlp_core::{build_policy_with, ProtectionConfig};
 use gpu_mem::l1d::L1dCache;
 use gpu_mem::packet::MemReq;
 use gpu_mem::MemError;
@@ -74,17 +74,11 @@ pub struct Sm {
 impl Sm {
     /// Build an SM per the platform configuration.
     pub fn new(id: usize, cfg: &SimConfig) -> Self {
-        let policy: Box<dyn ReplacementPolicy> = match (cfg.policy, cfg.protection_override) {
-            (PolicyKind::Dlp, Some(pc)) => {
-                assert_eq!(pc.geom, cfg.l1d.geom, "protection override geometry mismatch");
-                Box::new(Dlp::new(pc))
-            }
-            (PolicyKind::GlobalProtection, Some(pc)) => {
-                assert_eq!(pc.geom, cfg.l1d.geom, "protection override geometry mismatch");
-                Box::new(GlobalProtection::new(pc))
-            }
-            _ => build_policy(cfg.policy, cfg.l1d.geom),
-        };
+        let protection = cfg
+            .protection_override
+            .unwrap_or_else(|| ProtectionConfig::paper_default(cfg.l1d.geom));
+        assert_eq!(protection.geom, cfg.l1d.geom, "protection override geometry mismatch");
+        let policy = build_policy_with(cfg.policy, protection);
         let max_warps = cfg.warp_limit.unwrap_or(cfg.max_warps_per_sm).min(cfg.max_warps_per_sm);
         assert!(max_warps <= 64, "slot bitmasks require at most 64 warp slots per SM");
         let ns = cfg.schedulers_per_sm;

@@ -4,6 +4,7 @@ use dlp_core::PolicyStats;
 use gpu_mem::dram::DramStats;
 use gpu_mem::stats::{CacheStats, IcntStats};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Everything a simulation reports.
 #[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -28,7 +29,7 @@ pub struct RunStats {
     /// L2 counters summed over all partitions.
     pub l2: CacheStats,
     /// DRAM counters summed over all partitions.
-    pub dram: DramStats2,
+    pub dram: DramStats,
     /// L1D accesses whose PC does not fit the 7-bit instruction id
     /// (§4.1: `hash_pc` XOR-folds it) — the saturation signal ROADMAP
     /// item 5 asks about. Observability only: excluded from the pinned
@@ -47,13 +48,24 @@ pub struct RunStats {
 
 /// `Debug` is pinned by the golden fidelity digest
 /// (`tests/determinism.rs`): it must render exactly the fields the seed
-/// build rendered, in the same order. The post-seed observability
-/// fields (`insn_id_wraps`, `pdpt_evict_pressure`,
-/// `peak_warp_trace_bytes`) are deliberately left out — they describe
-/// *how* the simulation ran, not what it computed, and must not retire
-/// every stored result or golden digest when they move.
-impl std::fmt::Debug for RunStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// build rendered, in the same order, and `dram` under the seed's type
+/// name `DramStats2`. The post-seed observability fields
+/// (`insn_id_wraps`, `pdpt_evict_pressure`, `peak_warp_trace_bytes`)
+/// are deliberately left out — they describe *how* the simulation ran,
+/// not what it computed, and must not retire every stored result or
+/// golden digest when they move.
+impl fmt::Debug for RunStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct SeedDram<'a>(&'a DramStats);
+        impl fmt::Debug for SeedDram<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut d = f.debug_struct("DramStats2");
+                for (name, v) in self.0.fields() {
+                    d.field(name, &v);
+                }
+                d.finish()
+            }
+        }
         f.debug_struct("RunStats")
             .field("cycles", &self.cycles)
             .field("thread_insns", &self.thread_insns)
@@ -64,41 +76,71 @@ impl std::fmt::Debug for RunStats {
             .field("policy", &self.policy)
             .field("icnt", &self.icnt)
             .field("l2", &self.l2)
-            .field("dram", &self.dram)
+            .field("dram", &SeedDram(&self.dram))
             .finish()
     }
 }
 
-/// Serializable mirror of [`DramStats`] summed across partitions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DramStats2 {
-    /// Read bursts.
-    pub reads: u64,
-    /// Write bursts.
-    pub writes: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row-buffer misses.
-    pub row_misses: u64,
+/// One field of a [`RunStats`] walk.
+pub enum Field<'a> {
+    /// A counter.
+    Count(&'a mut u64),
+    /// A flag (`completed`).
+    Flag(&'a mut bool),
 }
 
-impl From<DramStats> for DramStats2 {
-    fn from(s: DramStats) -> Self {
-        DramStats2 { reads: s.reads, writes: s.writes, row_hits: s.row_hits, row_misses: s.row_misses }
-    }
-}
-
-impl DramStats2 {
-    /// Accumulate another partition's counters.
-    pub fn merge(&mut self, s: DramStats) {
-        self.reads += s.reads;
-        self.writes += s.writes;
-        self.row_hits += s.row_hits;
-        self.row_misses += s.row_misses;
+impl Field<'_> {
+    /// The field as a `u64`; a flag reads 0 or 1.
+    pub fn get(&self) -> u64 {
+        match self {
+            Field::Count(v) => **v,
+            Field::Flag(b) => u64::from(**b),
+        }
     }
 }
 
 impl RunStats {
+    /// Every field as `(block, name, field)`, in the result store's
+    /// codec order: the run-level scalars (block `""`), then `l1d`,
+    /// `l2`, `policy`, `icnt` and `dram` in their declaration order, then
+    /// the observability counters. A field added to `RunStats` does not
+    /// compile until it is placed here.
+    pub fn fields_mut(&mut self) -> impl Iterator<Item = (&'static str, &'static str, Field<'_>)> {
+        let RunStats {
+            cycles,
+            thread_insns,
+            warp_insns,
+            mem_transactions,
+            completed,
+            l1d,
+            policy,
+            icnt,
+            l2,
+            dram,
+            insn_id_wraps,
+            pdpt_evict_pressure,
+            peak_warp_trace_bytes,
+        } = self;
+        [
+            ("", "cycles", Field::Count(cycles)),
+            ("", "thread_insns", Field::Count(thread_insns)),
+            ("", "warp_insns", Field::Count(warp_insns)),
+            ("", "mem_transactions", Field::Count(mem_transactions)),
+            ("", "completed", Field::Flag(completed)),
+        ]
+        .into_iter()
+        .chain(l1d.fields_mut().map(|(n, v)| ("l1d", n, Field::Count(v))))
+        .chain(l2.fields_mut().map(|(n, v)| ("l2", n, Field::Count(v))))
+        .chain(policy.fields_mut().map(|(n, v)| ("policy", n, Field::Count(v))))
+        .chain(icnt.fields_mut().map(|(n, v)| ("icnt", n, Field::Count(v))))
+        .chain(dram.fields_mut().map(|(n, v)| ("dram", n, Field::Count(v))))
+        .chain([
+            ("", "insn_id_wraps", Field::Count(insn_id_wraps)),
+            ("", "pdpt_evict_pressure", Field::Count(pdpt_evict_pressure)),
+            ("", "peak_warp_trace_bytes", Field::Count(peak_warp_trace_bytes)),
+        ])
+    }
+
     /// Thread instructions per core cycle — the paper's IPC metric.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
