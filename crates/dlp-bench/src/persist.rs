@@ -415,8 +415,8 @@ mod tests {
     fn store_payload_layout_is_pinned() {
         // Every field holds a value derived from its own name, so a
         // reordered, dropped or added field moves the bytes. The digest
-        // was computed before the codec became a field walk; matching it
-        // keeps every stored entry readable under CODEC_VERSION 3.
+        // pins CODEC_VERSION 3's layout: entries already on disk decode
+        // only while it holds, so a change here needs a version bump.
         let mut stats = RunStats::default();
         for (block, name, field) in stats.fields_mut() {
             match field {

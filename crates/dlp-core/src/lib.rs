@@ -78,8 +78,8 @@ pub use vta::VictimTagArray;
 /// Build a boxed policy of the given [`PolicyKind`] for a cache with the
 /// given geometry, using the paper's default protection parameters.
 ///
-/// This is the convenience constructor used by the experiment harness;
-/// [`build_policy_with`] takes non-default protection parameters.
+/// [`build_policy_with`] takes non-default protection parameters; the
+/// simulator's SMs build through it.
 pub fn build_policy(kind: PolicyKind, geom: CacheGeometry) -> Box<dyn ReplacementPolicy> {
     build_policy_with(kind, ProtectionConfig::paper_default(geom))
 }
