@@ -156,6 +156,37 @@ fn sampled_estimates_track_the_exact_metrics() {
     );
 }
 
+/// FNV-1a fingerprint of a canonical stats rendering (same scheme as
+/// the golden fig10 digest in `determinism.rs`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn sampled_statistics_are_golden() {
+    // The other suites here compare sampled runs with each other or
+    // with exact runs through loose estimators, so a drift in the
+    // fast-forward or the window-edge drain would move no pin. This
+    // digest fixes every statistic and every window sample of the
+    // benchmark's sampled apps under Baseline and DLP.
+    const GOLDEN: u64 = 0x8892_8fd2_0d8c_0d4e;
+    let mut canon = String::new();
+    for app in ["KM", "BFS", "STR"] {
+        for kind in [PolicyKind::Baseline, PolicyKind::Dlp] {
+            let (stats, report) = run_sampled(app, kind);
+            assert!(report.ff_insns > 0, "{app}/{kind:?}: nothing was fast-forwarded");
+            canon.push_str(&format!("{app}/{}: {stats:?}\n{report:?}\n", kind.label()));
+        }
+    }
+    let digest = fnv1a(canon.as_bytes());
+    assert_eq!(digest, GOLDEN, "sampled statistics moved ({digest:#018x}):\n{canon}");
+}
+
 #[test]
 fn disabling_sampling_is_byte_identical_to_the_seed_path() {
     // `sampling: None` must leave the simulator on the pre-sampling
