@@ -33,11 +33,11 @@ use crate::error::MemError;
 use crate::mshr::{LineHash, Mshr, MshrLookup};
 use crate::observer::AccessObserver;
 use crate::packet::{MemReq, MemResp, Packet, PacketKind};
+use crate::ripen::Ripening;
 use crate::stats::CacheStats;
 use crate::tag_array::{Lookup, TagArray};
 use dlp_core::{hash_pc, pc_wraps, AccessCtx, CacheGeometry, MissDecision, ReplacementPolicy, PDPT_ENTRIES};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Static configuration of one L1D instance.
 #[derive(Clone, Copy, Debug)]
@@ -96,40 +96,16 @@ enum StallMemo {
     MissQueue(Option<MissDecision>),
 }
 
-struct PendingResp {
-    ready: u64,
-    seq: u64,
-    resp: MemResp,
-}
-
-impl PartialEq for PendingResp {
-    fn eq(&self, other: &Self) -> bool {
-        (self.ready, self.seq) == (other.ready, other.seq)
-    }
-}
-impl Eq for PendingResp {}
-impl PartialOrd for PendingResp {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingResp {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.ready, self.seq).cmp(&(other.ready, other.seq))
-    }
-}
-
 /// One L1 data cache with its MSHRs, miss queue and pipeline register.
 pub struct L1dCache {
     cfg: L1dConfig,
     tags: TagArray,
     policy: Box<dyn ReplacementPolicy>,
-    mshr: Mshr,
+    mshr: Mshr<MemReq>,
     /// Packets waiting to enter the interconnect.
     outgoing: VecDeque<Packet>,
-    /// Responses ripening toward the core, ordered by ready cycle.
-    pending: BinaryHeap<Reverse<PendingResp>>,
-    resp_seq: u64,
+    /// Responses ripening toward the core.
+    pending: Ripening<MemResp>,
     /// Ready responses the core can pop.
     responses: VecDeque<MemResp>,
     /// The blocked access retrying at the head of the memory pipeline.
@@ -164,8 +140,7 @@ impl L1dCache {
             policy,
             mshr: Mshr::new(cfg.mshr_entries, cfg.mshr_merge),
             outgoing: VecDeque::new(),
-            pending: BinaryHeap::new(),
-            resp_seq: 0,
+            pending: Ripening::default(),
             responses: VecDeque::new(),
             pipeline_reg: None,
             stall_memo: None,
@@ -223,9 +198,8 @@ impl L1dCache {
                 self.stall_memo = Some(memo);
             }
         }
-        while self.pending.peek().is_some_and(|Reverse(head)| head.ready <= cycle) {
-            let Some(Reverse(p)) = self.pending.pop() else { break };
-            self.responses.push_back(p.resp);
+        while let Some(resp) = self.pending.pop_ripe(cycle) {
+            self.responses.push_back(resp);
         }
         Ok(())
     }
@@ -298,22 +272,6 @@ impl L1dCache {
         self.pdpt_evict_pressure
     }
 
-    /// First-attempt instruction-id bookkeeping shared by the detailed
-    /// and functional access paths.
-    #[inline]
-    fn note_insn_id(&mut self, pc: u32, id: dlp_core::InsnId) {
-        if pc_wraps(pc) {
-            self.insn_id_wraps += 1;
-        }
-        let slot = &mut self.pdpt_shadow[id as usize];
-        if *slot != pc {
-            if *slot != u32::MAX {
-                self.pdpt_evict_pressure += 1;
-            }
-            *slot = pc;
-        }
-    }
-
     /// Force the policy's sampling period to close (§4.1.4 instruction
     /// cap for cache-sufficient kernels).
     pub fn force_policy_sample(&mut self) {
@@ -369,7 +327,7 @@ impl L1dCache {
     /// Ready cycle of the earliest ripening response, if any. One input
     /// to the owning SM's cycle-leap `next_event` bound.
     pub fn next_pending_ready(&self) -> Option<u64> {
-        self.pending.peek().map(|Reverse(head)| head.ready)
+        self.pending.next_ready()
     }
 
     /// Are responses already ripe and waiting for the core to pop?
@@ -453,67 +411,41 @@ impl L1dCache {
         let line = self.cfg.geom.line_addr(req.addr);
         let (set, tag) = (self.cfg.geom.set_of_line(line), self.cfg.geom.tag_of_line(line));
         let ctx = AccessCtx { insn_id: hash_pc(req.pc), is_write: req.is_write };
-
         if first_attempt {
-            self.stats.accesses += 1;
-            self.note_insn_id(req.pc, ctx.insn_id);
-            if self.seen_lines.insert(line) {
-                self.stats.compulsory_misses += 1;
-            }
-            if let Some(obs) = self.observer.as_mut() {
-                obs.on_access(set, line, req.pc, req.is_write);
-            }
-            self.policy.on_query(set);
+            self.first_access(&req, line, set, &ctx);
         }
-
-        if let Lookup::Hit { way } = self.tags.lookup(set, tag) {
-            self.policy.on_hit(set, way, &ctx);
-            self.stats.hits += 1;
-            if req.is_write {
-                self.tags.mark_dirty(set, way);
+        if !self.hit(set, tag, &ctx) {
+            if first_attempt {
+                self.policy.on_miss(set, tag, &ctx);
             }
-            if respond {
-                self.responses.push_back(MemResp { req });
-            }
-            return;
-        }
-
-        if first_attempt {
-            self.policy.on_miss(set, tag, &ctx);
-        }
-        let views = self.tags.view_set(set);
-        match self.policy.decide_replacement(set, views, &ctx) {
-            MissDecision::Allocate { way } => {
-                if let Some(old) = self.tags.evict_and_reserve(set, way, tag) {
-                    self.policy.on_evict(set, way, old.tag);
-                    self.stats.evictions += 1;
-                    if old.dirty {
-                        self.stats.dirty_evictions += 1;
-                        effects.push((old.tag * self.cfg.geom.line_bytes, true));
+            let views = self.tags.view_set(set);
+            match self.policy.decide_replacement(set, views, &ctx) {
+                MissDecision::Allocate { way } => {
+                    if let Some(wb_addr) = self.evict_victim(set, way, tag) {
+                        effects.push((wb_addr, true));
                     }
-                }
-                // The fetch completes instantly: fill now, as the
-                // detailed path's on_reply would.
-                self.tags.fill(set, way, req.is_write);
-                self.policy.on_fill(set, way, tag, &ctx);
-                self.stats.misses_allocated += 1;
-                effects.push((req.addr, false));
-            }
-            MissDecision::Bypass => {
-                self.policy.on_bypass(set, tag, &ctx);
-                if req.is_write {
-                    self.stats.bypassed_stores += 1;
-                    effects.push((req.addr, true));
-                } else {
-                    self.stats.bypassed_loads += 1;
-                    self.stats.bypass_fetches += 1;
+                    // The fetch completes instantly: fill now, as the
+                    // detailed path's on_reply would.
+                    self.tags.fill(set, way, req.is_write);
+                    self.policy.on_fill(set, way, tag, &ctx);
+                    self.stats.misses_allocated += 1;
                     effects.push((req.addr, false));
                 }
-            }
-            MissDecision::Stall => {
-                // Unreachable functionally: instant fills mean no way is
-                // ever left reserved for a policy to stall on.
-                debug_assert!(false, "policy stalled a functional access");
+                MissDecision::Bypass => {
+                    self.policy.on_bypass(set, tag, &ctx);
+                    if req.is_write {
+                        self.stats.bypassed_stores += 1;
+                    } else {
+                        self.stats.bypassed_loads += 1;
+                        self.stats.bypass_fetches += 1;
+                    }
+                    effects.push((req.addr, req.is_write));
+                }
+                MissDecision::Stall => {
+                    // Unreachable functionally: instant fills mean no way
+                    // is ever left reserved for a policy to stall on.
+                    debug_assert!(false, "policy stalled a functional access");
+                }
             }
         }
         if respond {
@@ -527,8 +459,8 @@ impl L1dCache {
     /// fills were answered (the MSHR is empty), so afterwards the cache
     /// is [`Self::quiescent`] once the outgoing queue is consumed.
     pub fn drain_functional(&mut self, effects: &mut Vec<(u64, bool)>) {
-        while let Some(Reverse(p)) = self.pending.pop() {
-            self.responses.push_back(p.resp);
+        while let Some(resp) = self.pending.pop() {
+            self.responses.push_back(resp);
         }
         self.stall_memo = None;
         if let Some(req) = self.pipeline_reg.take() {
@@ -544,8 +476,57 @@ impl L1dCache {
             self.stats.load_latency_sum += ready.saturating_sub(req.born);
             self.stats.load_count += 1;
         }
-        self.resp_seq += 1;
-        self.pending.push(Reverse(PendingResp { ready, seq: self.resp_seq, resp: MemResp { req } }));
+        self.pending.push(ready, MemResp { req });
+    }
+
+    /// First-attempt accounting, shared by both access paths: access and
+    /// compulsory-miss counts, instruction-id bookkeeping, the observer
+    /// and the policy's query. Retries of a parked access skip it.
+    fn first_access(&mut self, req: &MemReq, line: u64, set: usize, ctx: &AccessCtx) {
+        self.stats.accesses += 1;
+        if pc_wraps(req.pc) {
+            self.insn_id_wraps += 1;
+        }
+        let slot = &mut self.pdpt_shadow[ctx.insn_id as usize];
+        if *slot != req.pc {
+            if *slot != u32::MAX {
+                self.pdpt_evict_pressure += 1;
+            }
+            *slot = req.pc;
+        }
+        if self.seen_lines.insert(line) {
+            self.stats.compulsory_misses += 1;
+        }
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_access(set, line, req.pc, req.is_write);
+        }
+        self.policy.on_query(set);
+    }
+
+    /// The hit check, shared by both access paths: on a hit, train the
+    /// policy, count it, dirty the line for a store and return true.
+    fn hit(&mut self, set: usize, tag: u64, ctx: &AccessCtx) -> bool {
+        let Lookup::Hit { way } = self.tags.lookup(set, tag) else { return false };
+        self.policy.on_hit(set, way, ctx);
+        self.stats.hits += 1;
+        if ctx.is_write {
+            self.tags.mark_dirty(set, way);
+        }
+        true
+    }
+
+    /// Reserve `way` of `set` for `tag`, shared by both access paths:
+    /// evict the line there, tell the policy and count the eviction.
+    /// Returns the address a dirty victim must be written back to.
+    fn evict_victim(&mut self, set: usize, way: usize, tag: u64) -> Option<u64> {
+        let old = self.tags.evict_and_reserve(set, way, tag)?;
+        self.policy.on_evict(set, way, old.tag);
+        self.stats.evictions += 1;
+        if !old.dirty {
+            return None;
+        }
+        self.stats.dirty_evictions += 1;
+        Some(old.tag * self.cfg.geom.line_bytes)
     }
 
     fn miss_queue_free(&self) -> usize {
@@ -580,26 +561,12 @@ impl L1dCache {
         let line = self.cfg.geom.line_addr(req.addr);
         let (set, tag) = (self.cfg.geom.set_of_line(line), self.cfg.geom.tag_of_line(line));
         let ctx = AccessCtx { insn_id: hash_pc(req.pc), is_write: req.is_write };
-
         if first_attempt {
-            self.stats.accesses += 1;
-            self.note_insn_id(req.pc, ctx.insn_id);
-            if self.seen_lines.insert(line) {
-                self.stats.compulsory_misses += 1;
-            }
-            if let Some(obs) = self.observer.as_mut() {
-                obs.on_access(set, line, req.pc, req.is_write);
-            }
-            self.policy.on_query(set);
+            self.first_access(&req, line, set, &ctx);
         }
 
         // 1. Hit check.
-        if let Lookup::Hit { way } = self.tags.lookup(set, tag) {
-            self.policy.on_hit(set, way, &ctx);
-            self.stats.hits += 1;
-            if req.is_write {
-                self.tags.mark_dirty(set, way);
-            }
+        if self.hit(set, tag, &ctx) {
             self.schedule_resp(req, cycle + self.cfg.hit_latency);
             return Ok(Outcome::Consumed);
         }
@@ -668,23 +635,17 @@ impl L1dCache {
                         Ok(self.stall(StallMemo::MissQueue(Some(decision))))
                     };
                 }
-                if let Some(old) = self.tags.evict_and_reserve(set, way, tag) {
-                    self.policy.on_evict(set, way, old.tag);
-                    self.stats.evictions += 1;
-                    if old.dirty {
-                        self.stats.dirty_evictions += 1;
-                        let wb_addr = old.tag * self.cfg.geom.line_bytes;
-                        self.push_packet(PacketKind::Writeback, wb_addr, MemReq {
-                            id: 0,
-                            addr: wb_addr,
-                            is_write: true,
-                            pc: 0,
-                            sm: req.sm,
-                            warp: 0,
-                            dst_reg: 0,
-                            born: cycle,
-                        });
-                    }
+                if let Some(wb_addr) = self.evict_victim(set, way, tag) {
+                    self.push_packet(PacketKind::Writeback, wb_addr, MemReq {
+                        id: 0,
+                        addr: wb_addr,
+                        is_write: true,
+                        pc: 0,
+                        sm: req.sm,
+                        warp: 0,
+                        dst_reg: 0,
+                        born: cycle,
+                    });
                 }
                 self.mshr.allocate(line, Some((set, way)), req);
                 self.push_packet(PacketKind::ReadReq, req.addr, req);

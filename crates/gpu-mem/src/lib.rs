@@ -41,6 +41,7 @@ pub mod mshr;
 pub mod observer;
 pub mod packet;
 pub mod partition;
+mod ripen;
 pub mod stats;
 pub mod tag_array;
 

@@ -3,9 +3,10 @@
 //! One entry per in-flight missed line; requests to a line that is
 //! already being fetched merge into the existing entry (up to a merge
 //! limit). A full MSHR is one of the structural stall conditions of §2.
+//! The L1D's waiters are [`crate::packet::MemReq`]s, the L2 slice's are
+//! the [`crate::packet::Packet`]s it owes replies or fills.
 
 use crate::error::MemError;
-use crate::packet::MemReq;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -54,7 +55,7 @@ pub enum MshrLookup {
 
 /// A filled entry popped on fill completion.
 #[derive(Debug)]
-pub struct MshrEntry {
+pub struct MshrEntry<T> {
     /// The `(set, way)` reserved for the incoming line, or `None` for a
     /// bypassed fetch: the data is forwarded to the requesters without
     /// filling the cache (the paper's bypass path still tracks the
@@ -62,22 +63,21 @@ pub struct MshrEntry {
     /// flooding the miss queue).
     pub target: Option<(usize, usize)>,
     /// All requests (original + merged) waiting on the line.
-    pub reqs: Vec<MemReq>,
+    pub reqs: Vec<T>,
 }
 
-/// The MSHR file.
-pub struct Mshr {
-    entries: HashMap<u64, MshrEntry, LineHash>,
+/// The MSHR file, generic over what waits on a line.
+pub struct Mshr<T> {
+    entries: HashMap<u64, MshrEntry<T>, LineHash>,
     /// Drained merge lists handed back by [`Mshr::recycle`], reused by
     /// the next [`Mshr::allocate`] so a miss allocates nothing once the
     /// file has warmed up.
-    spare: Vec<Vec<MemReq>>,
+    spare: Vec<Vec<T>>,
     max_entries: usize,
     max_merge: usize,
-    peak_occupancy: usize,
 }
 
-impl Mshr {
+impl<T> Mshr<T> {
     /// Create with capacity for `max_entries` distinct lines and
     /// `max_merge` requests per line.
     pub fn new(max_entries: usize, max_merge: usize) -> Self {
@@ -87,23 +87,12 @@ impl Mshr {
             spare: Vec::new(),
             max_entries,
             max_merge,
-            peak_occupancy: 0,
         }
     }
 
     /// Current number of in-flight lines.
     pub fn occupancy(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Highest occupancy seen (diagnostics).
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
-    /// Is the line already being fetched?
-    pub fn contains(&self, line_addr: u64) -> bool {
-        self.entries.contains_key(&line_addr)
     }
 
     /// Try to merge `req` into an existing entry; report what's possible.
@@ -120,7 +109,7 @@ impl Mshr {
     /// Caller must have seen `MshrLookup::Merged` from [`Mshr::probe`];
     /// merging without a matching entry (or past the merge limit) is a
     /// structural violation reported as a typed error.
-    pub fn merge(&mut self, line_addr: u64, req: MemReq) -> Result<(), MemError> {
+    pub fn merge(&mut self, line_addr: u64, req: T) -> Result<(), MemError> {
         let Some(e) = self.entries.get_mut(&line_addr) else {
             return Err(MemError::MshrBadMerge { line: line_addr });
         };
@@ -134,13 +123,12 @@ impl Mshr {
     /// Allocate a new entry for `line_addr`, fetching into `target`
     /// (`None` = bypassed fetch, data forwarded without a fill).
     /// Caller must have seen `MshrLookup::Absent`.
-    pub fn allocate(&mut self, line_addr: u64, target: Option<(usize, usize)>, req: MemReq) {
+    pub fn allocate(&mut self, line_addr: u64, target: Option<(usize, usize)>, req: T) {
         assert!(self.entries.len() < self.max_entries, "MSHR overflow");
         let mut reqs = self.spare.pop().unwrap_or_default();
         reqs.push(req);
         let prev = self.entries.insert(line_addr, MshrEntry { target, reqs });
         assert!(prev.is_none(), "duplicate MSHR entry for line {line_addr:#x}");
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
     }
 
     /// Is the entry for `line_addr` a bypassed (no-fill) fetch?
@@ -150,21 +138,31 @@ impl Mshr {
     }
 
     /// The fill for `line_addr` arrived: pop and return its entry.
-    pub fn complete(&mut self, line_addr: u64) -> Option<MshrEntry> {
+    pub fn complete(&mut self, line_addr: u64) -> Option<MshrEntry<T>> {
         self.entries.remove(&line_addr)
+    }
+
+    /// Pop every entry, in ascending line order so whatever the caller
+    /// does with them (a window-edge drain) is deterministic.
+    pub fn drain_sorted(&mut self) -> Vec<(u64, MshrEntry<T>)> {
+        // dlp-lint: allow(D004) -- entries are collected and sorted before use
+        let mut entries: Vec<_> = self.entries.drain().collect();
+        entries.sort_unstable_by_key(|&(line, _)| line);
+        entries
     }
 
     /// Hand back a completed entry's merge list once its requests have
     /// been drained, for reuse by a later [`Mshr::allocate`].
-    pub fn recycle(&mut self, mut reqs: Vec<MemReq>) {
+    pub fn recycle(&mut self, mut reqs: Vec<T>) {
         reqs.clear();
         self.spare.push(reqs);
     }
 
-    /// Total requests (original + merged) waiting across all entries.
-    pub fn outstanding_requests(&self) -> usize {
-        // dlp-lint: allow(D004) -- integer sum over values is order-independent
-        self.entries.values().map(|e| e.reqs.len()).sum()
+    /// Every request (original + merged) waiting on any line, in no
+    /// particular order: fit for counting only.
+    pub fn waiters(&self) -> impl Iterator<Item = &T> {
+        // dlp-lint: allow(D004) -- callers only count, which is order-independent
+        self.entries.values().flat_map(|e| e.reqs.iter())
     }
 
     /// Structural self-check for the runtime invariant auditor:
@@ -202,6 +200,7 @@ impl Mshr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::MemReq;
 
     fn req(id: u64) -> MemReq {
         MemReq { id, addr: id * 128, is_write: false, pc: 0, sm: 0, warp: 0, dst_reg: 0, born: 0 }
@@ -253,26 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn peak_occupancy_tracks_high_water_mark() {
-        let mut m = Mshr::new(8, 1);
-        for line in 0..5u64 {
-            m.allocate(line, Some((0, 0)), req(line));
-        }
-        for line in 0..5u64 {
-            m.complete(line);
-        }
-        assert_eq!(m.peak_occupancy(), 5);
-        assert_eq!(m.occupancy(), 0);
-    }
-
-    #[test]
     fn audit_accepts_well_formed_state() {
         let mut m = Mshr::new(4, 2);
         m.allocate(1, Some((0, 0)), req(0));
         m.merge(1, req(1)).unwrap();
         m.allocate(2, None, req(2));
         assert_eq!(m.audit(), Ok(()));
-        assert_eq!(m.outstanding_requests(), 3);
+        assert_eq!(m.waiters().count(), 3);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 use crate::dram::{Dram, DramCmd, DramConfig};
 use crate::error::MemError;
 use crate::fault::FaultInjector;
-use crate::mshr::LineHash;
+use crate::mshr::{Mshr, MshrEntry, MshrLookup};
 use crate::packet::{Packet, PacketKind};
+use crate::ripen::Ripening;
 use crate::stats::CacheStats;
 use crate::tag_array::{Lookup, TagArray};
 use dlp_core::{AccessCtx, CacheGeometry, LruBaseline, MissDecision, ReplacementPolicy};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Partition parameters.
 #[derive(Clone, Copy, Debug)]
@@ -55,43 +55,12 @@ impl PartitionConfig {
     }
 }
 
-struct L2MshrEntry {
-    set: usize,
-    way: usize,
-    pkts: Vec<Packet>,
-}
-
-struct PendingReply {
-    ready: u64,
-    seq: u64,
-    pkt: Packet,
-}
-
-impl PartialEq for PendingReply {
-    fn eq(&self, other: &Self) -> bool {
-        (self.ready, self.seq) == (other.ready, other.seq)
-    }
-}
-impl Eq for PendingReply {}
-impl PartialOrd for PendingReply {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingReply {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.ready, self.seq).cmp(&(other.ready, other.seq))
-    }
-}
-
 /// One L2-slice + DRAM-channel pair.
 pub struct MemoryPartition {
     cfg: PartitionConfig,
     tags: TagArray,
     policy: LruBaseline,
-    mshr: HashMap<u64, L2MshrEntry, LineHash>,
-    /// Drained merge lists of completed fills, reused by the next miss.
-    spare_pkts: Vec<Vec<Packet>>,
+    mshr: Mshr<Packet>,
     in_queue: VecDeque<Packet>,
     /// [`Dram::commands_started`] when the input head was last refused.
     /// A refused head can only be unblocked by a DRAM command starting
@@ -100,8 +69,8 @@ pub struct MemoryPartition {
     /// has retired since, [`Self::cycle`] skips the retry: it would be
     /// refused again. Read completions clear it.
     head_refused_at: Option<u64>,
-    pending: BinaryHeap<Reverse<PendingReply>>,
-    seq: u64,
+    /// Replies ripening toward the output port.
+    pending: Ripening<Packet>,
     out_queue: VecDeque<Packet>,
     dram: Dram,
     dram_acc: u64,
@@ -120,12 +89,10 @@ impl MemoryPartition {
         MemoryPartition {
             tags: TagArray::new(cfg.l2_geom),
             policy: LruBaseline::new(cfg.l2_geom),
-            mshr: HashMap::default(),
-            spare_pkts: Vec::new(),
+            mshr: Mshr::new(cfg.l2_mshr_entries, cfg.l2_mshr_merge),
             in_queue: VecDeque::new(),
             head_refused_at: None,
-            pending: BinaryHeap::new(),
-            seq: 0,
+            pending: Ripening::default(),
             out_queue: VecDeque::new(),
             dram: Dram::new(cfg.dram),
             dram_acc: 0,
@@ -159,7 +126,7 @@ impl MemoryPartition {
     /// All queues drained and DRAM idle?
     pub fn idle(&self) -> bool {
         self.in_queue.is_empty()
-            && self.mshr.is_empty()
+            && self.mshr.occupancy() == 0
             && self.pending.is_empty()
             && self.out_queue.is_empty()
             && self.dram.idle()
@@ -188,7 +155,7 @@ impl MemoryPartition {
 
     /// Outstanding L2 MSHR entries (hang diagnostics).
     pub fn l2_mshr_occupancy(&self) -> usize {
-        self.mshr.len()
+        self.mshr.occupancy()
     }
 
     /// Replies ready for the interconnect (hang diagnostics).
@@ -207,44 +174,14 @@ impl MemoryPartition {
     /// census across partitions.
     pub fn held_reply_packets(&self) -> usize {
         self.in_queue.iter().filter(|p| p.kind.expects_reply()).count()
-            + self
-                // dlp-lint: allow(D004) -- integer count over values is order-independent
-                .mshr
-                .values()
-                .flat_map(|e| e.pkts.iter())
-                .filter(|p| p.kind.expects_reply())
-                .count()
+            + self.mshr.waiters().filter(|p| p.kind.expects_reply()).count()
             + self.pending.len()
             + self.out_queue.len()
     }
 
     /// Structural self-check for the runtime invariant auditor.
     pub fn audit(&self) -> Result<(), String> {
-        if self.mshr.len() > self.cfg.l2_mshr_entries {
-            return Err(format!(
-                "L2 MSHR holds {} entries but capacity is {}",
-                self.mshr.len(),
-                self.cfg.l2_mshr_entries
-            ));
-        }
-        // Visit entries in sorted line order so the *first* violation
-        // reported is deterministic across runs.
-        // dlp-lint: allow(D004) -- keys are collected and sorted before use
-        let mut lines: Vec<u64> = self.mshr.keys().copied().collect();
-        lines.sort_unstable();
-        for line in lines {
-            let e = &self.mshr[&line];
-            if e.pkts.is_empty() {
-                return Err(format!("L2 MSHR entry for line {line:#x} has no waiting packets"));
-            }
-            if e.pkts.len() > self.cfg.l2_mshr_merge {
-                return Err(format!(
-                    "L2 MSHR entry for line {line:#x} holds {} packets, merge limit is {}",
-                    e.pkts.len(),
-                    self.cfg.l2_mshr_merge
-                ));
-            }
-        }
+        self.mshr.audit().map_err(|e| format!("L2 {e}"))?;
         if self.in_queue.len() > self.cfg.input_queue {
             return Err(format!(
                 "partition input queue holds {} packets but capacity is {}",
@@ -253,11 +190,6 @@ impl MemoryPartition {
             ));
         }
         Ok(())
-    }
-
-    fn schedule_reply(&mut self, pkt: Packet, ready: u64) {
-        self.seq += 1;
-        self.pending.push(Reverse(PendingReply { ready, seq: self.seq, pkt }));
     }
 
     fn reply_kind(req_kind: PacketKind) -> Result<PacketKind, MemError> {
@@ -311,7 +243,7 @@ impl MemoryPartition {
                 "cycles were skipped while replies waited at the output port"
             );
             debug_assert!(
-                self.pending.peek().is_none_or(|Reverse(h)| h.ready >= next),
+                self.pending.next_ready().is_none_or(|ready| ready >= next),
                 "cycles were skipped across a reply ripening"
             );
             let total = self.dram_acc + skipped * self.cfg.dram_clock_khz;
@@ -342,28 +274,13 @@ impl MemoryPartition {
             }
             self.head_refused_at = None;
             let line = self.cfg.l2_geom.line_addr(cmd.addr);
-            let mut entry =
-                self.mshr.remove(&line).ok_or(MemError::L2MshrMissingFill { line })?;
-            let dirty = entry
-                .pkts
-                .iter()
-                .any(|p| matches!(p.kind, PacketKind::WriteThrough | PacketKind::Writeback));
-            self.tags.fill(entry.set, entry.way, dirty);
-            let ctx = AccessCtx { insn_id: 0, is_write: false };
-            self.policy.on_fill(entry.set, entry.way, line, &ctx);
-            for pkt in entry.pkts.drain(..) {
-                if pkt.kind.expects_reply() {
-                    let reply = Packet { kind: Self::reply_kind(pkt.kind)?, ..pkt };
-                    self.schedule_reply(reply, now + 1);
-                }
-            }
-            self.spare_pkts.push(entry.pkts);
+            let entry = self.mshr.complete(line).ok_or(MemError::L2MshrMissingFill { line })?;
+            self.complete_fill(line, entry, |part, reply| part.pending.push(now + 1, reply));
         }
 
         // 3. Ripen pending replies.
-        while self.pending.peek().is_some_and(|Reverse(head)| head.ready <= now) {
-            let Some(Reverse(p)) = self.pending.pop() else { break };
-            self.out_queue.push_back(p.pkt);
+        while let Some(reply) = self.pending.pop_ripe(now) {
+            self.out_queue.push_back(reply);
         }
 
         // 4. Service one input packet; the head blocks on structural
@@ -422,8 +339,8 @@ impl MemoryPartition {
             return Some(now + 1);
         }
         let mut t = u64::MAX;
-        if let Some(Reverse(head)) = self.pending.peek() {
-            let ready = head.ready.max(now + 1);
+        if let Some(ready) = self.pending.next_ready() {
+            let ready = ready.max(now + 1);
             if ready == now + 1 {
                 return Some(ready);
             }
@@ -449,20 +366,12 @@ impl MemoryPartition {
     /// queue. Must not run while L2 MSHR entries exist (their reserved
     /// ways would collide with the instant fills); callers drain first.
     pub fn l2_touch_functional(&mut self, addr: u64, is_write: bool) {
-        debug_assert!(self.mshr.is_empty(), "functional L2 touch with in-flight fills");
+        debug_assert_eq!(self.mshr.occupancy(), 0, "functional L2 touch with in-flight fills");
         self.head_refused_at = None;
-        let geom = self.cfg.l2_geom;
-        let line = geom.line_addr(addr);
-        let (set, tag) = (geom.set_of_line(line), geom.tag_of_line(line));
+        let line = self.cfg.l2_geom.line_addr(addr);
+        let (set, tag) = self.first_access(line);
         let ctx = AccessCtx { insn_id: 0, is_write };
-        self.stats.accesses += 1;
-        self.policy.on_query(set);
-        if let Lookup::Hit { way } = self.tags.lookup(set, tag) {
-            self.policy.on_hit(set, way, &ctx);
-            self.stats.hits += 1;
-            if is_write {
-                self.tags.mark_dirty(set, way);
-            }
+        if self.hit(set, tag, &ctx) {
             return;
         }
         let views = self.tags.view_set(set);
@@ -475,16 +384,9 @@ impl MemoryPartition {
                 return;
             }
         };
-        if let Some(old) = self.tags.evict_and_reserve(set, way, tag) {
-            self.policy.on_evict(set, way, old.tag);
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-        }
-        self.tags.fill(set, way, is_write);
-        self.policy.on_fill(set, way, line, &ctx);
-        self.stats.misses_allocated += 1;
+        // A dirty victim's writeback leaves no state behind in the L2.
+        self.evict_victim(set, way, tag);
+        self.fill_now(set, way, line, &ctx);
     }
 
     /// Route one request packet through the L2 functionally and return
@@ -492,13 +394,8 @@ impl MemoryPartition {
     /// write traffic is absorbed silently, exactly as the detailed path
     /// eventually would).
     pub fn apply_functional(&mut self, pkt: Packet) -> Option<Packet> {
-        let is_write = matches!(pkt.kind, PacketKind::WriteThrough | PacketKind::Writeback);
-        self.l2_touch_functional(pkt.addr, is_write);
-        match pkt.kind {
-            PacketKind::ReadReq => Some(Packet { kind: PacketKind::ReadReply, ..pkt }),
-            PacketKind::BypassReadReq => Some(Packet { kind: PacketKind::BypassReadReply, ..pkt }),
-            _ => None,
-        }
+        self.l2_touch_functional(pkt.addr, is_write(pkt.kind));
+        Self::reply_kind(pkt.kind).ok().map(|kind| Packet { kind, ..pkt })
     }
 
     /// Window-edge drain for sampling mode: force every in-flight fill
@@ -513,33 +410,12 @@ impl MemoryPartition {
         // 1. Complete outstanding L2 fills in sorted line order so the
         //    fill/reply order — and thus every downstream consumer — is
         //    deterministic.
-        // dlp-lint: allow(D004) -- keys are collected and sorted before use
-        let mut lines: Vec<u64> = self.mshr.keys().copied().collect();
-        lines.sort_unstable();
-        for line in lines {
-            let Some(entry) = self.mshr.remove(&line) else { continue };
-            let dirty = entry
-                .pkts
-                .iter()
-                .any(|p| matches!(p.kind, PacketKind::WriteThrough | PacketKind::Writeback));
-            self.tags.fill(entry.set, entry.way, dirty);
-            let ctx = AccessCtx { insn_id: 0, is_write: false };
-            self.policy.on_fill(entry.set, entry.way, line, &ctx);
-            for pkt in entry.pkts {
-                match pkt.kind {
-                    PacketKind::ReadReq => {
-                        replies.push(Packet { kind: PacketKind::ReadReply, ..pkt });
-                    }
-                    PacketKind::BypassReadReq => {
-                        replies.push(Packet { kind: PacketKind::BypassReadReply, ..pkt });
-                    }
-                    _ => {}
-                }
-            }
+        for (line, entry) in self.mshr.drain_sorted() {
+            self.complete_fill(line, entry, |_, reply| replies.push(reply));
         }
         // 2. Replies already scheduled or queued go out as-is.
-        while let Some(Reverse(p)) = self.pending.pop() {
-            replies.push(p.pkt);
+        while let Some(reply) = self.pending.pop() {
+            replies.push(reply);
         }
         while let Some(pkt) = self.out_queue.pop_front() {
             replies.push(pkt);
@@ -562,40 +438,32 @@ impl MemoryPartition {
     fn process(&mut self, pkt: Packet, now: u64) -> Result<bool, MemError> {
         let geom = self.cfg.l2_geom;
         let line = geom.line_addr(pkt.addr);
-        let (set, tag) = (geom.set_of_line(line), geom.tag_of_line(line));
-        let is_write = matches!(pkt.kind, PacketKind::WriteThrough | PacketKind::Writeback);
+        let (set, tag) = self.first_access(line);
+        let is_write = is_write(pkt.kind);
         let ctx = AccessCtx { insn_id: 0, is_write };
 
-        self.stats.accesses += 1;
-        self.policy.on_query(set);
-
         // Hit.
-        if let Lookup::Hit { way } = self.tags.lookup(set, tag) {
-            self.policy.on_hit(set, way, &ctx);
-            self.stats.hits += 1;
-            if is_write {
-                self.tags.mark_dirty(set, way);
-            } else {
+        if self.hit(set, tag, &ctx) {
+            if !is_write {
                 let reply = Packet { kind: Self::reply_kind(pkt.kind)?, ..pkt };
-                self.schedule_reply(reply, now + self.cfg.l2_latency);
+                self.pending.push(now + self.cfg.l2_latency, reply);
             }
             return Ok(true);
         }
 
-        // Merge into an in-flight fetch.
-        if let Some(entry) = self.mshr.get_mut(&line) {
-            if entry.pkts.len() >= self.cfg.l2_mshr_merge {
-                self.stats.accesses -= 1; // retried next cycle, recounted
+        // Merge into an in-flight fetch. A full merge list or a full
+        // MSHR refuses the packet: it retries and is counted again.
+        match self.mshr.probe(line) {
+            MshrLookup::Merged => {
+                self.mshr.merge(line, pkt)?;
+                self.stats.mshr_merges += 1;
+                return Ok(true);
+            }
+            MshrLookup::MergeFull | MshrLookup::Full => {
+                self.stats.accesses -= 1;
                 return Ok(false);
             }
-            entry.pkts.push(pkt);
-            self.stats.mshr_merges += 1;
-            return Ok(true);
-        }
-
-        if self.mshr.len() >= self.cfg.l2_mshr_entries {
-            self.stats.accesses -= 1;
-            return Ok(false);
+            MshrLookup::Absent => {}
         }
 
         // Allocate a victim way (views live in the tag array's scratch
@@ -631,31 +499,94 @@ impl MemoryPartition {
             return Ok(false);
         }
 
-        if let Some(old) = self.tags.evict_and_reserve(set, way, tag) {
-            self.policy.on_evict(set, way, old.tag);
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.dirty_evictions += 1;
-                let wb_addr = old.tag * geom.line_bytes;
-                self.dram.enqueue(DramCmd { addr: wb_addr, is_write: true, pkt: None });
-            }
+        if let Some(wb_addr) = self.evict_victim(set, way, tag) {
+            self.dram.enqueue(DramCmd { addr: wb_addr, is_write: true, pkt: None });
         }
 
         if is_write {
             // Write-allocate without fetch: a full-line write validates
             // the line immediately.
-            self.tags.fill(set, way, true);
-            self.policy.on_fill(set, way, line, &ctx);
-            self.stats.misses_allocated += 1;
+            self.fill_now(set, way, line, &ctx);
         } else {
-            let mut pkts = self.spare_pkts.pop().unwrap_or_default();
-            pkts.push(pkt);
-            self.mshr.insert(line, L2MshrEntry { set, way, pkts });
+            self.mshr.allocate(line, Some((set, way)), pkt);
             self.dram.enqueue(DramCmd { addr: pkt.addr, is_write: false, pkt: Some(pkt) });
             self.stats.misses_allocated += 1;
         }
         Ok(true)
     }
+
+    /// Count an access to `line` and let the policy see the query;
+    /// returns the line's `(set, tag)`. Shared by both access paths.
+    fn first_access(&mut self, line: u64) -> (usize, u64) {
+        let geom = self.cfg.l2_geom;
+        let set = geom.set_of_line(line);
+        self.stats.accesses += 1;
+        self.policy.on_query(set);
+        (set, geom.tag_of_line(line))
+    }
+
+    /// The hit check, shared by both access paths: on a hit, train the
+    /// policy, count it, dirty the line for a write and return true.
+    fn hit(&mut self, set: usize, tag: u64, ctx: &AccessCtx) -> bool {
+        let Lookup::Hit { way } = self.tags.lookup(set, tag) else { return false };
+        self.policy.on_hit(set, way, ctx);
+        self.stats.hits += 1;
+        if ctx.is_write {
+            self.tags.mark_dirty(set, way);
+        }
+        true
+    }
+
+    /// Reserve `way` of `set` for `tag`, shared by both access paths:
+    /// evict the line there, tell the policy and count the eviction.
+    /// Returns the address a dirty victim must be written back to.
+    fn evict_victim(&mut self, set: usize, way: usize, tag: u64) -> Option<u64> {
+        let old = self.tags.evict_and_reserve(set, way, tag)?;
+        self.policy.on_evict(set, way, old.tag);
+        self.stats.evictions += 1;
+        if !old.dirty {
+            return None;
+        }
+        self.stats.dirty_evictions += 1;
+        Some(old.tag * self.cfg.l2_geom.line_bytes)
+    }
+
+    /// Validate a reserved way at once: a write allocated without a
+    /// fetch, or any functional miss. The line is dirty for a write.
+    fn fill_now(&mut self, set: usize, way: usize, line: u64, ctx: &AccessCtx) {
+        self.tags.fill(set, way, ctx.is_write);
+        self.policy.on_fill(set, way, line, ctx);
+        self.stats.misses_allocated += 1;
+    }
+
+    /// The fetch of `line` is done, whether DRAM answered it or a
+    /// window-edge drain forced it: fill the reserved way, dirty if a
+    /// write merged into the fetch, and hand each waiting read's reply
+    /// to `reply`.
+    fn complete_fill(
+        &mut self,
+        line: u64,
+        mut entry: MshrEntry<Packet>,
+        mut reply: impl FnMut(&mut Self, Packet),
+    ) {
+        if let Some((set, way)) = entry.target {
+            let dirty = entry.reqs.iter().any(|p| is_write(p.kind));
+            self.tags.fill(set, way, dirty);
+            let ctx = AccessCtx { insn_id: 0, is_write: false };
+            self.policy.on_fill(set, way, line, &ctx);
+        }
+        for pkt in entry.reqs.drain(..) {
+            if let Ok(kind) = Self::reply_kind(pkt.kind) {
+                reply(self, Packet { kind, ..pkt });
+            }
+        }
+        self.mshr.recycle(entry.reqs);
+    }
+}
+
+/// Does a packet of this kind carry write data into the L2?
+fn is_write(kind: PacketKind) -> bool {
+    matches!(kind, PacketKind::WriteThrough | PacketKind::Writeback)
 }
 
 #[cfg(test)]
@@ -891,13 +822,13 @@ mod tests {
             }
             let was_refused = memo.head_refused_at.is_some();
             let (started, queries) = (memo.dram.commands_started(), memo.policy.stats().queries);
-            let (replies, hits) = (memo.seq, memo.l2_stats().hits);
+            let (replies, hits) = (memo.pending.pushed(), memo.l2_stats().hits);
             memo.cycle(now).unwrap();
             real.head_refused_at = None;
             real.cycle(now).unwrap();
             let retried = memo.policy.stats().queries > queries;
             // Replies scheduled beyond the head's own hit are fills.
-            let completed = memo.seq - replies > memo.l2_stats().hits - hits;
+            let completed = memo.pending.pushed() - replies > memo.l2_stats().hits - hits;
             let started = memo.dram.commands_started() != started;
             if was_refused {
                 assert_eq!(retried, started || completed, "cycle {now}");
