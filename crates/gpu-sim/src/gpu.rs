@@ -765,7 +765,27 @@ impl Gpu {
         if let Some(sc) = self.cfg.sampling {
             return self.run_sampled(sc);
         }
-        while !self.finished() {
+        self.run_until(u64::MAX)?;
+        self.settle_sms();
+        Ok(self.collect(true))
+    }
+
+    /// Run at most `cycles` more cycles (incremental driving for tests
+    /// and interactive exploration). Unlike [`Gpu::run`], reaching the
+    /// requested horizon is success, not an error; passing the cycle
+    /// cap is an error, as it is for [`Gpu::run`].
+    pub fn run_for(&mut self, cycles: u64) -> Result<RunStats, SimError> {
+        self.run_until(self.now + cycles)?;
+        self.settle_sms();
+        Ok(self.collect(self.finished()))
+    }
+
+    /// The leap-and-step loop every run mode drives: step each event
+    /// cycle, leaping over the dead time before it, until the kernel
+    /// finishes or `now` reaches `end`. Fails with a cycle-cap overrun
+    /// once `now` reaches `max_cycles` with the kernel unfinished.
+    fn run_until(&mut self, end: u64) -> Result<(), SimError> {
+        while !self.finished() && self.now < end {
             if self.now >= self.cfg.max_cycles {
                 self.settle_sms();
                 return Err(SimError::CycleCapExceeded(Box::new(self.hang_report())));
@@ -775,30 +795,11 @@ impl Gpu {
                 // cycle-cap clamp keeps the overrun error surfacing at
                 // the same cycle the reference loop reports.
                 let target = self.next_step_cycle().min(self.cfg.max_cycles);
-                if target > self.now + 1 {
-                    self.leap_to(target - 1)?;
-                }
-            }
-            self.step()?;
-        }
-        self.settle_sms();
-        Ok(self.collect(true))
-    }
-
-    /// Run at most `cycles` more cycles (incremental driving for tests
-    /// and interactive exploration). Unlike [`Gpu::run`], reaching the
-    /// requested horizon is success, not an error.
-    pub fn run_for(&mut self, cycles: u64) -> Result<RunStats, SimError> {
-        let end = self.now + cycles;
-        while !self.finished() && self.now < end {
-            if self.cfg.leap {
-                let target = self.next_step_cycle();
                 if target > end {
-                    // The whole remaining horizon is dead time: account
-                    // for it and stop at the horizon, exactly where the
-                    // reference loop would.
-                    self.leap_to(end)?;
-                    break;
+                    // The rest of the horizon is dead time: account for
+                    // it and stop there, exactly where the reference
+                    // loop would.
+                    return self.leap_to(end);
                 }
                 if target > self.now + 1 {
                     self.leap_to(target - 1)?;
@@ -806,8 +807,7 @@ impl Gpu {
             }
             self.step()?;
         }
-        self.settle_sms();
-        Ok(self.collect(self.finished()))
+        Ok(())
     }
 
     /// What the sampling controller measured during the last [`Gpu::run`],
@@ -823,24 +823,35 @@ impl Gpu {
     /// spread yields the confidence interval dlp-bench reports.
     fn run_sampled(&mut self, sc: SamplingConfig) -> Result<RunStats, SimError> {
         let mut report = SamplingReport::default();
+        let run = self.sample_windows(sc, &mut report);
+        self.sampling_report = Some(report);
+        run?;
+        self.settle_sms();
+        Ok(self.collect(true))
+    }
+
+    /// The sampling controller's loop behind [`Gpu::run_sampled`]. A
+    /// cycle-cap overrun surfaces from the first window that starts at
+    /// or past the cap; each window is at least one cycle long, as
+    /// [`SamplingConfig::parse`] rejects an empty measurement window.
+    fn sample_windows(
+        &mut self,
+        sc: SamplingConfig,
+        report: &mut SamplingReport,
+    ) -> Result<(), SimError> {
         // Deterministic phase offset: shift the sampling grid by a
         // seed-dependent amount so repeated experiments with different
         // seeds observe different program phases.
         let offset = sc.seed % sc.skip;
         if offset > 0 && !self.finished() {
             self.drain_in_flight()?;
-            self.fast_forward_gap(offset, &mut report)?;
+            self.fast_forward_gap(offset, report)?;
         }
         while !self.finished() {
-            if self.now >= self.cfg.max_cycles {
-                self.settle_sms();
-                self.sampling_report = Some(report);
-                return Err(SimError::CycleCapExceeded(Box::new(self.hang_report())));
-            }
             // Warm-up: detailed execution whose counters are discarded —
             // it exists to re-form queues, MSHR pressure and in-flight
             // traffic after the functional gap.
-            self.run_detailed_window(sc.warmup, &mut report)?;
+            self.run_detailed_window(sc.warmup, report)?;
             if self.finished() {
                 break;
             }
@@ -848,7 +859,7 @@ impl Gpu {
             // is cycle-accurate, so the deltas are unbiased estimators.
             let start = self.now;
             let before = self.sample_snapshot();
-            self.run_detailed_window(sc.detail, &mut report)?;
+            self.run_detailed_window(sc.detail, report)?;
             let after = self.sample_snapshot();
             report.windows.push(WindowSample {
                 cycles: self.now - start,
@@ -862,11 +873,9 @@ impl Gpu {
                 break;
             }
             self.drain_in_flight()?;
-            self.fast_forward_gap(sc.skip, &mut report)?;
+            self.fast_forward_gap(sc.skip, report)?;
         }
-        self.settle_sms();
-        self.sampling_report = Some(report);
-        Ok(self.collect(true))
+        Ok(())
     }
 
     /// One detailed window: the exact-mode run loop, bounded at
@@ -878,28 +887,9 @@ impl Gpu {
         report: &mut SamplingReport,
     ) -> Result<(), SimError> {
         let start = self.now;
-        let end = start + cycles;
-        while !self.finished() && self.now < end {
-            if self.now >= self.cfg.max_cycles {
-                report.detailed_cycles += self.now - start;
-                self.settle_sms();
-                self.sampling_report = Some(report.clone());
-                return Err(SimError::CycleCapExceeded(Box::new(self.hang_report())));
-            }
-            if self.cfg.leap {
-                let target = self.next_step_cycle();
-                if target > end {
-                    // The rest of the window is dead time; account for
-                    // it and stop exactly at the window edge.
-                    self.leap_to(end)?;
-                    break;
-                }
-                if target > self.now + 1 {
-                    self.leap_to(target - 1)?;
-                }
-            }
-            self.step()?;
-        }
+        let ran = self.run_until(start + cycles);
+        report.detailed_cycles += self.now - start;
+        ran?;
         // The loop may have leapt to the window edge without stepping.
         // [`MemoryPartition::next_event`] computes its DRAM-domain term
         // relative to the partition's *internal* clock, which is only
@@ -918,7 +908,6 @@ impl Gpu {
                 part.advance_quiet(self.now);
             }
         }
-        report.detailed_cycles += self.now - start;
         Ok(())
     }
 
@@ -987,16 +976,10 @@ impl Gpu {
         //    functionally.
         for s in 0..self.sms.len() {
             self.sms[s].drain_functional(now, &mut effects)?;
-            for &(addr, is_write) in &effects {
-                let dst = self.icnt.partition_of(addr);
-                self.parts[dst].l2_touch_functional(addr, is_write);
-            }
-            effects.clear();
-            self.sms[s].take_finished_ctas();
+            self.apply_effects(s, &mut effects);
         }
         // 7. Re-derive the busy/sleep bookkeeping the event core trusts.
         self.rederive_active_sms();
-        self.sm_last_cycled.fill(now);
         debug_assert!(
             self.parts.iter().all(MemoryPartition::idle),
             "partition not idle after drain"
@@ -1004,9 +987,28 @@ impl Gpu {
         self.active_parts = 0;
         self.part_next_ev.fill(0);
         debug_assert_eq!(self.icnt.in_flight(), 0, "crossbar not empty after drain");
-        self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
-        self.last_progress_cycle = now;
+        self.resume_detailed();
         Ok(())
+    }
+
+    /// Touch the L2 for the traffic SM `s`'s functional accesses left in
+    /// `effects`, emptying it, and drop the SM's finished CTAs, as a
+    /// detailed cycle does.
+    fn apply_effects(&mut self, s: usize, effects: &mut Vec<(u64, bool)>) {
+        for (addr, is_write) in effects.drain(..) {
+            let dst = self.icnt.partition_of(addr);
+            self.parts[dst].l2_touch_functional(addr, is_write);
+        }
+        self.sms[s].take_finished_ctas();
+    }
+
+    /// After a drain or a fast-forward, which bypass the per-cycle
+    /// bookkeeping: mark every SM aged through `now`, and restart the
+    /// watchdog there.
+    fn resume_detailed(&mut self) {
+        self.sm_last_cycled.fill(self.now);
+        self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
+        self.last_progress_cycle = self.now;
     }
 
     /// Functionally execute roughly `gap` cycles' worth of work: warps
@@ -1041,12 +1043,7 @@ impl Gpu {
                 }
                 executed += done;
                 self.total_warp_insns += done;
-                for &(addr, is_write) in &effects {
-                    let dst = self.icnt.partition_of(addr);
-                    self.parts[dst].l2_touch_functional(addr, is_write);
-                }
-                effects.clear();
-                self.sms[s].take_finished_ctas();
+                self.apply_effects(s, &mut effects);
                 if executed >= budget {
                     break;
                 }
@@ -1071,9 +1068,7 @@ impl Gpu {
         self.now += advance;
         report.ff_cycles += advance;
         report.ff_insns += executed;
-        self.sm_last_cycled.fill(self.now);
-        self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
-        self.last_progress_cycle = self.now;
+        self.resume_detailed();
         Ok(())
     }
 

@@ -4,7 +4,7 @@
 use crate::coalescer::coalesce_into;
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::isa::{OpKind, Reg, NO_REG};
+use crate::isa::{OpKind, Reg, TraceOp, NO_REG};
 use crate::scheduler::GtoScheduler;
 use crate::stream::OpStream;
 use crate::warp::Warp;
@@ -276,37 +276,10 @@ impl Sm {
         self.l1d.cycle(now).map_err(|e| self.mem_err(e, now))?;
 
         // 2. Retire memory responses into the scoreboard.
-        while let Some(resp) = self.l1d.pop_response() {
-            let slot = resp.req.warp as usize;
-            let Some(w) = self.warps[slot].as_mut() else {
-                return Err(SimError::WarpStateCorrupt {
-                    sm: self.id,
-                    slot,
-                    what: "memory response targets an empty warp slot",
-                    cycle: now,
-                });
-            };
-            if resp.req.is_write {
-                w.store_retired();
-            } else {
-                w.complete_one(resp.req.dst_reg);
-            }
-            self.retire_if_finished(slot, now)?;
-            self.refresh_slot(slot);
-        }
+        self.retire_responses(now)?;
 
         // 3. ALU writebacks that ripened.
-        while let Some(&Reverse((ready, slot, reg))) = self.alu_wb.peek() {
-            if ready > now {
-                break;
-            }
-            self.alu_wb.pop();
-            if let Some(w) = self.warps[slot].as_mut() {
-                w.complete_one(reg);
-            }
-            self.retire_if_finished(slot, now)?;
-            self.refresh_slot(slot);
-        }
+        self.retire_alu_writebacks(now, now)?;
 
         // 4. LD/ST unit feeds the L1D one transaction per cycle.
         if let Some(&req) = self.ldst_queue.front() {
@@ -327,13 +300,96 @@ impl Sm {
             self.stats.active_cycles += 1;
         }
 
-        // 6. §4.1.4: bound the sampling period in instructions so
-        //    kernels with few loads still close their samples.
+        // 6. §4.1.4: bound the sampling period in instructions.
+        self.close_sample_if_due();
+        Ok(issued)
+    }
+
+    /// §4.1.4: close the policy's sampling period once the SM has
+    /// issued `sample_insn_cap` instructions since the last one, so
+    /// kernels with few loads still close their samples.
+    fn close_sample_if_due(&mut self) {
         if self.sample_insn_cap > 0 && self.insns_since_sample >= self.sample_insn_cap {
             self.l1d.force_policy_sample();
             self.insns_since_sample = 0;
         }
-        Ok(issued)
+    }
+
+    /// Retire every response the L1D has ready into its warp's
+    /// scoreboard. Returns whether there was any.
+    fn retire_responses(&mut self, now: u64) -> Result<bool, SimError> {
+        let mut any = false;
+        while let Some(resp) = self.l1d.pop_response() {
+            any = true;
+            let slot = resp.req.warp as usize;
+            let Some(w) = self.warps[slot].as_mut() else {
+                return Err(SimError::WarpStateCorrupt {
+                    sm: self.id,
+                    slot,
+                    what: "memory response targets an empty warp slot",
+                    cycle: now,
+                });
+            };
+            if resp.req.is_write {
+                w.store_retired();
+            } else {
+                w.complete_one(resp.req.dst_reg);
+            }
+            self.retire_if_finished(slot, now)?;
+            self.refresh_slot(slot);
+        }
+        Ok(any)
+    }
+
+    /// Retire every ALU writeback due by cycle `through` into its warp's
+    /// scoreboard. Returns whether there was any.
+    fn retire_alu_writebacks(&mut self, through: u64, now: u64) -> Result<bool, SimError> {
+        let mut any = false;
+        while let Some(&Reverse((ready, slot, reg))) = self.alu_wb.peek() {
+            if ready > through {
+                break;
+            }
+            any = true;
+            self.alu_wb.pop();
+            if let Some(w) = self.warps[slot].as_mut() {
+                w.complete_one(reg);
+            }
+            self.retire_if_finished(slot, now)?;
+            self.refresh_slot(slot);
+        }
+        Ok(any)
+    }
+
+    /// Coalesce memory op `op` of warp `slot` into sector transactions,
+    /// count them, and hand each one's request to `send` in sector
+    /// order. Returns the transaction count.
+    fn send_transactions(
+        &mut self,
+        slot: usize,
+        op: &TraceOp,
+        mut send: impl FnMut(&mut Self, MemReq),
+    ) -> u32 {
+        let OpKind::Mem { is_write, addrs } = &op.kind else { return 0 };
+        // Coalesce into the SM's scratch buffer: no per-issue allocation
+        // for the sector list.
+        coalesce_into(addrs, 128, &mut self.sector_scratch);
+        let n = self.sector_scratch.len() as u32;
+        self.stats.mem_transactions += n as u64;
+        for i in 0..self.sector_scratch.len() {
+            self.req_seq += 1;
+            let req = MemReq {
+                id: self.req_seq,
+                addr: self.sector_scratch[i],
+                is_write: *is_write,
+                pc: op.pc,
+                sm: self.id as u16,
+                warp: slot as u32,
+                dst_reg: if *is_write { NO_REG } else { op.dst },
+                born: 0,
+            };
+            send(self, req);
+        }
+        n
     }
 
     /// Earliest future core cycle (strictly after `now`) at which this
@@ -416,35 +472,9 @@ impl Sm {
         effects: &mut Vec<(u64, bool)>,
     ) -> Result<(), SimError> {
         loop {
-            let mut progressed = false;
             self.l1d.drain_functional(effects);
-            while let Some(resp) = self.l1d.pop_response() {
-                progressed = true;
-                let slot = resp.req.warp as usize;
-                let Some(w) = self.warps[slot].as_mut() else {
-                    return Err(SimError::WarpStateCorrupt {
-                        sm: self.id,
-                        slot,
-                        what: "memory response targets an empty warp slot",
-                        cycle: now,
-                    });
-                };
-                if resp.req.is_write {
-                    w.store_retired();
-                } else {
-                    w.complete_one(resp.req.dst_reg);
-                }
-                self.retire_if_finished(slot, now)?;
-                self.refresh_slot(slot);
-            }
-            while let Some(Reverse((_, slot, reg))) = self.alu_wb.pop() {
-                progressed = true;
-                if let Some(w) = self.warps[slot].as_mut() {
-                    w.complete_one(reg);
-                }
-                self.retire_if_finished(slot, now)?;
-                self.refresh_slot(slot);
-            }
+            let mut progressed = self.retire_responses(now)?;
+            progressed |= self.retire_alu_writebacks(u64::MAX, now)?;
             while let Some(req) = self.ldst_queue.pop_front() {
                 progressed = true;
                 self.l1d.access_functional(req, true, true, effects);
@@ -474,7 +504,6 @@ impl Sm {
             self.ldst_queue.is_empty() && self.alu_wb.is_empty(),
             "functional advance on an undrained SM"
         );
-        let sm_id = self.id as u16;
         let mut executed = 0u64;
         'outer: loop {
             let mut any = false;
@@ -494,31 +523,10 @@ impl Sm {
                 self.insns_since_sample += 1;
                 let op = w.advance();
                 self.stats.thread_insns += op.active_lanes() as u64;
-                if let OpKind::Mem { is_write, addrs } = &op.kind {
-                    let (is_write, pc, dst) = (*is_write, op.pc, op.dst);
-                    coalesce_into(addrs, 128, &mut self.sector_scratch);
-                    let n = self.sector_scratch.len() as u32;
-                    self.stats.mem_transactions += n as u64;
-                    for i in 0..self.sector_scratch.len() {
-                        self.req_seq += 1;
-                        let req = MemReq {
-                            id: self.req_seq,
-                            addr: self.sector_scratch[i],
-                            is_write,
-                            pc,
-                            sm: sm_id,
-                            warp: slot as u32,
-                            dst_reg: if is_write { NO_REG } else { dst },
-                            born: 0,
-                        };
-                        self.l1d.access_functional(req, true, false, effects);
-                    }
-                }
-                if self.sample_insn_cap > 0 && self.insns_since_sample >= self.sample_insn_cap
-                {
-                    self.l1d.force_policy_sample();
-                    self.insns_since_sample = 0;
-                }
+                self.send_transactions(slot, &op, |sm, req| {
+                    sm.l1d.access_functional(req, true, false, effects)
+                });
+                self.close_sample_if_due();
                 self.retire_if_finished(slot, now)?;
                 self.refresh_slot(slot);
             }
@@ -543,7 +551,6 @@ impl Sm {
     }
 
     fn issue(&mut self, slot: usize, now: u64) -> Result<(), SimError> {
-        let sm_id = self.id as u16;
         self.stats.warp_insns += 1;
         self.insns_since_sample += 1;
         let Some(w) = self.warps[slot].as_mut() else {
@@ -565,30 +572,15 @@ impl Sm {
                     self.alu_wb.push(Reverse((now + latency, slot, dst)));
                 }
             }
-            OpKind::Mem { is_write, addrs } => {
-                let (is_write, pc, dst) = (*is_write, op.pc, op.dst);
-                // Coalesce into the SM's scratch buffer: no per-issue
-                // allocation for the sector list or a cloned op.
-                coalesce_into(addrs, 128, &mut self.sector_scratch);
-                let n = self.sector_scratch.len() as u32;
-                self.stats.mem_transactions += n as u64;
-                if is_write {
-                    w.store_issued(n);
-                } else {
-                    w.mark_pending(dst, n as u16);
-                }
-                for i in 0..self.sector_scratch.len() {
-                    self.req_seq += 1;
-                    self.ldst_queue.push_back(MemReq {
-                        id: self.req_seq,
-                        addr: self.sector_scratch[i],
-                        is_write,
-                        pc,
-                        sm: sm_id,
-                        warp: slot as u32,
-                        dst_reg: if is_write { NO_REG } else { dst },
-                        born: 0,
-                    });
+            OpKind::Mem { is_write, .. } => {
+                let is_write = *is_write;
+                let n = self.send_transactions(slot, &op, |sm, req| sm.ldst_queue.push_back(req));
+                if let Some(w) = self.warps[slot].as_mut() {
+                    if is_write {
+                        w.store_issued(n);
+                    } else {
+                        w.mark_pending(op.dst, n as u16);
+                    }
                 }
             }
         }
