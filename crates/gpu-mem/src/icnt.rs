@@ -601,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_restore_roundtrip_preserves_fifo_and_census() {
+    fn drain_and_resend_roundtrip_preserves_fifo_and_census() {
         let mut icnt = small();
         // Two packets: ready at 5 (1 flit + 4 hop) and 10 (5+4 after
         // serializing behind the first).
@@ -628,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn nonempty_masks_track_extract_and_restore() {
+    fn nonempty_masks_track_drain_and_resend() {
         let mut icnt = small();
         icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0); // ready at 5
         icnt.try_send_fwd(0, pkt(PacketKind::Writeback, 128), 0); // ready at 10
