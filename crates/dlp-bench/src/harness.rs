@@ -223,21 +223,6 @@ fn env_deadline() -> Option<Duration> {
         .map(Duration::from_millis)
 }
 
-/// The sharded engine `DLP_SHARDS` once selected was retired after it
-/// measured slower than one thread everywhere. A leftover setting is
-/// ignored, but said so once per process on stderr rather than silently.
-fn note_retired_shards_env() {
-    static NOTE: std::sync::Once = std::sync::Once::new();
-    NOTE.call_once(|| {
-        if std::env::var_os("DLP_SHARDS").is_some() {
-            eprintln!(
-                "note: DLP_SHARDS is ignored: the sharded engine was retired \
-                 (see EXPERIMENTS.md \"Shard telemetry\")"
-            );
-        }
-    });
-}
-
 /// Environment variable enabling SMARTS-style interval sampling for
 /// every simulation job: `detail:skip[:warmup[:seed]]` in cycles
 /// (e.g. `DLP_SAMPLING=2000:18000`). Unset = exact simulation, the
@@ -337,7 +322,6 @@ pub fn run_cache_len() -> usize {
 /// that simulates is bounded by `DLP_JOB_DEADLINE_MS`, read per job;
 /// unset = unlimited, the exact code path the determinism suite pins.
 pub fn run_app(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
-    note_retired_shards_env();
     if force_fail_target() == Some(abbr) {
         panic!("{abbr}: forced failure ({FORCE_FAIL_ENV} is set)");
     }
