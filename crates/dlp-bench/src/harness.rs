@@ -672,42 +672,47 @@ pub fn run_policy_suite(scale: Scale) -> PolicySuite {
 }
 
 fn run_policy_suite_inner(scale: Scale) -> PolicySuite {
-    let apps = registry();
-    let mut jobs = Vec::new();
-    for spec in &apps {
-        for kind in PolicyKind::ALL {
-            let cfg = ExperimentConfig { scale, ..ExperimentConfig::baseline().with_policy(kind) };
-            jobs.push((spec.abbr.to_string(), cfg));
-        }
-        let cfg32 = ExperimentConfig {
-            scale,
-            ..ExperimentConfig::baseline().with_geom(CacheGeometry::fermi_l1d_32k())
-        };
-        jobs.push((spec.abbr.to_string(), cfg32));
-    }
-    let mut results = run_many(&jobs).into_iter();
-    let mut runs: HashMap<String, HashMap<&'static str, AppRun>> = HashMap::new();
-    let mut failed: HashMap<String, HashMap<&'static str, RunFailure>> = HashMap::new();
-    let mut failures = Vec::new();
-    for spec in &apps {
-        // Every app gets a row, even if all of its jobs failed: callers
-        // index `runs[abbr]` and read an empty map, not a missing key.
-        runs.entry(spec.abbr.to_string()).or_default();
-        let mut take = |label: &'static str| match results.next().expect("one result per job") {
-            Ok(run) => {
-                runs.entry(spec.abbr.to_string()).or_default().insert(label, run);
-            }
-            Err(f) => {
-                failed.entry(spec.abbr.to_string()).or_default().insert(label, f.clone());
-                failures.push(f);
-            }
-        };
-        for kind in PolicyKind::ALL {
-            take(kind.label());
-        }
-        take(LABEL_32K);
-    }
+    let base = ExperimentConfig { scale, ..ExperimentConfig::baseline() };
+    let mut columns: Vec<_> =
+        PolicyKind::ALL.into_iter().map(|kind| (kind.label(), base.with_policy(kind))).collect();
+    columns.push((LABEL_32K, base.with_geom(CacheGeometry::fermi_l1d_32k())));
+    let (apps, runs, failed, failures) = run_suite(&columns);
     PolicySuite { runs, apps, failures, failed }
+}
+
+/// A suite's `app → (column label → T)` cells.
+type Cells<T> = HashMap<String, HashMap<&'static str, T>>;
+
+/// Run every app under every labelled configuration, as one batch, and
+/// sort the results into the suite's cells: runs, failures by cell, and
+/// the failures in job order. Every app gets a row, even if all of its
+/// jobs failed: callers index `runs[abbr]` and read an empty map, not a
+/// missing key.
+fn run_suite(
+    columns: &[(&'static str, ExperimentConfig)],
+) -> (Vec<BenchSpec>, Cells<AppRun>, Cells<RunFailure>, Vec<RunFailure>) {
+    let apps = registry();
+    let jobs: Vec<(String, ExperimentConfig)> = apps
+        .iter()
+        .flat_map(|spec| columns.iter().map(|&(_, cfg)| (spec.abbr.to_string(), cfg)))
+        .collect();
+    let mut results = run_many(&jobs).into_iter();
+    let (mut runs, mut failed, mut failures) = (Cells::new(), Cells::new(), Vec::new());
+    for spec in &apps {
+        let row = runs.entry(spec.abbr.to_string()).or_default();
+        for &(label, _) in columns {
+            match results.next().expect("one result per job") {
+                Ok(run) => {
+                    row.insert(label, run);
+                }
+                Err(f) => {
+                    failed.entry(spec.abbr.to_string()).or_default().insert(label, f.clone());
+                    failures.push(f);
+                }
+            }
+        }
+    }
+    (apps, runs, failed, failures)
 }
 
 /// Figure 4–5 data: every app at 16/32/64 KB under baseline LRU.
@@ -738,37 +743,15 @@ pub fn run_size_suite(scale: Scale) -> SizeSuite {
 }
 
 fn run_size_suite_inner(scale: Scale) -> SizeSuite {
+    let base = ExperimentConfig { scale, ..ExperimentConfig::baseline() };
     let geoms = [
         CacheGeometry::fermi_l1d_16k(),
         CacheGeometry::fermi_l1d_32k(),
         CacheGeometry::fermi_l1d_64k(),
     ];
-    let apps = registry();
-    let mut jobs = Vec::new();
-    for spec in &apps {
-        for g in geoms {
-            let cfg = ExperimentConfig { scale, ..ExperimentConfig::baseline().with_geom(g) };
-            jobs.push((spec.abbr.to_string(), cfg));
-        }
-    }
-    let mut results = run_many(&jobs).into_iter();
-    let mut runs: HashMap<String, HashMap<&'static str, AppRun>> = HashMap::new();
-    let mut failed: HashMap<String, HashMap<&'static str, RunFailure>> = HashMap::new();
-    let mut failures = Vec::new();
-    for spec in &apps {
-        runs.entry(spec.abbr.to_string()).or_default();
-        for label in SIZE_LABELS {
-            match results.next().expect("one result per job") {
-                Ok(run) => {
-                    runs.entry(spec.abbr.to_string()).or_default().insert(label, run);
-                }
-                Err(f) => {
-                    failed.entry(spec.abbr.to_string()).or_default().insert(label, f.clone());
-                    failures.push(f);
-                }
-            }
-        }
-    }
+    let columns: Vec<_> =
+        SIZE_LABELS.into_iter().zip(geoms).map(|(label, g)| (label, base.with_geom(g))).collect();
+    let (apps, runs, failed, failures) = run_suite(&columns);
     SizeSuite { runs, apps, failures, failed }
 }
 
