@@ -353,7 +353,7 @@ pub struct Report {
 /// `EXPERIMENTS.md`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files: Vec<(String, String)> = Vec::new();
-    for file in rd_tools::walk::walk_rust_sources(root)? {
+    for file in crate::walk::walk_rust_sources(root)? {
         if !is_sim_tier(&file.rel) && !is_trace_tier(&file.rel) && !is_store_tier(&file.rel) {
             continue;
         }

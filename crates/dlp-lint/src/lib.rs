@@ -51,6 +51,7 @@ pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod symbols;
+pub mod walk;
 
 pub use callgraph::{CallGraph, Reach};
 pub use diag::{

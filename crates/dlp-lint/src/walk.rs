@@ -1,13 +1,12 @@
-//! Deterministic workspace source walking for analysis tooling.
+//! Deterministic workspace source walking.
 //!
-//! `dlp-lint` (and any future source-level pass) needs to visit every
-//! Rust source file of the workspace in a **stable order**: findings
-//! are diffed against a checked-in baseline, so the walk itself must
-//! not introduce filesystem-iteration nondeterminism — the very class
-//! of bug the lint exists to catch. Directory entries are therefore
-//! sorted byte-wise at every level, and the output is a flat sorted
-//! list of workspace-relative paths with forward-slash separators on
-//! every platform.
+//! The linter visits every Rust source file of the workspace in a
+//! **stable order**: findings are diffed against a checked-in
+//! baseline, so the walk itself must not introduce filesystem-iteration
+//! nondeterminism — the very class of bug the lint exists to catch.
+//! Directory entries are therefore sorted byte-wise at every level, and
+//! the output is a flat sorted list of workspace-relative paths with
+//! forward-slash separators on every platform.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -69,7 +68,7 @@ mod tests {
     use super::*;
 
     fn make_tree() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rd-walk-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("dlp-lint-walk-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for sub in ["crates/a/src", "crates/b/src", "target/debug", "vendor/x/src"] {
             std::fs::create_dir_all(dir.join(sub)).unwrap();

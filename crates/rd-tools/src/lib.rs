@@ -25,7 +25,6 @@ pub mod profiler;
 pub mod ratio;
 pub mod rd;
 pub mod rdd;
-pub mod walk;
 
 pub use profiler::{RdProfiler, SharedRdd};
 pub use ratio::{classify, AppClass, CS_CI_THRESHOLD};
