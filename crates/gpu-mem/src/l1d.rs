@@ -433,12 +433,7 @@ impl L1dCache {
                 }
                 MissDecision::Bypass => {
                     self.policy.on_bypass(set, tag, &ctx);
-                    if req.is_write {
-                        self.stats.bypassed_stores += 1;
-                    } else {
-                        self.stats.bypassed_loads += 1;
-                        self.stats.bypass_fetches += 1;
-                    }
+                    self.count_bypass(req.is_write);
                     effects.push((req.addr, req.is_write));
                 }
                 MissDecision::Stall => {
@@ -459,9 +454,7 @@ impl L1dCache {
     /// fills were answered (the MSHR is empty), so afterwards the cache
     /// is [`Self::quiescent`] once the outgoing queue is consumed.
     pub fn drain_functional(&mut self, effects: &mut Vec<(u64, bool)>) {
-        while let Some(resp) = self.pending.pop() {
-            self.responses.push_back(resp);
-        }
+        self.responses.extend(std::iter::from_fn(|| self.pending.pop()));
         self.stall_memo = None;
         if let Some(req) = self.pipeline_reg.take() {
             // The parked access already paid its first-attempt
@@ -540,13 +533,22 @@ impl L1dCache {
 
     /// Bypass `req` around the cache. Caller checked miss-queue space.
     fn do_bypass(&mut self, req: MemReq, cycle: u64) {
+        self.count_bypass(req.is_write);
         if req.is_write {
             self.push_packet(PacketKind::WriteThrough, req.addr, req);
-            self.stats.bypassed_stores += 1;
             // The store retires as soon as it is on its way to L2.
             self.schedule_resp(req, cycle + 1);
         } else {
             self.push_packet(PacketKind::BypassReadReq, req.addr, req);
+        }
+    }
+
+    /// Count a bypass, shared by both access paths: a store written
+    /// through, or a load fetched around the cache.
+    fn count_bypass(&mut self, is_write: bool) {
+        if is_write {
+            self.stats.bypassed_stores += 1;
+        } else {
             self.stats.bypassed_loads += 1;
             self.stats.bypass_fetches += 1;
         }
@@ -669,8 +671,7 @@ impl L1dCache {
                     // (see DESIGN.md "bypass tracking").
                     self.mshr.allocate(line, None, req);
                     self.push_packet(PacketKind::ReadReq, req.addr, req);
-                    self.stats.bypassed_loads += 1;
-                    self.stats.bypass_fetches += 1;
+                    self.count_bypass(false);
                 }
                 Ok(Outcome::Consumed)
             }

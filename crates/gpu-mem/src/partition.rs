@@ -414,18 +414,12 @@ impl MemoryPartition {
             self.complete_fill(line, entry, |_, reply| replies.push(reply));
         }
         // 2. Replies already scheduled or queued go out as-is.
-        while let Some(reply) = self.pending.pop() {
-            replies.push(reply);
-        }
-        while let Some(pkt) = self.out_queue.pop_front() {
-            replies.push(pkt);
-        }
+        replies.extend(std::iter::from_fn(|| self.pending.pop()));
+        replies.extend(self.out_queue.drain(..));
         // 3. Input packets are serviced functionally (the MSHR is empty
         //    now, so the state-only path is sound).
         while let Some(pkt) = self.in_queue.pop_front() {
-            if let Some(reply) = self.apply_functional(pkt) {
-                replies.push(reply);
-            }
+            replies.extend(self.apply_functional(pkt));
         }
         // 4. DRAM commands for the fills above (and queued victim
         //    writebacks) must not resurface in the next detailed window.

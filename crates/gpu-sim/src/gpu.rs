@@ -426,17 +426,13 @@ impl Gpu {
         for s in mask::ones(self.icnt.ret_due(now)) {
             while let Some(pkt) = self.icnt.pop_ret(s, now) {
                 self.counters.ret_flits_delivered += pkt.flits();
-                self.counters.replies_delivered += 1;
                 // A reply mutates the very state (MSHR, tags) that the
                 // deferred stall-aging classifies against, so a sleeping
                 // SM must replay its gap with the pre-reply state first.
                 // The gap includes this cycle: the reference SM's own
                 // phase — one more no-op retry — ran before delivery.
                 self.catch_up_sm(s, now);
-                self.sms[s]
-                    .l1d
-                    .on_reply(pkt, now)
-                    .map_err(|source| SimError::MshrViolation { sm: s, source, cycle: now })?;
+                self.deliver_reply(s, pkt, now)?;
                 // The reply gives the SM work (a response to ripen); an
                 // outstanding fetch implies a non-quiescent L1D, so the
                 // SM should already be busy — keep it that way cheaply.
@@ -693,6 +689,15 @@ impl Gpu {
         Ok(())
     }
 
+    /// Hand a reply to SM `s`'s L1D and count its delivery.
+    fn deliver_reply(&mut self, s: usize, pkt: Packet, now: u64) -> Result<(), SimError> {
+        self.counters.replies_delivered += 1;
+        self.sms[s]
+            .l1d
+            .on_reply(pkt, now)
+            .map_err(|source| SimError::MshrViolation { sm: s, source, cycle: now })
+    }
+
     /// Watchdog abort: box the diagnostic snapshot into the error off
     /// the hot path (the only allocation `step` could otherwise reach).
     #[cold]
@@ -940,18 +945,14 @@ impl Gpu {
                     self.counters.fetches_sent += 1;
                 }
                 let dst = self.icnt.partition_of(pkt.addr);
-                if let Some(reply) = self.parts[dst].apply_functional(pkt) {
-                    replies.push(reply);
-                }
+                replies.extend(self.parts[dst].apply_functional(pkt));
             }
         }
         // 3. Packets in flight toward the partitions arrive now.
         for p in 0..self.parts.len() {
             for pkt in self.icnt.drain_fwd(p) {
                 self.counters.fwd_flits_delivered += pkt.flits();
-                if let Some(reply) = self.parts[p].apply_functional(pkt) {
-                    replies.push(reply);
-                }
+                replies.extend(self.parts[p].apply_functional(pkt));
             }
         }
         // 4. Replies in flight toward the SMs arrive now.
@@ -963,12 +964,7 @@ impl Gpu {
         }
         // 5. Deliver every owed reply to its L1D.
         for pkt in replies {
-            let s = pkt.req.sm as usize;
-            self.counters.replies_delivered += 1;
-            self.sms[s]
-                .l1d
-                .on_reply(pkt, now)
-                .map_err(|source| SimError::MshrViolation { sm: s, source, cycle: now })?;
+            self.deliver_reply(pkt.req.sm as usize, pkt, now)?;
         }
         // 6. SMs ripen the responses, retire the blocked warps, and
         //    retry anything the replay queues held. Fresh misses raised
