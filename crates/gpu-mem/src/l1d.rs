@@ -475,6 +475,7 @@ impl L1dCache {
     /// First-attempt accounting, shared by both access paths: access and
     /// compulsory-miss counts, instruction-id bookkeeping, the observer
     /// and the policy's query. Retries of a parked access skip it.
+    #[inline(always)]
     fn first_access(&mut self, req: &MemReq, line: u64, set: usize, ctx: &AccessCtx) {
         self.stats.accesses += 1;
         if pc_wraps(req.pc) {
@@ -498,6 +499,7 @@ impl L1dCache {
 
     /// The hit check, shared by both access paths: on a hit, train the
     /// policy, count it, dirty the line for a store and return true.
+    #[inline]
     fn hit(&mut self, set: usize, tag: u64, ctx: &AccessCtx) -> bool {
         let Lookup::Hit { way } = self.tags.lookup(set, tag) else { return false };
         self.policy.on_hit(set, way, ctx);
@@ -511,6 +513,7 @@ impl L1dCache {
     /// Reserve `way` of `set` for `tag`, shared by both access paths:
     /// evict the line there, tell the policy and count the eviction.
     /// Returns the address a dirty victim must be written back to.
+    #[inline]
     fn evict_victim(&mut self, set: usize, way: usize, tag: u64) -> Option<u64> {
         let old = self.tags.evict_and_reserve(set, way, tag)?;
         self.policy.on_evict(set, way, old.tag);
@@ -545,6 +548,7 @@ impl L1dCache {
 
     /// Count a bypass, shared by both access paths: a store written
     /// through, or a load fetched around the cache.
+    #[inline]
     fn count_bypass(&mut self, is_write: bool) {
         if is_write {
             self.stats.bypassed_stores += 1;

@@ -96,6 +96,7 @@ impl<T> Mshr<T> {
     }
 
     /// Try to merge `req` into an existing entry; report what's possible.
+    #[inline]
     pub fn probe(&self, line_addr: u64) -> MshrLookup {
         match self.entries.get(&line_addr) {
             Some(e) if e.reqs.len() >= self.max_merge => MshrLookup::MergeFull,
@@ -109,6 +110,7 @@ impl<T> Mshr<T> {
     /// Caller must have seen `MshrLookup::Merged` from [`Mshr::probe`];
     /// merging without a matching entry (or past the merge limit) is a
     /// structural violation reported as a typed error.
+    #[inline(always)]
     pub fn merge(&mut self, line_addr: u64, req: T) -> Result<(), MemError> {
         let Some(e) = self.entries.get_mut(&line_addr) else {
             return Err(MemError::MshrBadMerge { line: line_addr });

@@ -511,6 +511,7 @@ impl MemoryPartition {
 
     /// Count an access to `line` and let the policy see the query;
     /// returns the line's `(set, tag)`. Shared by both access paths.
+    #[inline]
     fn first_access(&mut self, line: u64) -> (usize, u64) {
         let geom = self.cfg.l2_geom;
         let set = geom.set_of_line(line);
@@ -521,6 +522,7 @@ impl MemoryPartition {
 
     /// The hit check, shared by both access paths: on a hit, train the
     /// policy, count it, dirty the line for a write and return true.
+    #[inline]
     fn hit(&mut self, set: usize, tag: u64, ctx: &AccessCtx) -> bool {
         let Lookup::Hit { way } = self.tags.lookup(set, tag) else { return false };
         self.policy.on_hit(set, way, ctx);
@@ -534,6 +536,7 @@ impl MemoryPartition {
     /// Reserve `way` of `set` for `tag`, shared by both access paths:
     /// evict the line there, tell the policy and count the eviction.
     /// Returns the address a dirty victim must be written back to.
+    #[inline]
     fn evict_victim(&mut self, set: usize, way: usize, tag: u64) -> Option<u64> {
         let old = self.tags.evict_and_reserve(set, way, tag)?;
         self.policy.on_evict(set, way, old.tag);
@@ -547,6 +550,7 @@ impl MemoryPartition {
 
     /// Validate a reserved way at once: a write allocated without a
     /// fetch, or any functional miss. The line is dirty for a write.
+    #[inline]
     fn fill_now(&mut self, set: usize, way: usize, line: u64, ctx: &AccessCtx) {
         self.tags.fill(set, way, ctx.is_write);
         self.policy.on_fill(set, way, line, ctx);

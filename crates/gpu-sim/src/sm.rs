@@ -308,6 +308,7 @@ impl Sm {
     /// §4.1.4: close the policy's sampling period once the SM has
     /// issued `sample_insn_cap` instructions since the last one, so
     /// kernels with few loads still close their samples.
+    #[inline]
     fn close_sample_if_due(&mut self) {
         if self.sample_insn_cap > 0 && self.insns_since_sample >= self.sample_insn_cap {
             self.l1d.force_policy_sample();
@@ -317,6 +318,7 @@ impl Sm {
 
     /// Retire every response the L1D has ready into its warp's
     /// scoreboard. Returns whether there was any.
+    #[inline(always)]
     fn retire_responses(&mut self, now: u64) -> Result<bool, SimError> {
         let mut any = false;
         while let Some(resp) = self.l1d.pop_response() {
@@ -343,6 +345,7 @@ impl Sm {
 
     /// Retire every ALU writeback due by cycle `through` into its warp's
     /// scoreboard. Returns whether there was any.
+    #[inline(always)]
     fn retire_alu_writebacks(&mut self, through: u64, now: u64) -> Result<bool, SimError> {
         let mut any = false;
         while let Some(&Reverse((ready, slot, reg))) = self.alu_wb.peek() {
