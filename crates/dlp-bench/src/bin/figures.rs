@@ -43,9 +43,10 @@ fn report_failures(digest: &str) {
 /// cells are rendered from.
 type FailedMap = HashMap<String, HashMap<&'static str, RunFailure>>;
 
-/// A compact reason for a table cell: the classifying head of the
-/// error ("panic", "deadline", "hang", ...), truncated so tables stay
-/// readable; the full rendering is in the stderr digest.
+/// A compact reason for a table cell: the head of the error before its
+/// first colon ("panic", "cycle cap ex", ...), truncated to 12
+/// characters so tables stay readable; the full rendering is in the
+/// stderr digest.
 fn short_reason(f: &RunFailure) -> String {
     let head = f.error.split(':').next().unwrap_or("error").trim();
     let mut s: String = head.chars().take(12).collect();

@@ -3,11 +3,10 @@
 //! Every job in a sweep runs under `catch_unwind` with a bounded retry
 //! loop, so a single diverging configuration cannot take down a
 //! multi-hour figure run: failures are classified retryable (panics,
-//! deadline overruns — conditions a fresh attempt can clear) or fatal
-//! (typed simulator errors, which are deterministic), only the former
-//! are retried (with deterministic exponential backoff), and the
-//! suites collect whatever remains into a digest the `figures` binary
-//! prints at the end.
+//! which a fresh attempt may clear) or fatal (typed simulator errors,
+//! which are deterministic), only the former are retried (with
+//! deterministic exponential backoff), and the suites collect whatever
+//! remains into a digest the `figures` binary prints at the end.
 //!
 //! Jobs are distributed over a work-stealing pool of scoped threads;
 //! results are committed by input slot, so every statistic is
@@ -105,17 +104,17 @@ pub struct AppRun {
 
 /// Whether a failed job is worth another attempt.
 ///
-/// The split drives the retry loop: panics and deadline overruns can
-/// be caused by transient host conditions (an unlucky scheduling
-/// stall, memory pressure) and get retried with backoff; a typed
-/// simulator error is deterministic — the identical configuration
-/// will fail identically — so retrying only wastes the sweep's time.
+/// The split drives the retry loop: a panic can be caused by a
+/// transient host condition (memory pressure, say) and gets retried
+/// with backoff; a typed simulator error — a watchdog hang report, a
+/// cycle-cap overrun, an invariant violation — is deterministic: the
+/// identical configuration will fail identically, so retrying only
+/// wastes the sweep's time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureClass {
-    /// A fresh attempt may succeed (panic, deadline overrun).
+    /// A fresh attempt may succeed (panic).
     Retryable,
-    /// Deterministic failure; retrying cannot help (simulator error,
-    /// incomplete run).
+    /// Deterministic failure; retrying cannot help (simulator error).
     Fatal,
 }
 
@@ -130,9 +129,9 @@ impl FailureClass {
 }
 
 /// One job that did not produce statistics: the simulator returned a
-/// typed error (hang, invariant violation, cycle-cap overrun), the run
-/// panicked, or it overran its deadline. Identifies the exact
-/// configuration so a sweep's failure digest names what to re-run.
+/// typed error (hang, invariant violation, cycle-cap overrun) or the
+/// run panicked. Identifies the exact configuration so a sweep's
+/// failure digest names what to re-run.
 #[derive(Clone, Debug)]
 pub struct RunFailure {
     /// Benchmark abbreviation.
@@ -143,8 +142,7 @@ pub struct RunFailure {
     pub geom: String,
     /// Workload scale.
     pub scale: Scale,
-    /// What went wrong (a `SimError` rendering, a panic payload, or a
-    /// deadline overrun).
+    /// What went wrong (a `SimError` rendering or a panic payload).
     pub error: String,
     /// True when the job failed more than once before giving up.
     pub retried: bool,
@@ -201,28 +199,6 @@ fn worker_override() -> Option<usize> {
     })
 }
 
-/// Environment variable bounding the wall-clock time of one job, in
-/// milliseconds. Unset = no deadline, and the simulation runs on the
-/// exact code path the determinism suite pins; with a deadline the run
-/// is driven in bounded increments so an overrun is detected between
-/// chunks and reported as a retryable [`RunFailure`].
-pub const JOB_DEADLINE_ENV: &str = "DLP_JOB_DEADLINE_MS";
-
-/// The `DLP_JOB_DEADLINE_MS` value, read from the environment on
-/// *every* job — deliberately not memoized. The deadline is per-job
-/// policy, not process identity: a caller (a test, an embedding
-/// program) may change it between jobs of one process, and a
-/// `OnceLock` here would pin every later job to whatever the first one
-/// saw. The env read is nowhere near hot — a job simulates for
-/// milliseconds to minutes.
-fn env_deadline() -> Option<Duration> {
-    std::env::var(JOB_DEADLINE_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
 /// Environment variable enabling SMARTS-style interval sampling for
 /// every simulation job: `detail:skip[:warmup[:seed]]` in cycles
 /// (e.g. `DLP_SAMPLING=2000:18000`). Unset = exact simulation, the
@@ -243,11 +219,10 @@ pub fn sampling_env() -> Result<Option<SamplingConfig>, SamplingParseError> {
 }
 
 /// The `DLP_SAMPLING` override, read once per process. Memoization is
-/// safe here (unlike the per-job deadline above) because the parsed
-/// config is part of every [`ExperimentConfig`] cache key, so a stale
-/// value can never alias a sampled result to an exact one. Malformed
-/// values degrade to `None` here; [`sampling_env`] is the validating
-/// entry point.
+/// safe here because the parsed config is part of every
+/// [`ExperimentConfig`] cache key, so a stale value can never alias a
+/// sampled result to an exact one. Malformed values degrade to `None`
+/// here; [`sampling_env`] is the validating entry point.
 fn sampling_override() -> Option<SamplingConfig> {
     static SAMPLING: OnceLock<Option<SamplingConfig>> = OnceLock::new();
     *SAMPLING.get_or_init(|| sampling_env().ok().flatten())
@@ -281,22 +256,6 @@ pub fn scale_env() -> Result<Option<u32>, String> {
     }
 }
 
-/// Cycles simulated between deadline checks when a deadline is active.
-/// Small enough to bound overshoot to well under a second of wall
-/// time, large enough to keep the checking overhead negligible.
-const DEADLINE_CHUNK_CYCLES: u64 = 65_536;
-
-/// The chunk actually used for a given budget: the full
-/// [`DEADLINE_CHUNK_CYCLES`] for second-scale deadlines, proportionally
-/// fewer for sub-second ones — the overshoot past the deadline is at
-/// most one chunk of wall time, and that must stay a small fraction of
-/// the budget itself (a 5 ms budget checked only after a chunk costing
-/// hundreds of ms would overshoot 100×).
-fn deadline_chunk(deadline: Duration) -> u64 {
-    let ms = u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX).min(1_000);
-    (DEADLINE_CHUNK_CYCLES * ms / 1_000).max(64)
-}
-
 /// Process-wide memo of completed runs keyed by the *full* experiment
 /// configuration. The simulator is deterministic, so a cached result
 /// is byte-identical to a re-run; `figures all` asks for several
@@ -319,8 +278,8 @@ pub fn run_cache_len() -> usize {
 /// Results are memoized per process and — when `DLP_STORE_DIR` is set
 /// — persisted through the crash-safe `dlp-store` layer, so a killed
 /// sweep resumes serving every job it had completed from disk. A job
-/// that simulates is bounded by `DLP_JOB_DEADLINE_MS`, read per job;
-/// unset = unlimited, the exact code path the determinism suite pins.
+/// that simulates runs to completion under `Gpu::run`, bounded by the
+/// simulator's own watchdog and cycle cap.
 pub fn run_app(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
     if force_fail_target() == Some(abbr) {
         panic!("{abbr}: forced failure ({FORCE_FAIL_ENV} is set)");
@@ -359,7 +318,7 @@ pub fn run_app(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> 
         run_cache().lock().insert(key, run.clone());
         return Ok(run);
     }
-    match run_app_uncached(abbr, cfg, env_deadline(), None) {
+    match run_app_uncached(abbr, cfg) {
         Ok(run) => {
             record(false, false, Some(&run));
             run_cache().lock().insert(key, run.clone());
@@ -373,49 +332,17 @@ pub fn run_app(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> 
     }
 }
 
-/// Test-only window past the memo layers: simulate unconditionally,
-/// with an explicit deadline and (optionally) an explicit chunk size
-/// for the deadline arm's `run_for` driving. The determinism suite
-/// uses this to prove chunked driving is byte-identical to the
-/// unlimited path — through `run_app` the second arm would be served
-/// from the cache and the comparison would be vacuous.
-#[doc(hidden)]
-pub fn run_app_uncached_for_tests(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-    chunk_override: Option<u64>,
-) -> Result<AppRun, RunFailure> {
-    run_app_uncached(abbr, cfg, deadline, chunk_override)
-}
-
 /// The actual simulation behind [`run_app`]'s memo layer.
-fn run_app_uncached(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-    chunk_override: Option<u64>,
-) -> Result<AppRun, RunFailure> {
-    let fail = |error: String, class: FailureClass| RunFailure {
-        app: abbr.to_string(),
-        policy: cfg.policy,
-        geom: cfg.geom_label(),
-        scale: cfg.scale,
-        error,
-        retried: false,
-        class,
-        attempts: 1,
-    };
+fn run_app_uncached(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
     let spec = gpu_workloads::registry::spec(abbr);
     let kernel = build(abbr, cfg.scale);
     // Profiled jobs force exact simulation: the fast-forward path
     // executes accesses functionally, which would punch unprofiled
     // holes into the reuse-distance histograms.
-    let sampling = if cfg.profile_rd { None } else { cfg.sampling };
     let mut sim_cfg = SimConfig::tesla_m2090(cfg.policy).with_l1_geometry(cfg.geom);
     sim_cfg.protection_override = cfg.protection;
     sim_cfg.warp_limit = cfg.warp_limit;
-    sim_cfg.sampling = sampling;
+    sim_cfg.sampling = if cfg.profile_rd { None } else { cfg.sampling };
     // The hang-guard cycle cap is calibrated for the Full workloads; a
     // scaled run legitimately needs proportionally more cycles, so the
     // cap grows with the factor (the per-cycle watchdog still catches
@@ -433,44 +360,17 @@ fn run_app_uncached(
     } else {
         None
     };
-    let stats = match deadline {
-        // No deadline: the exact code path the determinism suite pins.
-        None => gpu.run().map_err(|e| fail(e.to_string(), FailureClass::Fatal))?,
-        // Sampled runs are driven whole even under a deadline: the
-        // sampling controller owns the run loop (`run_for` does not
-        // dispatch it), and sampling exists precisely to make jobs
-        // short — the deadline keeps protecting the sweep through the
-        // cycle cap and the retry layer.
-        Some(_) if sampling.is_some() => {
-            gpu.run().map_err(|e| fail(e.to_string(), FailureClass::Fatal))?
-        }
-        Some(deadline) => {
-            let t0 = Instant::now();
-            let chunk = chunk_override.unwrap_or_else(|| deadline_chunk(deadline));
-            loop {
-                let s = gpu
-                    .run_for(chunk)
-                    .map_err(|e| fail(e.to_string(), FailureClass::Fatal))?;
-                if s.completed {
-                    break s;
-                }
-                if t0.elapsed() >= deadline {
-                    return Err(fail(
-                        format!(
-                            "deadline: exceeded {} ms ({JOB_DEADLINE_ENV}) at cycle {}",
-                            deadline.as_millis(),
-                            s.cycles
-                        ),
-                        FailureClass::Retryable,
-                    ));
-                }
-            }
-        }
-    };
+    let stats = gpu.run().map_err(|e| RunFailure {
+        app: abbr.to_string(),
+        policy: cfg.policy,
+        geom: cfg.geom_label(),
+        scale: cfg.scale,
+        error: e.to_string(),
+        retried: false,
+        class: FailureClass::Fatal,
+        attempts: 1,
+    })?;
     let ticked_cycles = gpu.ticked_cycles();
-    if !stats.completed {
-        return Err(fail("run stopped before kernel completion".to_string(), FailureClass::Fatal));
-    }
     let sampling = gpu.sampling_report().map(summarize);
     Ok(AppRun { spec, stats, ticked_cycles, rdd, sampling })
 }
@@ -515,13 +415,13 @@ fn backoff(attempt: u32) -> Duration {
     Duration::from_millis((BACKOFF_BASE_MS << exp).min(BACKOFF_CAP_MS))
 }
 
-/// One job with the retry policy applied: retryable failures (panics,
-/// deadline overruns — see [`FailureClass`]) get up to
-/// [`MAX_ATTEMPTS`] attempts with deterministic exponential backoff in
-/// between; fatal failures (typed simulator errors) are reported
-/// immediately, because the simulator is deterministic and would fail
-/// identically. The returned failure records the class and attempt
-/// count, so the sweep's failure digest shows the decision.
+/// One job with the retry policy applied: retryable failures (panics —
+/// see [`FailureClass`]) get up to [`MAX_ATTEMPTS`] attempts with
+/// deterministic exponential backoff in between; fatal failures (typed
+/// simulator errors) are reported immediately, because the simulator
+/// is deterministic and would fail identically. The returned failure
+/// records the class and attempt count, so the sweep's failure digest
+/// shows the decision.
 ///
 /// This is the hardened single-job entry point (panic-catching,
 /// retrying); `run_many` applies it per job.
@@ -857,40 +757,6 @@ mod tests {
             class: FailureClass::Fatal,
             attempts: 1,
         }
-    }
-
-    #[test]
-    fn deadline_chunk_scales_with_the_budget() {
-        assert_eq!(deadline_chunk(Duration::from_secs(3600)), DEADLINE_CHUNK_CYCLES);
-        assert_eq!(deadline_chunk(Duration::from_secs(1)), DEADLINE_CHUNK_CYCLES);
-        assert_eq!(deadline_chunk(Duration::from_millis(500)), DEADLINE_CHUNK_CYCLES / 2);
-        // Millisecond budgets are checked every few dozen cycles, so
-        // the overshoot stays proportionate; the floor keeps the chunk
-        // from degenerating to single-cycle stepping.
-        assert_eq!(deadline_chunk(Duration::from_millis(1)), 65);
-        assert_eq!(deadline_chunk(Duration::from_millis(0)), 64);
-    }
-
-    #[test]
-    fn tiny_deadline_fails_retryably_and_an_unlimited_rerun_succeeds() {
-        // Per-call deadlines: the same process runs the same job under
-        // a 1 ms budget (must overrun — the proportional chunk makes
-        // even a Tiny job check its budget mid-run) and then with no
-        // budget at all. Under the old process-cached deadline the
-        // second call would have inherited the first call's budget.
-        let cfg = ExperimentConfig {
-            scale: Scale::Tiny,
-            ..ExperimentConfig::baseline().with_policy(PolicyKind::GlobalProtection)
-        };
-        let Err(failed) =
-            run_app_uncached_for_tests("CFD", cfg, Some(Duration::from_millis(1)), None)
-        else {
-            panic!("a 1 ms budget cannot cover a CFD simulation");
-        };
-        assert_eq!(failed.class, FailureClass::Retryable);
-        assert!(failed.error.contains("deadline"), "{}", failed.error);
-        let ok = run_app_uncached_for_tests("CFD", cfg, None, None).unwrap();
-        assert!(ok.stats.completed);
     }
 
     #[test]

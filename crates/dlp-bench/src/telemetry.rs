@@ -184,11 +184,6 @@ fn total_wall_ms(sweeps: &[SweepRecord]) -> f64 {
     sweeps.iter().filter(|s| !s.nested).map(|s| s.wall_ms).sum()
 }
 
-/// Number of job records collected so far (tests, progress reports).
-pub fn jobs_recorded() -> usize {
-    with_collector(|c| c.jobs.len())
-}
-
 /// Copy of every job record collected so far.
 pub fn jobs_snapshot() -> Vec<JobRecord> {
     with_collector(|c| c.jobs.clone())

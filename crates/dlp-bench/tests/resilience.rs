@@ -40,7 +40,6 @@ fn figures_cmd(store: Option<&Path>, telemetry: &Path, fault: Option<&str>) -> C
         .env_remove("DLP_STORE_DIR")
         .env_remove("DLP_STORE_FAULT")
         .env_remove("DLP_FORCE_FAIL")
-        .env_remove("DLP_JOB_DEADLINE_MS")
         .env("DLP_WORKERS", "1")
         .env("DLP_TELEMETRY_PATH", telemetry)
         .stdout(Stdio::piped())

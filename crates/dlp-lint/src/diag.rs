@@ -1,26 +1,21 @@
-//! Diagnostics: finding type, text/JSON rendering, and the baseline.
+//! Diagnostics: the finding type and its text/JSON rendering.
 //!
 //! JSON is rendered *and parsed* by hand, mirroring the
 //! `dlp-bench/src/telemetry.rs` approach — the workspace's vendored
-//! serde stub has no JSON backend, and the two schemas involved
-//! (`dlp-lint/diagnostics/v1`, `dlp-lint/baseline/v1`) are small and
-//! flat enough that a ~100-line recursive-descent parser is the
-//! simplest dependency-free option.
+//! serde stub has no JSON backend, and the diagnostics schema
+//! (`dlp-lint/diagnostics/v3`) is small and flat enough that a
+//! ~100-line recursive-descent parser is the simplest dependency-free
+//! option. A finding is accepted only by an inline
+//! `// dlp-lint: allow(<rule>) -- <reason>` directive at its site.
 
 use crate::rules::rule_by_id;
 
-/// Schema tag embedded in diagnostics JSON output. v2 adds the
-/// per-finding `family` (rule-group tag) and `reachable_from`
-/// (root-to-finding call chain, or null) fields.
-pub const DIAG_SCHEMA: &str = "dlp-lint/diagnostics/v2";
-/// Schema tag expected at the top of a baseline file.
-pub const BASELINE_SCHEMA: &str = "dlp-lint/baseline/v1";
-
-/// The placeholder reason older `--write-baseline` runs emitted. A
-/// baseline is a ledger of *justified* debt, so entries still carrying
-/// this marker are rejected at parse time — the writer now requires a
-/// real `--reason`, and stale markers must be filled in, not shipped.
-pub const TODO_REASON_MARKER: &str = "TODO: justify or fix";
+/// Schema tag embedded in diagnostics JSON output: `files_scanned`
+/// and the `findings` array, each finding carrying its rule's `family`
+/// and `reachable_from` (root-to-finding call chain, or null). Every
+/// reported finding fails the gate; EXPERIMENTS.md lists what changed
+/// between versions.
+pub const DIAG_SCHEMA: &str = "dlp-lint/diagnostics/v3";
 
 /// One confirmed finding (post-suppression), ready for reporting.
 #[derive(Clone, Debug)]
@@ -33,15 +28,13 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Offending token, used for baseline matching.
+    /// Offending token.
     pub token: String,
     /// Human-readable message.
     pub message: String,
     /// For call-graph findings: the chain from a hot/probe/parallel
     /// root to the function containing the finding.
     pub reachable_from: Option<String>,
-    /// True if an entry in the baseline file covers this finding.
-    pub baselined: bool,
 }
 
 impl Finding {
@@ -76,35 +69,30 @@ pub fn render_text(findings: &[Finding], files_scanned: usize) -> String {
     let mut out = String::new();
     for f in findings {
         let (name, hint, _) = f.rule_meta();
-        let tag = if f.baselined { " [baselined]" } else { "" };
         out.push_str(&format!(
-            "{}:{}:{}: {} {}: {}{}\n",
-            f.file, f.line, f.col, f.rule, name, f.message, tag
+            "{}:{}:{}: {} {}: {}\n",
+            f.file, f.line, f.col, f.rule, name, f.message
         ));
         if let Some(chain) = &f.reachable_from {
             out.push_str(&format!("  reachable from: {chain}\n"));
         }
-        if !f.baselined && !hint.is_empty() {
+        if !hint.is_empty() {
             out.push_str(&format!("  hint: {hint}\n"));
         }
     }
-    let new = findings.iter().filter(|f| !f.baselined).count();
-    let baselined = findings.len() - new;
     out.push_str(&format!(
-        "dlp-lint: {files_scanned} files scanned, {} finding(s) ({baselined} baselined, {new} new)\n",
+        "dlp-lint: {files_scanned} files scanned, {} finding(s)\n",
         findings.len()
     ));
     out
 }
 
-/// Render findings as machine-readable JSON (`dlp-lint/diagnostics/v2`).
+/// Render findings as machine-readable JSON (`dlp-lint/diagnostics/v3`).
 pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{DIAG_SCHEMA}\",\n"));
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    let new = findings.iter().filter(|f| !f.baselined).count();
-    out.push_str(&format!("  \"new_findings\": {new},\n"));
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         let (name, hint, family) = f.rule_meta();
@@ -118,7 +106,7 @@ pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
         out.push_str(&format!(
             "\n    {{\"rule\": \"{}\", \"name\": \"{}\", \"family\": \"{}\", \"file\": \"{}\", \
              \"line\": {}, \"col\": {}, \"token\": \"{}\", \"message\": \"{}\", \"hint\": \"{}\", \
-             \"reachable_from\": {}, \"baselined\": {}}}",
+             \"reachable_from\": {}}}",
             f.rule,
             name,
             family,
@@ -128,8 +116,7 @@ pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
             esc(&f.token),
             esc(&f.message),
             esc(hint),
-            reachable,
-            f.baselined
+            reachable
         ));
     }
     if !findings.is_empty() {
@@ -139,159 +126,8 @@ pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-/// One baseline entry: permits up to `count` findings matching
-/// (rule, file, token), with a required human reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Rule ID the entry covers.
-    pub rule: String,
-    /// Workspace-relative file path.
-    pub file: String,
-    /// Offending token the entry covers.
-    pub token: String,
-    /// How many matching findings are accepted.
-    pub count: usize,
-    /// Why the findings are accepted.
-    pub reason: String,
-}
-
-/// A parsed baseline file.
-#[derive(Clone, Debug, Default)]
-pub struct Baseline {
-    /// Accepted-finding entries.
-    pub entries: Vec<BaselineEntry>,
-}
-
-impl Baseline {
-    /// Parse a `dlp-lint/baseline/v1` JSON document.
-    pub fn parse(src: &str) -> Result<Baseline, String> {
-        let value = json::parse(src)?;
-        let obj = value.as_object().ok_or("baseline root must be an object")?;
-        let schema = obj
-            .iter()
-            .find(|(k, _)| k == "schema")
-            .and_then(|(_, v)| v.as_str())
-            .ok_or("baseline missing \"schema\" field")?;
-        if schema != BASELINE_SCHEMA {
-            return Err(format!("unsupported baseline schema `{schema}`"));
-        }
-        let findings = obj
-            .iter()
-            .find(|(k, _)| k == "findings")
-            .and_then(|(_, v)| v.as_array())
-            .ok_or("baseline missing \"findings\" array")?;
-        let mut entries = Vec::new();
-        for f in findings {
-            let fo = f.as_object().ok_or("baseline finding must be an object")?;
-            let get_str = |key: &str| {
-                fo.iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| v.as_str())
-                    .map(str::to_string)
-                    .ok_or(format!("baseline finding missing \"{key}\""))
-            };
-            let count = fo
-                .iter()
-                .find(|(k, _)| k == "count")
-                .and_then(|(_, v)| v.as_usize())
-                .unwrap_or(1);
-            let entry = BaselineEntry {
-                rule: get_str("rule")?,
-                file: get_str("file")?,
-                token: get_str("token")?,
-                count,
-                reason: get_str("reason")?,
-            };
-            if rule_by_id(&entry.rule).is_none() {
-                return Err(format!("baseline references unknown rule `{}`", entry.rule));
-            }
-            if entry.reason.trim().is_empty() {
-                return Err(format!(
-                    "baseline entry for {} in {} has an empty reason",
-                    entry.rule, entry.file
-                ));
-            }
-            if entry.reason.contains(TODO_REASON_MARKER) {
-                return Err(format!(
-                    "baseline entry for {} in {} still carries the \"{TODO_REASON_MARKER}\" \
-                     placeholder — write a real justification",
-                    entry.rule, entry.file
-                ));
-            }
-            entries.push(entry);
-        }
-        Ok(Baseline { entries })
-    }
-
-    /// Render findings as a fresh baseline document (`--write-baseline`).
-    /// Identical (rule, file, token) findings collapse into one entry
-    /// with a count; every entry carries `reason` — the caller-supplied
-    /// justification (`--reason` on the CLI), which replaced the old
-    /// `TODO: justify or fix` placeholder that shipped unreviewed debt.
-    /// Entries are sorted by (rule, file, token) so the output is
-    /// deterministic regardless of scan order.
-    pub fn render(findings: &[Finding], reason: &str) -> String {
-        let mut groups: Vec<(&'static str, &str, &str, usize)> = Vec::new();
-        for f in findings {
-            if let Some(g) =
-                groups.iter_mut().find(|g| g.0 == f.rule && g.1 == f.file && g.2 == f.token)
-            {
-                g.3 += 1;
-            } else {
-                groups.push((f.rule, &f.file, &f.token, 1));
-            }
-        }
-        groups.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{BASELINE_SCHEMA}\",\n"));
-        out.push_str("  \"findings\": [");
-        for (i, (rule, file, token, count)) in groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{rule}\", \"file\": \"{}\", \"token\": \"{}\", \
-                 \"count\": {count}, \"reason\": \"{}\"}}",
-                esc(file),
-                esc(token),
-                esc(reason)
-            ));
-        }
-        if !groups.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Mark findings covered by this baseline. Findings arrive in
-    /// walk/scan order (sorted file, then position), so within a
-    /// (rule, file, token) group the first `count` instances are the
-    /// accepted ones. Returns the number of *stale* baseline slots —
-    /// accepted findings that no longer occur (worth pruning).
-    pub fn apply(&self, findings: &mut [Finding]) -> usize {
-        let mut remaining: Vec<usize> = self.entries.iter().map(|e| e.count).collect();
-        for f in findings.iter_mut() {
-            if let Some(idx) = self.entries.iter().position(|e| {
-                e.rule == f.rule && e.file == f.file && e.token == f.token
-            }) {
-                if remaining[idx] > 0 {
-                    remaining[idx] -= 1;
-                    f.baselined = true;
-                }
-            }
-        }
-        remaining.iter().sum()
-    }
-}
-
 /// Minimal recursive-descent JSON parser — just enough for the flat
-/// baseline and diagnostics schemas (objects, arrays, strings,
+/// diagnostics schema (objects, arrays, strings,
 /// non-negative integers, booleans, null). Public so the self-check
 /// integration tests can consume `dlp-lint`'s own JSON output without
 /// an external JSON dependency.
@@ -305,7 +141,7 @@ pub mod json {
         Arr(Vec<Value>),
         /// String.
         Str(String),
-        /// Number (stored as f64; baseline counts are small integers).
+        /// Number (stored as f64; diagnostics carry only small integers).
         Num(f64),
         /// Boolean.
         Bool(bool),
@@ -339,13 +175,6 @@ pub mod json {
         pub fn as_usize(&self) -> Option<usize> {
             match self {
                 Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
-                _ => None,
-            }
-        }
-        /// Boolean, if this is one.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
                 _ => None,
             }
         }
@@ -526,42 +355,42 @@ mod tests {
             token: token.into(),
             message: "m".into(),
             reachable_from: None,
-            baselined: false,
         }
     }
 
-    #[test]
-    fn baseline_render_is_sorted_by_rule_file_token() {
-        let findings = [
-            finding("P301", "crates/z.rs", "Box"),
-            finding("D004", "crates/a.rs", "m"),
-            finding("P301", "crates/a.rs", "Vec"),
-        ];
-        let rendered = Baseline::render(&findings, "accepted for the test");
-        let parsed = Baseline::parse(&rendered).unwrap();
-        let order: Vec<(String, String)> =
-            parsed.entries.iter().map(|e| (e.rule.clone(), e.file.clone())).collect();
-        assert_eq!(
-            order,
-            [
-                ("D004".to_string(), "crates/a.rs".to_string()),
-                ("P301".to_string(), "crates/a.rs".to_string()),
-                ("P301".to_string(), "crates/z.rs".to_string()),
-            ]
-        );
+    fn keys(v: &json::Value) -> Vec<&str> {
+        v.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect()
     }
 
     #[test]
-    fn v2_json_carries_family_and_reachable_from() {
+    fn v3_json_carries_family_and_reachable_from() {
         let mut f = finding("P301", "crates/gpu-sim/src/gpu.rs", "Box");
         f.reachable_from = Some("Gpu::step -> hang_report".into());
         let out = render_json(&[f, finding("D004", "a.rs", "m")], 2);
         let v = super::json::parse(&out).unwrap();
+        assert_eq!(keys(&v), ["schema", "files_scanned", "findings"]);
         let obj = v.as_object().unwrap();
         assert!(obj
             .iter()
-            .any(|(k, v)| k == "schema" && v.as_str() == Some("dlp-lint/diagnostics/v2")));
+            .any(|(k, v)| k == "schema" && v.as_str() == Some("dlp-lint/diagnostics/v3")));
         let findings = obj.iter().find(|(k, _)| k == "findings").unwrap().1.as_array().unwrap();
+        for f in findings {
+            assert_eq!(
+                keys(f),
+                [
+                    "rule",
+                    "name",
+                    "family",
+                    "file",
+                    "line",
+                    "col",
+                    "token",
+                    "message",
+                    "hint",
+                    "reachable_from"
+                ]
+            );
+        }
         let first = findings[0].as_object().unwrap();
         assert!(first.iter().any(|(k, v)| k == "family" && v.as_str() == Some("perf")));
         assert!(first.iter().any(
@@ -574,67 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trips_through_render_and_parse() {
-        let findings =
-            [finding("E201", "crates/gpu-mem/src/l1d.rs", "unwrap"), finding("D004", "a.rs", "m")];
-        let rendered = Baseline::render(&findings, "vendored code, upstream idiom");
-        let parsed = Baseline::parse(&rendered).unwrap();
-        assert_eq!(parsed.entries.len(), 2);
-        // Render sorts by (rule, file, token), so D004 leads.
-        assert_eq!(parsed.entries[0].rule, "D004");
-        assert_eq!(parsed.entries[1].rule, "E201");
-        assert_eq!(parsed.entries[1].count, 1);
-        assert_eq!(parsed.entries[0].reason, "vendored code, upstream idiom");
-    }
-
-    #[test]
-    fn baseline_rejects_the_todo_placeholder_reason() {
-        let findings = [finding("E201", "f.rs", "unwrap")];
-        let rendered = Baseline::render(&findings, TODO_REASON_MARKER);
-        let err = Baseline::parse(&rendered).unwrap_err();
-        assert!(err.contains("placeholder"), "{err}");
-        // A reason that merely mentions real context still passes.
-        let ok = Baseline::render(&findings, "unwrap is test-only scaffolding");
-        assert!(Baseline::parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn baseline_apply_marks_counts_and_reports_stale() {
-        let base = Baseline::parse(
-            r#"{"schema": "dlp-lint/baseline/v1", "findings": [
-                {"rule": "E201", "file": "f.rs", "token": "unwrap", "count": 2, "reason": "r"},
-                {"rule": "D004", "file": "g.rs", "token": "m", "reason": "gone"}
-            ]}"#,
-        )
-        .unwrap();
-        let mut findings = vec![
-            finding("E201", "f.rs", "unwrap"),
-            finding("E201", "f.rs", "unwrap"),
-            finding("E201", "f.rs", "unwrap"),
-        ];
-        let stale = base.apply(&mut findings);
-        assert_eq!(findings.iter().filter(|f| f.baselined).count(), 2);
-        assert!(!findings[2].baselined);
-        assert_eq!(stale, 1); // the D004 entry no longer matches anything
-    }
-
-    #[test]
-    fn baseline_rejects_unknown_rule_and_empty_reason() {
-        let bad_rule = r#"{"schema": "dlp-lint/baseline/v1", "findings": [
-            {"rule": "Z999", "file": "f.rs", "token": "x", "reason": "r"}]}"#;
-        assert!(Baseline::parse(bad_rule).is_err());
-        let bad_reason = r#"{"schema": "dlp-lint/baseline/v1", "findings": [
-            {"rule": "E201", "file": "f.rs", "token": "x", "reason": "  "}]}"#;
-        assert!(Baseline::parse(bad_reason).is_err());
-    }
-
-    #[test]
     fn json_output_is_parseable_by_own_parser_and_escapes() {
         let mut f = finding("E201", "weird\"path\\x.rs", "unwrap");
         f.message = "line1\nline2".into();
         let out = render_json(&[f], 3);
         // Self-consistency: the diagnostics JSON must parse with the
-        // same minimal parser used for baselines.
+        // crate's own minimal parser.
         let v = super::json::parse(&out).unwrap();
         let obj = v.as_object().unwrap();
         assert!(obj.iter().any(|(k, v)| k == "schema"

@@ -239,7 +239,6 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
             token: f.token,
             message: f.message,
             reachable_from: f.reachable,
-            baselined: false,
         }));
     }
     out
@@ -454,7 +453,6 @@ pub fn check_telemetry(telemetry_src: &str, experiments_src: &str) -> Vec<Findin
         token: token.to_string(),
         message,
         reachable_from: None,
-        baselined: false,
     };
 
     let mut out = Vec::new();

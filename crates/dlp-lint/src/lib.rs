@@ -34,12 +34,11 @@
 //! rules (P301/F103) propagate *transitively* through callees of the
 //! per-cycle roots instead of matching only the textual body.
 //!
-//! Findings can be suppressed inline
-//! (`// dlp-lint: allow(<rule>) -- <reason>`) or accepted via a
-//! checked-in baseline file; CI fails only on *new* findings, and a
-//! directive that matches nothing is itself a finding (X002). See the
-//! `dlp-lint` binary (`cargo dlp-lint`) and the "Determinism &
-//! fidelity invariants" section of DESIGN.md.
+//! A finding is accepted only by an inline directive at its site
+//! (`// dlp-lint: allow(<rule>) -- <reason>`); CI fails on any other
+//! finding, and a directive that matches nothing is itself a finding
+//! (X002). See the `dlp-lint` binary (`cargo dlp-lint`) and the
+//! "Determinism & fidelity invariants" section of DESIGN.md.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,10 +53,7 @@ pub mod symbols;
 pub mod walk;
 
 pub use callgraph::{CallGraph, Reach};
-pub use diag::{
-    json, render_json, render_text, Baseline, Finding, BASELINE_SCHEMA, DIAG_SCHEMA,
-    TODO_REASON_MARKER,
-};
+pub use diag::{json, render_json, render_text, Finding, DIAG_SCHEMA};
 pub use engine::{
     check_telemetry, is_sim_tier, is_store_tier, is_trace_tier, lint_source, lint_sources,
     lint_workspace, Report, EXPERIMENTS_REL, TELEMETRY_REL,

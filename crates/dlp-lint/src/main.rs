@@ -1,31 +1,24 @@
 //! `dlp-lint` CLI: lint the workspace against the D/F/E invariant
-//! rules and diff the result against an optional baseline.
+//! rules.
 //!
 //! ```text
-//! dlp-lint [--root <dir>] [--format text|json] [--baseline <file>]
-//!          [--write-baseline <file> --reason <text>] [--list-rules]
+//! dlp-lint [--root <dir>] [--format text|json] [--list-rules]
 //!          [--validate-diagnostics <file>]
 //! ```
 //!
-//! Exit codes: `0` clean (or all findings baselined), `1` new
-//! findings, `2` usage or I/O error — including X003 parse failures
-//! of the semantic pass, which are hard errors, not findings a
-//! baseline may absorb.
+//! Exit codes: `0` clean, `1` at least one finding, `2` usage or I/O
+//! error — including X003 parse failures of the semantic pass, which
+//! are hard errors, not findings. A finding is accepted only by an
+//! inline `// dlp-lint: allow(<rule>) -- <reason>` at its site.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dlp_lint::{
-    json, lint_workspace, render_json, render_text, rule_by_id, Baseline, DIAG_SCHEMA, RULES,
-    TODO_REASON_MARKER,
-};
+use dlp_lint::{json, lint_workspace, render_json, render_text, rule_by_id, DIAG_SCHEMA, RULES};
 
 struct Options {
     root: Option<PathBuf>,
     format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    reason: Option<String>,
     list_rules: bool,
     validate_diagnostics: Option<PathBuf>,
 }
@@ -37,8 +30,7 @@ enum Format {
 }
 
 fn usage() -> String {
-    "usage: dlp-lint [--root <dir>] [--format text|json] [--baseline <file>] \
-     [--write-baseline <file> --reason <text>] [--list-rules] \
+    "usage: dlp-lint [--root <dir>] [--format text|json] [--list-rules] \
      [--validate-diagnostics <file>]"
         .to_string()
 }
@@ -47,9 +39,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: None,
         format: Format::Text,
-        baseline: None,
-        write_baseline: None,
-        reason: None,
         list_rules: false,
         validate_diagnostics: None,
     };
@@ -67,11 +56,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown format `{other}`\n{}", usage())),
                 }
             }
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
-            }
-            "--reason" => opts.reason = Some(value("--reason")?),
             "--list-rules" => opts.list_rules = true,
             "--validate-diagnostics" => {
                 opts.validate_diagnostics =
@@ -80,22 +64,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
-    }
-    // A baseline is a ledger of justified debt: the writer refuses to
-    // run without a real justification (the old behaviour emitted a
-    // "TODO: justify or fix" placeholder that parse now rejects).
-    match (&opts.write_baseline, &opts.reason) {
-        (Some(_), None) => {
-            return Err(format!("--write-baseline requires --reason <text>\n{}", usage()))
-        }
-        (Some(_), Some(r)) if r.trim().is_empty() || r.contains(TODO_REASON_MARKER) => {
-            return Err("--reason must be a real justification, not empty or a TODO placeholder"
-                .to_string())
-        }
-        (None, Some(_)) => {
-            return Err(format!("--reason only applies with --write-baseline\n{}", usage()))
-        }
-        _ => {}
     }
     Ok(opts)
 }
@@ -146,10 +114,10 @@ fn run() -> Result<ExitCode, String> {
     };
 
     let report = lint_workspace(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let mut findings = report.findings;
+    let findings = report.findings;
 
     // X003 means the semantic pass is blind to part of the tree; that
-    // is a hard error (exit 2), never a finding a baseline can absorb.
+    // is a hard error (exit 2), not a finding.
     let parse_failures: Vec<String> = findings
         .iter()
         .filter(|f| f.rule == "X003")
@@ -159,42 +127,17 @@ fn run() -> Result<ExitCode, String> {
         return Err(format!("semantic pass failed to parse:\n{}", parse_failures.join("\n")));
     }
 
-    if let Some(path) = &opts.write_baseline {
-        let reason = opts.reason.as_deref().unwrap_or_default();
-        let rendered = Baseline::render(&findings, reason);
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!("dlp-lint: wrote {} entries to {}", findings.len(), path.display());
-    }
-
-    let mut stale = 0usize;
-    if let Some(path) = &opts.baseline {
-        // A baseline path that does not exist is treated as empty so
-        // CI can pass the flag unconditionally.
-        if path.exists() {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let baseline =
-                Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            stale = baseline.apply(&mut findings);
-        }
-    }
-
     match opts.format {
         Format::Text => print!("{}", render_text(&findings, report.files_scanned)),
         Format::Json => print!("{}", render_json(&findings, report.files_scanned)),
     }
-    if stale > 0 {
-        eprintln!("dlp-lint: note: {stale} stale baseline slot(s) no longer match — prune them");
-    }
-
-    let new = findings.iter().filter(|f| !f.baselined).count();
-    Ok(if new == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    Ok(if findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// Validate a diagnostics document against the `dlp-lint/diagnostics/v2`
-/// schema: tag, top-level counters, and the exact per-finding field
-/// set with the right types (including `family` and the
-/// string-or-null `reachable_from`).
+/// Validate a diagnostics document against the `dlp-lint/diagnostics/v3`
+/// schema: tag, top-level counter, and the per-finding field set with
+/// the right types (including `family` and the string-or-null
+/// `reachable_from`).
 fn validate_diagnostics(text: &str) -> Result<(), String> {
     let v = json::parse(text)?;
     let obj = v.as_object().ok_or("root must be an object")?;
@@ -206,10 +149,7 @@ fn validate_diagnostics(text: &str) -> Result<(), String> {
     get("files_scanned")
         .and_then(|v| v.as_usize())
         .ok_or("missing numeric \"files_scanned\"")?;
-    let declared_new =
-        get("new_findings").and_then(|v| v.as_usize()).ok_or("missing numeric \"new_findings\"")?;
     let findings = get("findings").and_then(|v| v.as_array()).ok_or("missing \"findings\" array")?;
-    let mut counted_new = 0usize;
     for (i, f) in findings.iter().enumerate() {
         let fo = f.as_object().ok_or(format!("finding {i} is not an object"))?;
         let field = |key: &str| {
@@ -239,16 +179,6 @@ fn validate_diagnostics(text: &str) -> Result<(), String> {
         if reachable.as_str().is_none() && !matches!(reachable, json::Value::Null) {
             return Err(format!("finding {i}: \"reachable_from\" must be a string or null"));
         }
-        let baselined =
-            field("baselined")?.as_bool().ok_or(format!("finding {i}: \"baselined\" not a bool"))?;
-        if !baselined {
-            counted_new += 1;
-        }
-    }
-    if counted_new != declared_new {
-        return Err(format!(
-            "new_findings says {declared_new} but {counted_new} findings are unbaselined"
-        ));
     }
     Ok(())
 }
@@ -260,5 +190,30 @@ fn main() -> ExitCode {
             eprintln!("dlp-lint: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_error(args: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).err()
+    }
+
+    #[test]
+    fn retired_baseline_flags_are_unknown_arguments() {
+        // Every `parse_args` error leaves `main` with exit code 2, so a
+        // stale invocation fails loudly instead of linting unfiltered.
+        for (args, flag) in [
+            (&["--baseline", "x"][..], "--baseline"),
+            (&["--write-baseline", "x", "--reason", "y"][..], "--write-baseline"),
+        ] {
+            let err = parse_error(args).expect("retired flag must be rejected");
+            assert!(err.starts_with(&format!("unknown argument `{flag}`")), "{err}");
+            assert!(err.ends_with(&usage()), "{err}");
+        }
+        assert!(parse_error(&["--format", "json"]).is_none());
     }
 }

@@ -74,7 +74,7 @@ impl Group {
 /// Static description of one rule.
 #[derive(Debug)]
 pub struct Rule {
-    /// Stable identifier (`D001` …), used in directives and baselines.
+    /// Stable identifier (`D001` …), used in directives and reports.
     pub id: &'static str,
     /// Short kebab-case name.
     pub name: &'static str,
@@ -279,7 +279,7 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// A rule hit before suppression/baseline filtering.
+/// A rule hit before suppression filtering.
 #[derive(Clone, Debug)]
 pub struct RawFinding {
     /// Rule ID (`D004`, …).
@@ -288,7 +288,7 @@ pub struct RawFinding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// The offending token (identifier/macro name), used for baseline matching.
+    /// The offending token (identifier/macro name).
     pub token: String,
     /// Human-readable message.
     pub message: String,

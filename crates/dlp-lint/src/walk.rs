@@ -1,8 +1,8 @@
 //! Deterministic workspace source walking.
 //!
 //! The linter visits every Rust source file of the workspace in a
-//! **stable order**: findings are diffed against a checked-in
-//! baseline, so the walk itself must not introduce filesystem-iteration
+//! **stable order**: the report is byte-deterministic for a given tree,
+//! so the walk itself must not introduce filesystem-iteration
 //! nondeterminism — the very class of bug the lint exists to catch.
 //! Directory entries are therefore sorted byte-wise at every level, and
 //! the output is a flat sorted list of workspace-relative paths with
@@ -21,7 +21,7 @@ pub struct SourceFile {
     /// Absolute path, for reading.
     pub abs: PathBuf,
     /// Workspace-relative path with `/` separators, for reporting —
-    /// identical across platforms so baselines are portable.
+    /// identical across platforms so reports are portable.
     pub rel: String,
 }
 

@@ -1,9 +1,9 @@
 //! Fixture-based tests: one positive and one negative case per rule,
-//! plus suppression-directive and baseline behaviour over real
-//! `lint_source` runs. Fixtures are linted under a simulator-tier path
+//! plus suppression-directive behaviour over real `lint_source` runs.
+//! Fixtures are linted under a simulator-tier path
 //! (`crates/gpu-mem/src/…`) so the full rule set applies.
 
-use dlp_lint::{is_sim_tier, lint_source, Baseline, Finding};
+use dlp_lint::{is_sim_tier, lint_source, Finding};
 
 /// Lint a fixture as if it lived in the simulator tier.
 fn lint(src: &str) -> Vec<Finding> {
@@ -442,49 +442,6 @@ fn x001_reports_malformed_directives() {
     // Empty reason after the separator.
     let f = lint("// dlp-lint: allow(D004) --   \nfn f() {}\n");
     assert_eq!(rules_of(&f), ["X001"]);
-}
-
-// ---------------------------------------------------------------------------
-// Baseline behaviour over real scan output
-// ---------------------------------------------------------------------------
-
-#[test]
-fn baseline_written_from_findings_accepts_exactly_those_findings() {
-    let src = "\
-        fn f(a: Option<u32>, b: Option<u32>) -> u32 { a.unwrap() + b.unwrap() }\n";
-    let mut findings = lint(src);
-    assert_eq!(rules_of(&findings), ["E201", "E201"]);
-
-    // A baseline generated from the findings covers both occurrences…
-    let rendered = Baseline::render(&findings, "fixture debt accepted for this test");
-    let baseline = Baseline::parse(&rendered).unwrap();
-    assert_eq!(baseline.entries.len(), 1, "identical findings collapse into one counted entry");
-    assert_eq!(baseline.entries[0].count, 2);
-    let stale = baseline.apply(&mut findings);
-    assert_eq!(stale, 0);
-    assert!(findings.iter().all(|f| f.baselined));
-
-    // …but a third, new unwrap is NOT covered.
-    let grown = "\
-        fn f(a: Option<u32>, b: Option<u32>) -> u32 { a.unwrap() + b.unwrap() }\n\
-        fn g(c: Option<u32>) -> u32 { c.unwrap() }\n";
-    let mut findings = lint(grown);
-    baseline.apply(&mut findings);
-    assert_eq!(findings.iter().filter(|f| !f.baselined).count(), 1);
-}
-
-#[test]
-fn fixed_findings_surface_as_stale_baseline_slots() {
-    let mut findings = lint("fn f(a: Option<u32>) -> u32 { a.unwrap() }");
-    let baseline =
-        Baseline::parse(&Baseline::render(&findings, "fixture debt accepted for this test"))
-            .unwrap();
-    // The unwrap gets fixed: nothing matches the baseline entry any more.
-    let mut clean = lint("fn f(a: Option<u32>) -> u32 { a.unwrap_or(0) }");
-    assert!(clean.is_empty());
-    assert_eq!(baseline.apply(&mut clean), 1);
-    // Meanwhile the original findings are still covered.
-    assert_eq!(baseline.apply(&mut findings), 0);
 }
 
 // ---------------------------------------------------------------------------

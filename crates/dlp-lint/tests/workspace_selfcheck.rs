@@ -1,34 +1,25 @@
 //! Self-check: lint the real workspace the test runs inside. This is
-//! the same gate CI applies (`cargo run -p dlp-lint -- --format json
-//! --baseline lint-baseline.json`), expressed as a library call so a
-//! regression fails `cargo test` too, not just the CI job.
+//! the same gate CI applies (`cargo run -p dlp-lint -- --format json`),
+//! expressed as a library call so a regression fails `cargo test` too,
+//! not just the CI job.
 
 use std::path::{Path, PathBuf};
 
-use dlp_lint::{json, lint_workspace, render_json, Baseline};
+use dlp_lint::{json, lint_workspace, render_json};
 
 fn workspace_root() -> PathBuf {
     // crates/dlp-lint -> crates -> workspace root.
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
 }
 
-fn load_baseline(root: &Path) -> Baseline {
-    match std::fs::read_to_string(root.join("lint-baseline.json")) {
-        Ok(src) => Baseline::parse(&src).unwrap(),
-        Err(_) => Baseline::default(),
-    }
-}
-
 #[test]
-fn workspace_has_no_unbaselined_findings() {
-    let root = workspace_root();
-    let mut report = lint_workspace(&root).unwrap();
-    load_baseline(&root).apply(&mut report.findings);
-    let fresh: Vec<_> = report.findings.iter().filter(|f| !f.baselined).collect();
+fn workspace_has_no_findings() {
+    let report = lint_workspace(&workspace_root()).unwrap();
     assert!(
-        fresh.is_empty(),
-        "new dlp-lint findings — fix them or justify in lint-baseline.json:\n{}",
-        fresh
+        report.findings.is_empty(),
+        "dlp-lint findings — fix them or allow them inline with a reason:\n{}",
+        report
+            .findings
             .iter()
             .map(|f| format!("  {}:{}:{}: {} {}", f.file, f.line, f.col, f.rule, f.message))
             .collect::<Vec<_>>()
@@ -39,37 +30,6 @@ fn workspace_has_no_unbaselined_findings() {
         "suspiciously few files scanned ({}) — walker or tier filter broke",
         report.files_scanned
     );
-}
-
-#[test]
-fn the_checked_in_baseline_is_empty() {
-    // Since the PR 8 semantic engine every surfaced finding is fixed or
-    // suppressed inline with a reason; the baseline exists only as the
-    // escape hatch for *future* accepted debt and must stay empty.
-    let baseline = load_baseline(&workspace_root());
-    assert!(
-        baseline.entries.is_empty(),
-        "lint-baseline.json grew entries — fix the findings or suppress inline with a reason:\n{:?}",
-        baseline.entries.iter().map(|e| (e.rule.as_str(), e.file.as_str())).collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn the_checked_in_baseline_carries_no_todo_placeholders() {
-    // `--write-baseline` once emitted "TODO: justify or fix" for every
-    // entry; entries that never got a real justification are debt
-    // nobody signed off on. The parser rejects the marker outright,
-    // but a raw-text sweep also catches it outside `reason` fields
-    // (and keeps failing even if the parse-time gate regresses).
-    let root = workspace_root();
-    if let Ok(src) = std::fs::read_to_string(root.join("lint-baseline.json")) {
-        assert!(
-            !src.contains(dlp_lint::TODO_REASON_MARKER),
-            "lint-baseline.json contains \"{}\" — replace it with a real justification",
-            dlp_lint::TODO_REASON_MARKER
-        );
-        Baseline::parse(&src).expect("checked-in baseline must parse");
-    }
 }
 
 #[test]
@@ -95,7 +55,7 @@ fn workspace_report_round_trips_through_the_json_schema() {
                 "finding missing string field `{key}`"
             );
         }
-        // v2: reachable_from is present on every finding, string or null.
+        // reachable_from is present on every finding, string or null.
         assert!(
             fo.iter().any(|(k, v)| k == "reachable_from"
                 && (v.as_str().is_some() || matches!(v, dlp_lint::json::Value::Null))),

@@ -141,11 +141,6 @@ impl TagArray {
     pub fn valid_count(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
     }
-
-    /// Number of reserved ways (diagnostics).
-    pub fn reserved_count(&self) -> usize {
-        self.lines.iter().filter(|l| l.reserved).count()
-    }
 }
 
 #[cfg(test)]

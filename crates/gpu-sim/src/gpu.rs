@@ -772,17 +772,7 @@ impl Gpu {
         }
         self.run_until(u64::MAX)?;
         self.settle_sms();
-        Ok(self.collect(true))
-    }
-
-    /// Run at most `cycles` more cycles (incremental driving for tests
-    /// and interactive exploration). Unlike [`Gpu::run`], reaching the
-    /// requested horizon is success, not an error; passing the cycle
-    /// cap is an error, as it is for [`Gpu::run`].
-    pub fn run_for(&mut self, cycles: u64) -> Result<RunStats, SimError> {
-        self.run_until(self.now + cycles)?;
-        self.settle_sms();
-        Ok(self.collect(self.finished()))
+        Ok(self.collect())
     }
 
     /// The leap-and-step loop every run mode drives: step each event
@@ -832,7 +822,7 @@ impl Gpu {
         self.sampling_report = Some(report);
         run?;
         self.settle_sms();
-        Ok(self.collect(true))
+        Ok(self.collect())
     }
 
     /// The sampling controller's loop behind [`Gpu::run_sampled`]. A
@@ -1094,8 +1084,8 @@ impl Gpu {
         self.sms.iter().map(|sm| sm.peak_warp_trace_bytes()).max().unwrap_or(0)
     }
 
-    fn collect(&self, completed: bool) -> RunStats {
-        let mut out = RunStats { cycles: self.now, completed, ..Default::default() };
+    fn collect(&self) -> RunStats {
+        let mut out = RunStats { cycles: self.now, completed: true, ..Default::default() };
         for sm in &self.sms {
             let s = sm.stats();
             out.thread_insns += s.thread_insns;

@@ -18,7 +18,9 @@ pub struct RunStats {
     /// Memory transactions generated by the LD/ST units (the paper's
     /// `N_memory_access`).
     pub mem_transactions: u64,
-    /// Whether the kernel ran to completion (false = hit `max_cycles`).
+    /// Whether the kernel ran to completion. Always true in the stats
+    /// [`crate::Gpu::run`] returns: a run that reaches `max_cycles`
+    /// fails with `SimError::CycleCapExceeded` instead.
     pub completed: bool,
     /// L1D counters summed over all SMs.
     pub l1d: CacheStats,

@@ -127,15 +127,6 @@ pub fn desync(ops: &mut Vec<TraceOp>, pc: &mut u32, gwarp: u64) {
     }
 }
 
-/// Push `n` independent ALU ops (no cross-op dependences — issue-rate
-/// bound work such as unrolled index arithmetic).
-pub fn alu_independent(ops: &mut Vec<TraceOp>, pc: &mut u32, n: usize) {
-    for _ in 0..n {
-        ops.push(TraceOp::alu(*pc, 4));
-        *pc += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,21 +15,11 @@
 //! reference ticking too.
 
 use dlp_core::PolicyKind;
+use dlp_store::fnv1a;
 use gpu_sim::isa::TraceOp;
 use gpu_sim::{ComponentCycles, Gpu, GridDesc, Kernel, OpStream, RunStats, SimConfig, VecStream};
 use gpu_workloads::trace::write_binary_trace;
 use gpu_workloads::TraceKernel;
-
-/// FNV-1a fingerprint of a canonical stats rendering (same scheme as
-/// the golden fig10 digest in `determinism.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// SplitMix64 step.
 fn mix(x: u64) -> u64 {

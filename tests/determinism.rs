@@ -3,6 +3,7 @@
 //! scheme, geometry or workload randomness (all RNGs are seeded).
 
 use dlp_core::{CacheGeometry, PolicyKind};
+use dlp_store::fnv1a;
 use gpu_sim::{Gpu, RunStats, SimConfig};
 use gpu_workloads::{build, Scale};
 
@@ -32,23 +33,6 @@ fn repeated_runs_are_bit_identical() {
             assert_identical(&a, &b, &format!("{app}/{kind:?}"));
         }
     }
-}
-
-#[test]
-fn incremental_driving_matches_one_shot() {
-    // run_for() in small steps must land on the same final state as a
-    // single run() — the clock loop has no hidden per-call state.
-    let mk = || {
-        let cfg = SimConfig::tesla_m2090(PolicyKind::Dlp).scaled_down(2);
-        Gpu::new(cfg, build("KM", Scale::Tiny))
-    };
-    let one_shot = mk().run().unwrap();
-    let mut gpu = mk();
-    let mut last = gpu.run_for(137).unwrap();
-    while !last.completed {
-        last = gpu.run_for(137).unwrap();
-    }
-    assert_identical(&one_shot, &last, "incremental vs one-shot");
 }
 
 #[test]
@@ -95,17 +79,6 @@ fn run_many_is_independent_of_worker_count() {
     }
 }
 
-/// FNV-1a, enough to fingerprint a canonical stats rendering without
-/// pulling a hash crate into the workspace.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn fig10_policy_suite_digest_is_golden() {
     // End-to-end lock on the figure-10 sweep: every statistic of every
@@ -143,40 +116,6 @@ fn fig10_policy_suite_digest_is_golden() {
          Per-cell digests — diff against a pre-change run of this test to find the moved cells:\n\
          {cells}"
     );
-}
-
-#[test]
-fn deadline_chunked_driving_is_byte_identical_to_unlimited() {
-    // With `DLP_JOB_DEADLINE_MS` set, the harness drives a job with
-    // chunked `run_for` calls instead of one `run()`; nothing about the
-    // statistics may depend on which path ran. Compared at the byte
-    // level through the store's payload codec, via the uncached test
-    // hook — through `run_app` the second arm would be a cache hit and
-    // the comparison vacuous.
-    use dlp_bench::harness::{run_app_uncached_for_tests, ExperimentConfig};
-    use std::time::Duration;
-    let cfg = ExperimentConfig { scale: Scale::Tiny, ..ExperimentConfig::baseline() };
-    for app in ["KM", "CFD", "STR"] {
-        let unlimited = run_app_uncached_for_tests(app, cfg, None, None).unwrap();
-        // Generous budget, default chunk: the deadline arm, never firing.
-        let chunked =
-            run_app_uncached_for_tests(app, cfg, Some(Duration::from_secs(3600)), None).unwrap();
-        assert_eq!(
-            dlp_bench::persist::encode_run(app, &unlimited),
-            dlp_bench::persist::encode_run(app, &chunked),
-            "{app}: deadline-chunked run diverged from the unlimited path"
-        );
-        // A forced 137-cycle chunk makes the job cross dozens of
-        // run_for boundaries — still byte-identical.
-        let fine =
-            run_app_uncached_for_tests(app, cfg, Some(Duration::from_secs(3600)), Some(137))
-                .unwrap();
-        assert_eq!(
-            dlp_bench::persist::encode_run(app, &unlimited),
-            dlp_bench::persist::encode_run(app, &fine),
-            "{app}: fine-chunked run diverged from the unlimited path"
-        );
-    }
 }
 
 #[test]

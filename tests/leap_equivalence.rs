@@ -15,6 +15,7 @@
 //! the whole run — the regime the active-set scans skip over.
 
 use dlp_core::PolicyKind;
+use dlp_store::fnv1a;
 use gpu_mem::{FaultConfig, FaultKind, FaultSite};
 use gpu_sim::isa::TraceOp;
 use gpu_sim::{
@@ -22,17 +23,6 @@ use gpu_sim::{
     VecStream,
 };
 use gpu_workloads::{build, Scale};
-
-/// FNV-1a fingerprint of a canonical stats rendering (same scheme as
-/// the golden fig10 digest in `determinism.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Is gpu-sim built with the `audit` cargo feature? Under audit every
 /// leap is re-simulated tick-by-tick (that is the point — the no-op

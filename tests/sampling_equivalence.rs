@@ -19,6 +19,7 @@
 
 use dlp_bench::{summarize, Estimate, SamplingSummary};
 use dlp_core::PolicyKind;
+use dlp_store::fnv1a;
 use gpu_sim::{Gpu, RunStats, SamplingConfig, SamplingReport, SimConfig};
 use gpu_workloads::{build, Scale};
 
@@ -154,17 +155,6 @@ fn sampled_estimates_track_the_exact_metrics() {
         covered * 4 >= committed * 3,
         "only {covered}/{committed} estimates covered the exact value (need 75%):\n{misses}"
     );
-}
-
-/// FNV-1a fingerprint of a canonical stats rendering (same scheme as
-/// the golden fig10 digest in `determinism.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[test]
