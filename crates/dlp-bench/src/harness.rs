@@ -1,12 +1,11 @@
 //! Parallel experiment runners.
 //!
-//! Every job in a sweep runs under `catch_unwind` with a bounded retry
-//! loop, so a single diverging configuration cannot take down a
-//! multi-hour figure run: failures are classified retryable (panics,
-//! which a fresh attempt may clear) or fatal (typed simulator errors,
-//! which are deterministic), only the former are retried (with
-//! deterministic exponential backoff), and the suites collect whatever
-//! remains into a digest the `figures` binary prints at the end.
+//! Every job in a sweep runs once under `catch_unwind`, so a single
+//! diverging configuration cannot take down a multi-hour figure run: a
+//! typed simulator error or a panic becomes a [`RunFailure`], and the
+//! suites collect the failures into a digest the `figures` binary
+//! prints at the end. A failed job is not retried: the simulator is
+//! deterministic, so a second attempt would only repeat the failure.
 //!
 //! Jobs are distributed over a work-stealing pool of scoped threads;
 //! results are committed by input slot, so every statistic is
@@ -24,7 +23,7 @@ use rd_tools::{RdProfiler, SharedRdd};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What to simulate for one run.
 ///
@@ -102,32 +101,6 @@ pub struct AppRun {
     pub sampling: Option<SamplingSummary>,
 }
 
-/// Whether a failed job is worth another attempt.
-///
-/// The split drives the retry loop: a panic can be caused by a
-/// transient host condition (memory pressure, say) and gets retried
-/// with backoff; a typed simulator error — a watchdog hang report, a
-/// cycle-cap overrun, an invariant violation — is deterministic: the
-/// identical configuration will fail identically, so retrying only
-/// wastes the sweep's time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureClass {
-    /// A fresh attempt may succeed (panic).
-    Retryable,
-    /// Deterministic failure; retrying cannot help (simulator error).
-    Fatal,
-}
-
-impl FailureClass {
-    /// Rendering used in failure digests.
-    pub fn label(self) -> &'static str {
-        match self {
-            FailureClass::Retryable => "retryable",
-            FailureClass::Fatal => "fatal",
-        }
-    }
-}
-
 /// One job that did not produce statistics: the simulator returned a
 /// typed error (hang, invariant violation, cycle-cap overrun) or the
 /// run panicked. Identifies the exact configuration so a sweep's
@@ -144,31 +117,11 @@ pub struct RunFailure {
     pub scale: Scale,
     /// What went wrong (a `SimError` rendering or a panic payload).
     pub error: String,
-    /// True when the job failed more than once before giving up.
-    pub retried: bool,
-    /// Retryable or fatal — the decision the retry loop recorded.
-    pub class: FailureClass,
-    /// Attempts made before giving up (1 = failed on first try).
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} [{} @ {} {:?}, {}{}]: {}",
-            self.app,
-            self.policy.label(),
-            self.geom,
-            self.scale,
-            self.class.label(),
-            if self.retried {
-                format!(", retried ({} attempts)", self.attempts)
-            } else {
-                String::new()
-            },
-            self.error
-        )
+        write!(f, "{} [{} @ {} {:?}]: {}", self.app, self.policy.label(), self.geom, self.scale, self.error)
     }
 }
 
@@ -262,7 +215,7 @@ pub fn scale_env() -> Result<Option<u32>, String> {
 /// configurations more than once (the size sweep's 16 KB/32 KB
 /// baseline rows reappear in the policy sweep, profiled runs repeat
 /// across figures) and only pays for each exactly once. Failures are
-/// never cached — a transient host condition must stay retryable.
+/// never cached, so a later request re-runs the job and reports it.
 fn run_cache() -> &'static Mutex<HashMap<(String, ExperimentConfig), AppRun>> {
     static CACHE: OnceLock<Mutex<HashMap<(String, ExperimentConfig), AppRun>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -366,9 +319,6 @@ fn run_app_uncached(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFail
         geom: cfg.geom_label(),
         scale: cfg.scale,
         error: e.to_string(),
-        retried: false,
-        class: FailureClass::Fatal,
-        attempts: 1,
     })?;
     let ticked_cycles = gpu.ticked_cycles();
     let sampling = gpu.sampling_report().map(summarize);
@@ -392,53 +342,7 @@ fn run_app_caught(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailur
                 geom: cfg.geom_label(),
                 scale: cfg.scale,
                 error: format!("panic: {msg}"),
-                retried: false,
-                class: FailureClass::Retryable,
-                attempts: 1,
             })
-        }
-    }
-}
-
-/// Ceiling on attempts for a retryable failure.
-const MAX_ATTEMPTS: u32 = 3;
-/// First backoff delay; doubles per retry (deterministic — no jitter,
-/// so a retrying sweep behaves identically run to run).
-const BACKOFF_BASE_MS: u64 = 25;
-/// Backoff ceiling.
-const BACKOFF_CAP_MS: u64 = 200;
-
-/// The deterministic bounded exponential backoff before retry number
-/// `attempt + 1` (25 ms, 50 ms, 100 ms, …, capped at 200 ms).
-fn backoff(attempt: u32) -> Duration {
-    let exp = attempt.saturating_sub(1).min(8);
-    Duration::from_millis((BACKOFF_BASE_MS << exp).min(BACKOFF_CAP_MS))
-}
-
-/// One job with the retry policy applied: retryable failures (panics —
-/// see [`FailureClass`]) get up to [`MAX_ATTEMPTS`] attempts with
-/// deterministic exponential backoff in between; fatal failures (typed
-/// simulator errors) are reported immediately, because the simulator
-/// is deterministic and would fail identically. The returned failure
-/// records the class and attempt count, so the sweep's failure digest
-/// shows the decision.
-///
-/// This is the hardened single-job entry point (panic-catching,
-/// retrying); `run_many` applies it per job.
-fn run_app_with_retry(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
-    let mut attempt = 1;
-    loop {
-        match run_app_caught(abbr, cfg) {
-            Ok(run) => return Ok(run),
-            Err(mut f) => {
-                f.attempts = attempt;
-                f.retried = attempt > 1;
-                if f.class == FailureClass::Fatal || attempt >= MAX_ATTEMPTS {
-                    return Err(f);
-                }
-                std::thread::sleep(backoff(attempt));
-                attempt += 1;
-            }
         }
     }
 }
@@ -500,7 +404,7 @@ pub fn run_many_with_workers(
                 });
                 let Some(i) = claimed else { break };
                 let (abbr, cfg) = &jobs[i];
-                *results[i].lock() = Some(run_app_with_retry(abbr, *cfg));
+                *results[i].lock() = Some(run_app_caught(abbr, *cfg));
             });
         }
     });
@@ -519,9 +423,6 @@ pub fn run_many_with_workers(
                     geom: cfg.geom_label(),
                     scale: cfg.scale,
                     error: "worker produced no result".to_string(),
-                    retried: false,
-                    class: FailureClass::Fatal,
-                    attempts: 0,
                 })
             })
         })
@@ -722,49 +623,9 @@ mod tests {
             geom: "16KB/4-way".to_string(),
             scale: Scale::Tiny,
             error: "hang: no forward progress".to_string(),
-            retried: true,
-            class: FailureClass::Retryable,
-            attempts: 3,
         };
         let digest = failure_digest(&[f]);
-        assert!(digest.contains("KM"), "{digest}");
-        assert!(digest.contains("DLP"), "{digest}");
-        assert!(digest.contains("16KB/4-way"), "{digest}");
-        assert!(digest.contains("retried (3 attempts)"), "{digest}");
-        assert!(digest.contains("retryable"), "{digest}");
+        assert_eq!(digest, "1 job(s) failed:\n  - KM [DLP @ 16KB/4-way Tiny]: hang: no forward progress\n");
         assert!(failure_digest(&[]).is_empty());
-
-        let fatal = RunFailure {
-            error: "invariant violated".to_string(),
-            retried: false,
-            class: FailureClass::Fatal,
-            attempts: 1,
-            ..failure_digest_sample()
-        };
-        let digest = failure_digest(&[fatal]);
-        assert!(digest.contains("fatal"), "{digest}");
-        assert!(!digest.contains("retried"), "fatal failures are not retried: {digest}");
-    }
-
-    fn failure_digest_sample() -> RunFailure {
-        RunFailure {
-            app: "KM".to_string(),
-            policy: PolicyKind::Dlp,
-            geom: "16KB/4-way".to_string(),
-            scale: Scale::Tiny,
-            error: String::new(),
-            retried: false,
-            class: FailureClass::Fatal,
-            attempts: 1,
-        }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        assert_eq!(backoff(1), Duration::from_millis(25));
-        assert_eq!(backoff(2), Duration::from_millis(50));
-        assert_eq!(backoff(3), Duration::from_millis(100));
-        assert_eq!(backoff(4), Duration::from_millis(200));
-        assert_eq!(backoff(40), Duration::from_millis(200), "cap holds far out");
     }
 }

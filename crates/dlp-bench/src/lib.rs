@@ -8,8 +8,8 @@
 //!
 //! All experiment runs are deterministic; the per-(app, configuration)
 //! simulations are independent and executed in parallel with scoped
-//! threads. Each job runs under `catch_unwind` with one retry and
-//! reports failures as [`harness::RunFailure`] values, so one bad
+//! threads. Each job runs once under `catch_unwind` and reports
+//! failures as [`harness::RunFailure`] values, so one bad
 //! configuration cannot abort a sweep.
 
 #![warn(missing_docs)]
@@ -23,7 +23,7 @@ pub mod telemetry;
 
 pub use estimate::{summarize, Estimate, SamplingSummary};
 pub use harness::{
-    run_app, run_policy_suite, run_size_suite, AppRun, ExperimentConfig, FailureClass, PolicySuite,
+    run_app, run_policy_suite, run_size_suite, AppRun, ExperimentConfig, PolicySuite,
     RunFailure, SizeSuite,
 };
 pub use report::{geomean, geomean_cell, normalize, Table};

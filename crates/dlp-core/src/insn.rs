@@ -32,8 +32,9 @@ pub fn hash_pc(pc: u32) -> InsnId {
 /// Does `pc` overflow the 7-bit instruction-id space — i.e. did
 /// [`hash_pc`] have to fold upper bits away, making aliasing *possible*?
 /// The paper assumes ≤128 distinct memory PCs and never measures beyond
-/// it (ROADMAP item 5); the simulator counts these so saturation at the
-/// scale axis's 100–1000× workloads is observable instead of silent.
+/// it (ROADMAP item "Production-scale workload front-end"); the
+/// simulator counts these so saturation at the scale axis's 100–1000×
+/// workloads is observable instead of silent.
 #[inline]
 pub fn pc_wraps(pc: u32) -> bool {
     pc >= PDPT_ENTRIES as u32

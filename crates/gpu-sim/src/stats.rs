@@ -34,8 +34,9 @@ pub struct RunStats {
     pub dram: DramStats,
     /// L1D accesses whose PC does not fit the 7-bit instruction id
     /// (§4.1: `hash_pc` XOR-folds it) — the saturation signal ROADMAP
-    /// item 5 asks about. Observability only: excluded from the pinned
-    /// `Debug` fidelity digest.
+    /// item "Production-scale workload front-end" asked about.
+    /// Observability only: excluded from the pinned `Debug` fidelity
+    /// digest.
     pub insn_id_wraps: u64,
     /// Distinct-PC collisions on an already-claimed PDPT slot (the
     /// direct-indexed table never evicts, so colliding PCs share one

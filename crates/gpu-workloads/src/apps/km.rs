@@ -8,6 +8,10 @@
 //! most of KM's RDs above the associativity), but squarely inside the
 //! VTA's visibility and the protected lifetime DLP assigns. K-means is
 //! the canonical protection winner.
+//!
+//! The generator emits one unroll-and-jam group of the distance loop
+//! (four centroid loads and their arithmetic) per segment, so a warp
+//! buffers about 1.7 KiB of trace at a time, not a whole 257-load point.
 
 use crate::gen::{GenStream, SegmentSource, WarpCtx};
 use crate::pattern::{alu_block, coalesced, desync, AddrSpace, F4};
@@ -63,15 +67,24 @@ impl Kernel for Km {
     }
 
     fn warp_stream(&self, cta: usize, warp: usize) -> Box<dyn OpStream> {
-        Box::new(GenStream::new(KmGen { app: self.clone(), ctx: WarpCtx::new(0, cta, warp) }))
+        Box::new(GenStream::new(KmGen { app: self.clone(), ctx: WarpCtx::new(0, cta, warp), p: 0, cs: 0 }))
     }
 }
 
-/// Segment 0 = desync prologue; segment 1 + p = point `p` (the whole
-/// centroid distance loop — bounded by K, which does not scale).
+/// Segment 0 = desync prologue; every later segment is one
+/// unroll-and-jam group of the centroid distance loop, walked by a
+/// cursor over point `p` and centroid offset `cs`. A point's feature
+/// load leads its first group, and the assignment arithmetic and store
+/// trail its last, so the op sequence is the whole-point loop's while
+/// a warp buffers at most four centroid loads at a time.
 struct KmGen {
     app: Km,
     ctx: WarpCtx,
+    /// Point the next group belongs to.
+    p: u64,
+    /// Centroid offset (from the warp's staggered start) of the next
+    /// group's first load.
+    cs: u64,
 }
 
 impl SegmentSource for KmGen {
@@ -81,35 +94,37 @@ impl SegmentSource for KmGen {
             desync(out, &mut self.ctx.apc, gwarp);
             return true;
         }
-        let p = seg - 1;
-        if p >= self.app.points as u64 {
+        if self.p >= self.app.points as u64 {
             return false;
         }
-        // Stream the point's feature line.
-        let pt = self.app.data + (gwarp * self.app.points as u64 + p) * self.app.feat_bytes;
-        out.push(TraceOp::load(0, 1, coalesced(pt)));
-        // Distance to every centroid; stagger the starting centroid
+        if self.cs == 0 {
+            // Stream the point's feature line.
+            let pt = self.app.data + (gwarp * self.app.points as u64 + self.p) * self.app.feat_bytes;
+            out.push(TraceOp::load(0, 1, coalesced(pt)));
+        }
+        // Distance to the next centroids; stagger the starting centroid
         // per warp so resident warps cover different table slices.
         let c0 = (gwarp * 17) % self.app.k;
         // Distance loop, unroll-and-jammed by 4 the way nvcc
         // schedules it: a group of independent centroid loads, then
         // the arithmetic that consumes them.
-        let mut cs = 0;
-        while cs < self.app.k {
-            let group = (self.app.k - cs).min(4);
-            for g in 0..group {
-                let rb = 2 + (g as u8) * 4;
-                let c = (c0 + cs + g) % self.app.k;
-                out.push(TraceOp::load(1, rb, coalesced(self.app.centroids + c * self.app.feat_bytes)));
-            }
-            for g in 0..group {
-                let rb = 2 + (g as u8) * 4;
-                out.push(TraceOp::alu(64, 4).with_srcs([rb]).with_dst(rb + 1));
-            }
-            cs += group;
+        let group = (self.app.k - self.cs).min(4);
+        for g in 0..group {
+            let rb = 2 + (g as u8) * 4;
+            let c = (c0 + self.cs + g) % self.app.k;
+            out.push(TraceOp::load(1, rb, coalesced(self.app.centroids + c * self.app.feat_bytes)));
         }
-        alu_block(out, &mut self.ctx.apc, 2, 3);
-        out.push(TraceOp::store(2, coalesced(self.app.assign + gwarp * 128)).with_srcs([3]));
+        for g in 0..group {
+            let rb = 2 + (g as u8) * 4;
+            out.push(TraceOp::alu(64, 4).with_srcs([rb]).with_dst(rb + 1));
+        }
+        self.cs += group;
+        if self.cs >= self.app.k {
+            alu_block(out, &mut self.ctx.apc, 2, 3);
+            out.push(TraceOp::store(2, coalesced(self.app.assign + gwarp * 128)).with_srcs([3]));
+            self.p += 1;
+            self.cs = 0;
+        }
         true
     }
 }

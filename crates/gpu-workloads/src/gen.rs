@@ -3,11 +3,13 @@
 //!
 //! A segment is one natural unit of the app's loop structure — the
 //! desync prologue, one loop iteration (or one unroll-and-jam group),
-//! or a trailing epilogue store. [`GenStream`] adapts a
-//! [`SegmentSource`] to the simulator's [`OpStream`] cursor interface
-//! with a single-segment buffer, so a warp's resident trace state is
-//! bounded by its largest segment no matter how many iterations the
-//! scale axis multiplies in.
+//! or a trailing epilogue store — and never a whole inner loop.
+//! [`GenStream`] adapts a [`SegmentSource`] to the simulator's
+//! [`OpStream`] cursor interface with a single-segment buffer, so a
+//! warp's resident trace state is bounded by its largest segment: a
+//! few KiB at every scale, which keeps every resident warp's op supply
+//! in the host's caches. `tests/stream_equivalence.rs` asserts an
+//! 8 KiB bound for every app.
 //!
 //! Byte-identity with the old materialized traces is guaranteed by
 //! construction: each app's per-iteration body moved verbatim from its
@@ -55,6 +57,11 @@ impl WarpCtx {
 /// across segments (RNG, apc) must advance only in calls that return
 /// `true`, so two sources built for the same warp emit the same
 /// segment sequence.
+///
+/// A segment is at most one loop iteration or one unroll group: a
+/// source whose loop body is itself a long loop carries a cursor into
+/// it instead of emitting the whole inner loop at once (see KM), so a
+/// warp's buffered trace stays a few KiB at every scale.
 pub trait SegmentSource: Send {
     /// Append segment `seg`'s ops; `false` = no such segment.
     fn emit(&mut self, seg: u64, out: &mut Vec<TraceOp>) -> bool;

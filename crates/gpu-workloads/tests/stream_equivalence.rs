@@ -170,3 +170,30 @@ fn scaled_workloads_keep_resident_memory_flat() {
         );
     }
 }
+
+#[test]
+fn every_segment_stays_small_at_every_scale() {
+    // The generator contract: a segment is at most one loop iteration
+    // or one unroll group, so a warp's buffered trace stays a few KiB
+    // however far the scale axis stretches the loops. A whole inner
+    // loop per segment (one K-means point is 257 loads, 86 688 B per
+    // warp) makes the simulator walk tens of MB of fresh trace and
+    // thrash the host's caches.
+    const BOUND: usize = 8 * 1024;
+    for spec in registry() {
+        for scale in [Scale::Tiny, Scale::Full, Scale::Scaled(10)] {
+            let k = build(spec.abbr, scale);
+            let grid = k.grid();
+            for (cta, warp) in [(0, 0), (grid.num_ctas - 1, grid.warps_per_cta - 1)] {
+                let mut stream = k.warp_stream(cta, warp);
+                while stream.next_op().is_some() {}
+                let peak = stream.peak_resident_bytes();
+                assert!(
+                    peak <= BOUND,
+                    "{} {scale:?} ({cta},{warp}): {peak} B buffered, over {BOUND} B",
+                    spec.abbr
+                );
+            }
+        }
+    }
+}

@@ -12,7 +12,7 @@ use gpu_workloads::Scale;
 fn forced_failure_yields_partial_results_and_a_digest() {
     std::env::set_var(FORCE_FAIL_ENV, "KM");
 
-    // run_many: the poisoned job fails (after its one retry), the
+    // run_many: the poisoned job fails on its only attempt, the
     // others succeed, order is preserved.
     let cfg = ExperimentConfig { scale: Scale::Tiny, ..ExperimentConfig::baseline() };
     let jobs =
@@ -24,8 +24,7 @@ fn forced_failure_yields_partial_results_and_a_digest() {
         Ok(_) => panic!("KM was forced to fail"),
     };
     assert_eq!(failure.app, "KM");
-    assert!(failure.retried, "the job gets one retry before being reported");
-    assert!(failure.error.contains("panic"), "{}", failure.error);
+    assert!(failure.error.contains("panic") && failure.error.contains("forced failure"), "{}", failure.error);
 
     // The fig10 input sweep: every non-poisoned cell present, the
     // digest names app, policy and geometry for each failed job.
@@ -34,6 +33,7 @@ fn forced_failure_yields_partial_results_and_a_digest() {
     assert!(suite.failures.iter().all(|f| f.app == "KM"));
     let digest = suite.failure_digest();
     assert!(digest.contains("KM") && digest.contains("16KB"), "{digest}");
+    assert!(!digest.contains("retr") && !digest.contains("attempt"), "a failed job runs once: {digest}");
     for spec in &suite.apps {
         let row = &suite.runs[spec.abbr];
         let expected = if spec.abbr == "KM" { 0 } else { 5 };
